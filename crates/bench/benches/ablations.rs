@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use plasma_core::apss::{apss, build_sketches, ApssConfig};
-use plasma_core::cache::KnowledgeCache;
+use plasma_core::cache::SharedKnowledgeCache;
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::datasets::transactions::QuestSpec;
 use plasma_lam::localize::{localize, LocalizeConfig};
@@ -70,7 +70,7 @@ fn ablate_cache_granularity(c: &mut Criterion) {
     g.bench_function("full_knowledge_cache", |b| {
         b.iter(|| {
             let (sk, _) = build_sketches(&ds.records, ds.measure, &cfg);
-            let mut cache = KnowledgeCache::new(sk);
+            let cache = SharedKnowledgeCache::new(sk);
             let _ = cache.probe(&ds.records, ds.measure, 0.9, &cfg);
             cache.probe(&ds.records, ds.measure, 0.6, &cfg).pairs.len()
         })

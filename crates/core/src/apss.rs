@@ -6,33 +6,30 @@
 //! Cumulative APSS Graph). Timing is split into *sketching* and
 //! *processing* because Fig. 2.9's point is exactly that split.
 //!
-//! # Parallel engine
+//! # Pair evaluation
 //!
-//! Both halves of the probe scale with cores, controlled by one knob,
-//! [`ApssConfig::parallelism`] (`None` = all cores, `Some(1)` =
-//! sequential):
-//!
-//! * **Sketching** shards records into disjoint slices of the flat sketch
-//!   buffer (see `plasma_lsh::sketch`).
-//! * **Pair evaluation** chunks the candidate list; each worker evaluates
-//!   its chunk with a private `ProbeTable` and accumulates a private
-//!   [`ApssStats`] partial, merged in chunk order afterwards.
-//!
-//! Every path returns bit-identical pairs, estimates, and counters at
-//! every thread count: per-pair evaluation is independent, and chunk
-//! outputs concatenate back into candidate order.
+//! Cold APSS, cached probes, and watch deltas all go through one loop:
+//! `evaluate` chunks the candidate list across
+//! [`ApssConfig::parallelism`] workers, each stepping a private
+//! `PairEvaluator` whose memo source is an `Option<&SharedKnowledgeCache>`
+//! (`None` = cold); incremental runs step the same evaluator record by
+//! record. Pairs, estimates, and counters are bit-identical at every
+//! thread count and cache warmth: per-pair evaluation is independent, and
+//! chunk outputs concatenate back into candidate order.
 
 use std::time::Instant;
 
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
-use plasma_lsh::bayes::{BayesLsh, PairDecision, PairEstimate};
+use plasma_lsh::bayes::{BayesLsh, PairDecision, PairEstimate, ProbeTable};
 use plasma_lsh::candidates;
 use plasma_lsh::family::LshFamily;
 use plasma_lsh::resolve_parallelism;
 use plasma_lsh::sketch::{SketchSet, Sketcher};
 use plasma_lsh::{BayesParams, ShardPolicy};
 use rayon::prelude::*;
+
+use crate::cache::SharedKnowledgeCache;
 
 /// How candidate pairs are generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,6 +111,18 @@ pub struct ApssResult {
     pub estimates: Vec<(u32, u32, PairEstimate)>,
     /// Counters and timings.
     pub stats: ApssStats,
+}
+
+impl ApssResult {
+    /// An empty result with room for `candidates` estimates.
+    fn with_capacity(threshold: f64, candidates: usize) -> Self {
+        Self {
+            threshold,
+            pairs: Vec::new(),
+            estimates: Vec::with_capacity(candidates),
+            stats: ApssStats::default(),
+        }
+    }
 }
 
 /// Probe statistics.
@@ -209,91 +218,155 @@ pub fn apss_with_sketches(
     cfg: &ApssConfig,
 ) -> ApssResult {
     let start = Instant::now();
-    let engine = BayesLsh::new(sketches.family(), cfg.bayes);
     let cands = generate_candidates(sketches, cfg);
-    let threads = eval_threads(cfg, cands.len());
+    let mut result = evaluate(records, measure, sketches, threshold, cfg, &cands, None);
+    result.stats.process_seconds = start.elapsed().as_secs_f64();
+    result
+}
 
-    let mut stats = ApssStats {
-        candidates: cands.len() as u64,
-        ..Default::default()
-    };
-    let mut pairs = Vec::new();
-    let mut estimates = Vec::with_capacity(cands.len());
-    let chunk_outs: Vec<ChunkEval> = if threads <= 1 {
-        vec![evaluate_chunk(
-            &engine, sketches, records, measure, threshold, cfg, &cands,
-        )]
-    } else {
-        // One private ProbeTable and stats partial per worker; chunk
-        // outputs concatenate back into candidate order, so the merged
-        // result is bit-identical to the sequential pass.
-        let per_chunk = cands.len().div_ceil(threads);
-        cands
-            .par_chunks(per_chunk)
-            .map(|chunk| evaluate_chunk(&engine, sketches, records, measure, threshold, cfg, chunk))
-            .collect()
-    };
-    for out in chunk_outs {
-        stats.absorb(&out.stats);
-        pairs.extend(out.pairs);
-        estimates.extend(out.estimates);
+/// One worker's pair evaluator: a private `ProbeTable` plus the memo
+/// source its walks read and publish through (`None` = cold).
+pub(crate) struct PairEvaluator<'a> {
+    table: ProbeTable<'a>,
+    sketches: &'a SketchSet,
+    memos: Option<&'a SharedKnowledgeCache>,
+    /// Whether the memoized profiles are indexed by this walk's batch
+    /// schedule; a mismatched walk runs cold but still reuses (and
+    /// publishes) exact similarities.
+    profiled: bool,
+}
+
+/// What one pair evaluation produced.
+pub(crate) struct PairOutcome {
+    pub(crate) estimate: PairEstimate,
+    /// Hash positions newly compared (0 = answered entirely from memos).
+    pub(crate) new_hashes: u32,
+    /// The similarity to report, `None` for a pruned pair.
+    pub(crate) similarity: Option<f64>,
+}
+
+impl<'a> PairEvaluator<'a> {
+    pub(crate) fn new(
+        engine: &'a BayesLsh,
+        sketches: &'a SketchSet,
+        threshold: f64,
+        memos: Option<&'a SharedKnowledgeCache>,
+    ) -> Self {
+        Self {
+            table: engine.probe_table(threshold),
+            sketches,
+            memos,
+            profiled: memos.is_some_and(|c| c.schedule_accepts(engine.params().batch)),
+        }
     }
-    stats.process_seconds = start.elapsed().as_secs_f64();
-    ApssResult {
-        threshold,
-        pairs,
-        estimates,
-        stats,
+
+    /// Evaluates one pair: memo read → decision walk → similarity →
+    /// publish. `exact` carries the records and measure when accepted
+    /// pairs get their similarity recomputed exactly. The estimate is
+    /// bit-identical whatever the memos hold; only `new_hashes` varies.
+    // `#[inline]` here and on `load`/`publish`: out-of-line per-candidate
+    // calls cost ~5 % of a contended warm probe.
+    #[inline]
+    pub(crate) fn step(
+        &mut self,
+        i: u32,
+        j: u32,
+        exact: Option<(&[SparseVector], Similarity)>,
+    ) -> PairOutcome {
+        let (key, a, b) = ((i, j), i as usize, j as usize);
+        let (mut profile, known_exact) = match self.memos {
+            Some(cache) => cache.load(key),
+            None => Default::default(),
+        };
+        let had_profile = !profile.is_empty();
+        // Evaluate without holding any lock.
+        let (estimate, new_hashes) = if self.profiled {
+            let out = self
+                .table
+                .evaluate_profiled(self.sketches, a, b, &mut profile);
+            (out.estimate, out.new_hashes)
+        } else {
+            let est = self.table.evaluate_pair(self.sketches, a, b);
+            (est, est.hashes)
+        };
+        let mut fresh_exact = None;
+        let similarity = (estimate.decision != PairDecision::Pruned).then(|| match exact {
+            Some((records, measure)) => known_exact.unwrap_or_else(|| {
+                let s = measure.compute(&records[a], &records[b]);
+                fresh_exact = Some(s);
+                s
+            }),
+            None => estimate.map_similarity,
+        });
+        if let Some(cache) = self.memos {
+            // A full cache hit publishes nothing — it re-derived only
+            // already-published knowledge.
+            let memo =
+                (self.profiled && (new_hashes > 0 || !had_profile)).then_some((profile, estimate));
+            cache.publish(key, memo, fresh_exact);
+        }
+        PairOutcome {
+            estimate,
+            new_hashes,
+            similarity,
+        }
     }
 }
 
-/// One worker's share of a probe.
-struct ChunkEval {
-    pairs: Vec<SimilarPair>,
-    estimates: Vec<(u32, u32, PairEstimate)>,
-    stats: ApssStats,
-}
-
-/// Evaluates one chunk of candidates with a private `ProbeTable`,
-/// returning results in chunk order.
-fn evaluate_chunk(
-    engine: &BayesLsh,
-    sketches: &SketchSet,
+/// The one evaluation loop behind every probe: cold APSS (`memos: None`),
+/// cached probes and watch deltas (`Some`). Chunks `cands` across
+/// [`eval_threads`] workers, each with a private [`PairEvaluator`] and
+/// stats partial, and concatenates chunk outputs back into candidate
+/// order — so pairs, estimates, and decision counters are bit-identical
+/// at every thread count and cache warmth. The caller owns the timings.
+pub(crate) fn evaluate(
     records: &[SparseVector],
     measure: Similarity,
+    sketches: &SketchSet,
     threshold: f64,
     cfg: &ApssConfig,
-    chunk: &[(u32, u32)],
-) -> ChunkEval {
-    let mut table = engine.probe_table(threshold);
-    let mut stats = ApssStats::default();
-    let mut pairs = Vec::new();
-    let mut estimates = Vec::with_capacity(chunk.len());
-    for &(i, j) in chunk {
-        let est = table.evaluate_pair(sketches, i as usize, j as usize);
-        stats.hashes_compared += est.hashes as u64;
-        match est.decision {
-            PairDecision::Pruned => stats.pruned += 1,
-            PairDecision::Accepted => stats.accepted += 1,
-            PairDecision::Exhausted => stats.exhausted += 1,
-        }
-        if est.decision != PairDecision::Pruned {
-            let similarity = if cfg.exact_on_accept {
-                measure.compute(&records[i as usize], &records[j as usize])
-            } else {
-                est.map_similarity
-            };
-            if similarity >= threshold {
-                pairs.push(SimilarPair { i, j, similarity });
+    cands: &[(u32, u32)],
+    memos: Option<&SharedKnowledgeCache>,
+) -> ApssResult {
+    let engine = BayesLsh::new(sketches.family(), cfg.bayes);
+    let exact = cfg.exact_on_accept.then_some((records, measure));
+    let eval_chunk = |chunk: &[(u32, u32)]| {
+        let mut eval = PairEvaluator::new(&engine, sketches, threshold, memos);
+        let mut out = ApssResult::with_capacity(threshold, chunk.len());
+        out.stats.candidates = chunk.len() as u64;
+        for &(i, j) in chunk {
+            let pair = eval.step(i, j, exact);
+            out.stats.hashes_compared += pair.new_hashes as u64;
+            if memos.is_some() && pair.new_hashes == 0 {
+                out.stats.cache_hits += 1;
             }
+            match pair.estimate.decision {
+                PairDecision::Pruned => out.stats.pruned += 1,
+                PairDecision::Accepted => out.stats.accepted += 1,
+                PairDecision::Exhausted => out.stats.exhausted += 1,
+            }
+            if let Some(similarity) = pair.similarity.filter(|&s| s >= threshold) {
+                out.pairs.push(SimilarPair { i, j, similarity });
+            }
+            out.estimates.push((i, j, pair.estimate));
         }
-        estimates.push((i, j, est));
+        out
+    };
+    let threads = eval_threads(cfg, cands.len());
+    if threads <= 1 {
+        return eval_chunk(cands);
     }
-    ChunkEval {
-        pairs,
-        estimates,
-        stats,
+    let chunks: Vec<ApssResult> = cands
+        .par_chunks(cands.len().div_ceil(threads))
+        .map(eval_chunk)
+        .collect();
+    let mut result = ApssResult::with_capacity(threshold, cands.len());
+    for out in chunks {
+        result.stats.absorb(&out.stats);
+        result.pairs.extend(out.pairs);
+        result.estimates.extend(out.estimates);
     }
+    result
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The knowledge cache — single-session and shared/concurrent forms.
+//! The knowledge cache — one shared, concurrent form.
 //!
 //! §2.2.1: "The memoization can also be viewed as a knowledge cache,
 //! enabling one to speed up subsequent iterations of the algorithm by
@@ -78,16 +78,16 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::time::Instant;
 
 use plasma_data::hash::{FxHashMap, FxHasher};
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
-use plasma_lsh::bayes::{MatchProfile, PairDecision, PairEstimate};
+use plasma_lsh::bayes::{MatchProfile, PairEstimate};
 use plasma_lsh::candidates::BandBuckets;
 use plasma_lsh::sketch::SketchSet;
-use rayon::prelude::*;
 
-use crate::apss::{build_sketches, ApssConfig, ApssResult, ApssStats, SimilarPair};
+use crate::apss::{build_sketches, evaluate, ApssConfig, ApssResult};
 
 /// Number of lock stripes in a [`SharedKnowledgeCache`]. A fixed power of
 /// two well above typical core counts keeps contention negligible without
@@ -657,16 +657,18 @@ impl SharedKnowledgeCache {
         *self.schedule_batch.get_or_init(|| batch) == batch
     }
 
-    /// Snapshot of a pair's memoized profile (empty when unknown),
-    /// refreshing the pair's recency so LRU eviction sees the read.
-    pub(crate) fn load_profile(&self, key: (u32, u32)) -> MatchProfile {
+    /// Snapshot of a pair's memoized profile and exact similarity (empty
+    /// and `None` when unknown), refreshing the pair's recency so LRU
+    /// eviction sees the read.
+    #[inline]
+    pub(crate) fn load(&self, key: (u32, u32)) -> (MatchProfile, Option<f64>) {
         let mut g = self.stripe(key).lock().expect("stripe lock");
         match g.entries.get_mut(&key) {
             Some(memo) => {
                 memo.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
-                memo.profile.clone()
+                (memo.profile.clone(), memo.exact)
             }
-            None => MatchProfile::new(),
+            None => Default::default(),
         }
     }
 
@@ -680,6 +682,7 @@ impl SharedKnowledgeCache {
     /// evicted ([`Stripe::evict_to_budget`]) before the lock drops — so
     /// the accounted footprint is back under the cap the moment any
     /// publication completes.
+    #[inline]
     pub(crate) fn publish(
         &self,
         key: (u32, u32),
@@ -930,27 +933,18 @@ impl SharedKnowledgeCache {
         threshold: f64,
         cfg: &ApssConfig,
     ) -> ApssResult {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let sketches = self.pin_snapshot(records);
         let cands = self.generate_candidates_cached(&sketches, cfg);
-        self.evaluate_candidates(records, measure, threshold, cfg, &sketches, cands, start)
+        self.evaluate_pinned(records, measure, threshold, cfg, &sketches, &cands, start)
     }
 
-    /// Evaluates only the candidates a corpus growth added — every pair
-    /// touching a record in `[from, len)` — exactly as
-    /// [`probe`](Self::probe) would evaluate them inside a full run. Pair
-    /// evaluation is pair-local (sketch prefixes never change, and the
-    /// decision walk reads nothing but the two sketches and its own
-    /// memo), so the result is bit-identical to the corresponding slice
-    /// of a full probe: this is the delta half of a watch evaluation, and
-    /// the equivalence `concat(deltas) == cold probe` is pinned by
-    /// `crates/core/tests/watch_differential.rs`. Like
-    /// [`probe_silent`](Self::probe_silent), it leaves the probe history
-    /// untouched.
-    // Production watches go through the shared-slice path
-    // (`probe_delta_with`); this one-shot composition is kept as the
-    // reference implementation their bit-identity is tested against.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Test reference for the watch path: evaluates only the candidates a
+    /// corpus growth added — every pair touching a record in `[from, len)`
+    /// — as a one-shot pin + generate + evaluate. Production watches share
+    /// one generated slice per epoch×shape and call
+    /// [`evaluate_pinned`](Self::evaluate_pinned) on it directly.
+    #[cfg(test)]
     pub(crate) fn probe_delta(
         &self,
         records: &[SparseVector],
@@ -959,37 +953,10 @@ impl SharedKnowledgeCache {
         cfg: &ApssConfig,
         from: usize,
     ) -> ApssResult {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let sketches = self.pin_snapshot(records);
         let cands = self.generate_delta_candidates(&sketches, cfg, from);
-        self.evaluate_candidates(records, measure, threshold, cfg, &sketches, cands, start)
-    }
-
-    /// The evaluation half of [`probe_delta`](Self::probe_delta) against
-    /// an already-generated candidate slice — the registry's single-pass
-    /// multi-watch path generates each epoch's slice once per candidate
-    /// shape and evaluates every watch from it. Bit-identical to
-    /// `probe_delta` with the same `cfg`: the slice is exactly what
-    /// [`generate_delta_candidates`](Self::generate_delta_candidates)
-    /// would return, and evaluation reads nothing else.
-    pub(crate) fn probe_delta_with(
-        &self,
-        records: &[SparseVector],
-        measure: Similarity,
-        threshold: f64,
-        cfg: &ApssConfig,
-        sketches: &Arc<SketchSet>,
-        cands: Arc<Vec<(u32, u32)>>,
-    ) -> ApssResult {
-        let start = std::time::Instant::now();
-        assert_eq!(
-            records.len(),
-            sketches.len(),
-            "delta evaluation supplied {} records but the pinned snapshot sketches {}",
-            records.len(),
-            sketches.len()
-        );
-        self.evaluate_candidates(records, measure, threshold, cfg, sketches, cands, start)
+        self.evaluate_pinned(records, measure, threshold, cfg, &sketches, &cands, start)
     }
 
     /// Pins one corpus epoch for a whole evaluation: a concurrent `grow`
@@ -1016,272 +983,45 @@ impl SharedKnowledgeCache {
         sketches
     }
 
-    /// The evaluation core shared by full probes and watch deltas: runs
-    /// the decision walk over an explicit candidate list against a pinned
-    /// sketch snapshot, reading and publishing memos through the lock
-    /// stripes. Output order is candidate order, so a sorted candidate
-    /// list yields pairs and estimates in canonical `(i, j)` order.
+    /// Runs the shared evaluation loop ([`crate::apss::evaluate`]) over an
+    /// explicit candidate list against a pinned snapshot, with this cache
+    /// as the memo source, and books the timing and lifetime hits; the
+    /// probe history is untouched. Pair evaluation is pair-local (sketch
+    /// prefixes never change, and the walk reads nothing but the two
+    /// sketches and its own memo), so evaluating a growth's delta slice is
+    /// bit-identical to that slice of a full probe — `concat(deltas) ==
+    /// cold probe` is pinned by `crates/core/tests/watch_differential.rs`.
     #[allow(clippy::too_many_arguments)]
-    fn evaluate_candidates(
+    pub(crate) fn evaluate_pinned(
         &self,
         records: &[SparseVector],
         measure: Similarity,
         threshold: f64,
         cfg: &ApssConfig,
         sketches: &SketchSet,
-        cands: Arc<Vec<(u32, u32)>>,
-        start: std::time::Instant,
+        cands: &[(u32, u32)],
+        start: Instant,
     ) -> ApssResult {
-        let engine = plasma_lsh::bayes::BayesLsh::new(sketches.family(), cfg.bayes);
-        let threads = crate::apss::eval_threads(cfg, cands.len());
-        let profiled = self.schedule_accepts(cfg.bayes.batch);
-
-        let eval_chunk = |chunk: &[(u32, u32)]| -> ChunkOut {
-            let mut table = engine.probe_table(threshold);
-            let mut stats = ApssStats::default();
-            let mut pairs = Vec::new();
-            let mut estimates = Vec::with_capacity(chunk.len());
-            for &(i, j) in chunk {
-                let key = (i, j);
-                // Read phase: lift this pair's memos out of its stripe,
-                // refreshing its recency stamp for the eviction policy.
-                let (mut profile, known_exact) = {
-                    let mut g = self.stripe(key).lock().expect("stripe lock");
-                    match g.entries.get_mut(&key) {
-                        Some(memo) => {
-                            memo.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
-                            (
-                                if profiled {
-                                    memo.profile.clone()
-                                } else {
-                                    MatchProfile::new()
-                                },
-                                if cfg.exact_on_accept {
-                                    memo.exact
-                                } else {
-                                    None
-                                },
-                            )
-                        }
-                        None => (MatchProfile::new(), None),
-                    }
-                };
-                let had_profile = !profile.is_empty();
-                // Evaluate without holding any lock.
-                let (est, new_hashes) = if profiled {
-                    let out =
-                        table.evaluate_profiled(sketches, i as usize, j as usize, &mut profile);
-                    (out.estimate, out.new_hashes)
-                } else {
-                    let est = table.evaluate_pair(sketches, i as usize, j as usize);
-                    (est, est.hashes)
-                };
-                stats.hashes_compared += new_hashes as u64;
-                if new_hashes == 0 {
-                    stats.cache_hits += 1;
-                }
-                match est.decision {
-                    PairDecision::Pruned => stats.pruned += 1,
-                    PairDecision::Accepted => stats.accepted += 1,
-                    PairDecision::Exhausted => stats.exhausted += 1,
-                }
-                let mut fresh_exact = None;
-                if est.decision != PairDecision::Pruned {
-                    let similarity = if cfg.exact_on_accept {
-                        known_exact.unwrap_or_else(|| {
-                            let s = measure.compute(&records[i as usize], &records[j as usize]);
-                            fresh_exact = Some(s);
-                            s
-                        })
-                    } else {
-                        est.map_similarity
-                    };
-                    if similarity >= threshold {
-                        pairs.push(SimilarPair { i, j, similarity });
-                    }
-                }
-                // Publish phase: fold what this evaluation learned back
-                // into the stripe. A full cache hit publishes nothing —
-                // it re-derived only already-published knowledge.
-                let memo = (profiled && (new_hashes > 0 || !had_profile)).then_some((profile, est));
-                self.publish(key, memo, fresh_exact);
-                estimates.push((i, j, est));
-            }
-            ChunkOut {
-                pairs,
-                estimates,
-                stats,
-            }
-        };
-
-        let chunk_outs: Vec<ChunkOut> = if threads <= 1 {
-            vec![eval_chunk(&cands)]
-        } else {
-            let per_chunk = cands.len().div_ceil(threads);
-            cands.par_chunks(per_chunk).map(eval_chunk).collect()
-        };
-
-        // Assemble in candidate order: chunk outputs concatenate back into
-        // the deterministic sequential order.
-        let mut stats = ApssStats {
-            candidates: cands.len() as u64,
-            ..Default::default()
-        };
-        let mut pairs = Vec::new();
-        let mut estimates = Vec::with_capacity(cands.len());
-        for out in chunk_outs {
-            stats.absorb(&out.stats);
-            pairs.extend(out.pairs);
-            estimates.extend(out.estimates);
-        }
-        stats.process_seconds = start.elapsed().as_secs_f64();
-        self.hits.fetch_add(stats.cache_hits, Ordering::Relaxed);
-        ApssResult {
+        assert_eq!(
+            records.len(),
+            sketches.len(),
+            "evaluation supplied {} records but the pinned snapshot sketches {}",
+            records.len(),
+            sketches.len()
+        );
+        let mut result = evaluate(
+            records,
+            measure,
+            sketches,
             threshold,
-            pairs,
-            estimates,
-            stats,
-        }
-    }
-}
-
-/// One worker's share of a cached probe, in chunk order.
-struct ChunkOut {
-    pairs: Vec<SimilarPair>,
-    estimates: Vec<(u32, u32, PairEstimate)>,
-    stats: ApssStats,
-}
-
-/// Single-session façade over a [`SharedKnowledgeCache`].
-///
-/// Owns an `Arc` to the shared form, so a session-private cache can later
-/// be handed to other sessions via [`shared`](Self::shared) without
-/// rebuilding sketches. The `&mut self` probe signature is kept for
-/// callers that want exclusive-use semantics; it delegates to the
-/// lock-striped implementation.
-///
-/// ```
-/// use plasma_core::apss::{build_sketches, ApssConfig};
-/// use plasma_core::KnowledgeCache;
-/// use plasma_data::datasets::gaussian::GaussianSpec;
-/// use plasma_data::similarity::Similarity;
-///
-/// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
-/// let cfg = ApssConfig::default();
-/// let (sketches, _) = build_sketches(&ds.records, Similarity::Cosine, &cfg);
-/// let mut cache = KnowledgeCache::new(sketches);
-/// let first = cache.probe(&ds.records, Similarity::Cosine, 0.8, &cfg);
-/// // Re-probing the same threshold is a pure cache hit: zero new hash
-/// // comparisons, identical pairs.
-/// let again = cache.probe(&ds.records, Similarity::Cosine, 0.8, &cfg);
-/// assert_eq!(again.stats.hashes_compared, 0);
-/// assert_eq!(again.stats.cache_hits, again.stats.candidates);
-/// assert_eq!(again.pairs, first.pairs);
-/// assert!(!cache.is_empty());
-/// ```
-pub struct KnowledgeCache {
-    shared: Arc<SharedKnowledgeCache>,
-}
-
-impl KnowledgeCache {
-    /// Wraps freshly built sketches with an empty, unbounded memo pool.
-    pub fn new(sketches: SketchSet) -> Self {
-        Self::with_capacity(sketches, CacheCapacity::unbounded())
-    }
-
-    /// Wraps freshly built sketches with a memo pool governed by
-    /// `capacity` (see [`SharedKnowledgeCache::with_capacity`]).
-    ///
-    /// ```
-    /// use plasma_core::apss::{build_sketches, ApssConfig};
-    /// use plasma_core::cache::CacheCapacity;
-    /// use plasma_core::KnowledgeCache;
-    /// use plasma_data::datasets::gaussian::GaussianSpec;
-    /// use plasma_data::similarity::Similarity;
-    ///
-    /// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
-    /// let cfg = ApssConfig::default();
-    /// let (sketches, _) = build_sketches(&ds.records, Similarity::Cosine, &cfg);
-    /// // A zero-byte cap memoizes nothing — probes still return the
-    /// // exact unbounded-cache output, they just pay fresh cost.
-    /// let mut cache = KnowledgeCache::with_capacity(sketches, CacheCapacity::bounded(0));
-    /// let first = cache.probe(&ds.records, Similarity::Cosine, 0.8, &cfg);
-    /// let again = cache.probe(&ds.records, Similarity::Cosine, 0.8, &cfg);
-    /// assert_eq!(again.pairs, first.pairs);
-    /// assert_eq!(cache.memory_stats().memo_bytes, 0);
-    /// ```
-    pub fn with_capacity(sketches: SketchSet, capacity: CacheCapacity) -> Self {
-        Self {
-            shared: Arc::new(SharedKnowledgeCache::with_capacity(sketches, capacity)),
-        }
-    }
-
-    /// The memory policy in force.
-    pub fn capacity(&self) -> CacheCapacity {
-        self.shared.capacity()
-    }
-
-    /// Memory and eviction statistics (see
-    /// [`SharedKnowledgeCache::memory_stats`]).
-    pub fn memory_stats(&self) -> CacheMemoryStats {
-        self.shared.memory_stats()
-    }
-
-    /// The underlying shareable cache; clone the `Arc` to attach more
-    /// sessions ([`crate::session::Session::with_shared_cache`]).
-    pub fn shared(&self) -> &Arc<SharedKnowledgeCache> {
-        &self.shared
-    }
-
-    /// Consumes the façade, yielding the shareable cache.
-    pub fn into_shared(self) -> Arc<SharedKnowledgeCache> {
-        self.shared
-    }
-
-    /// A snapshot of the cached sketches (see
-    /// [`SharedKnowledgeCache::sketches`]).
-    pub fn sketches(&self) -> Arc<SketchSet> {
-        self.shared.sketches()
-    }
-
-    /// Number of pairs with a memoized profile. Sums the lock stripes of
-    /// the sharded storage — O([`STRIPES`]) lock acquisitions, not O(1).
-    pub fn len(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// True when no pair memos are held in any stripe.
-    pub fn is_empty(&self) -> bool {
-        self.shared.is_empty()
-    }
-
-    /// Thresholds probed so far, in append order. Owned (not borrowed):
-    /// the history lives behind the shared cache's mutex, and other
-    /// holders of [`shared`](Self::shared) may append between calls.
-    pub fn probe_history(&self) -> Vec<f64> {
-        self.shared.probe_history()
-    }
-
-    /// The most-refined decision record memoized for a pair, if any (see
-    /// [`SharedKnowledgeCache::get`] for the decision-threshold caveat).
-    pub fn get(&self, i: u32, j: u32) -> Option<PairEstimate> {
-        self.shared.get(i, j)
-    }
-
-    /// Owned snapshot of all memoized decision records.
-    pub fn snapshot_estimates(&self) -> Vec<((u32, u32), PairEstimate)> {
-        self.shared.snapshot_estimates()
-    }
-
-    /// Runs a cached probe; see [`SharedKnowledgeCache::probe`].
-    pub fn probe(
-        &mut self,
-        records: &[SparseVector],
-        measure: Similarity,
-        threshold: f64,
-        cfg: &ApssConfig,
-    ) -> ApssResult {
-        self.shared.probe(records, measure, threshold, cfg)
+            cfg,
+            cands,
+            Some(self),
+        );
+        result.stats.process_seconds = start.elapsed().as_secs_f64();
+        self.hits
+            .fetch_add(result.stats.cache_hits, Ordering::Relaxed);
+        result
     }
 }
 
@@ -1730,7 +1470,9 @@ mod tests {
         let a = a_cache.probe_delta(&all, Similarity::Cosine, 0.6, &cfg, 40);
         let pinned = b_cache.pin_snapshot(&all);
         let slice = b_cache.generate_delta_candidates(&pinned, &cfg, 40);
-        let b = b_cache.probe_delta_with(&all, Similarity::Cosine, 0.6, &cfg, &pinned, slice);
+        let start = Instant::now();
+        let b =
+            b_cache.evaluate_pinned(&all, Similarity::Cosine, 0.6, &cfg, &pinned, &slice, start);
 
         assert_same_output(&a, &b, "shared-slice delta");
         assert_eq!(a.stats.candidates, b.stats.candidates);
@@ -1770,7 +1512,7 @@ mod tests {
         let records = dataset();
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        let mut cache = KnowledgeCache::new(sketches.clone());
+        let cache = SharedKnowledgeCache::new(sketches.clone());
         let first = cache.probe(&records, Similarity::Cosine, 0.9, &cfg);
         let second = cache.probe(&records, Similarity::Cosine, 0.6, &cfg);
         let fresh_hi = apss_with_sketches(&records, Similarity::Cosine, &sketches, 0.9, &cfg);
@@ -1786,7 +1528,7 @@ mod tests {
         let records = dataset();
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        let mut cache = KnowledgeCache::new(sketches);
+        let cache = SharedKnowledgeCache::new(sketches);
         cache.probe(&records, Similarity::Cosine, 0.95, &cfg);
         let cached = cache.probe(&records, Similarity::Cosine, 0.9, &cfg);
         let fresh = apss(&records, Similarity::Cosine, 0.9, &cfg);
@@ -1803,7 +1545,7 @@ mod tests {
         let records = dataset();
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        let mut cache = KnowledgeCache::new(sketches);
+        let cache = SharedKnowledgeCache::new(sketches);
         cache.probe(&records, Similarity::Cosine, 0.9, &cfg);
         cache.probe(&records, Similarity::Cosine, 0.5, &cfg);
         assert_eq!(cache.probe_history(), vec![0.9, 0.5]);
@@ -1816,7 +1558,7 @@ mod tests {
         let records = dataset();
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        let mut cache = KnowledgeCache::new(sketches);
+        let cache = SharedKnowledgeCache::new(sketches);
         let r = cache.probe(&records, Similarity::Cosine, 0.8, &cfg);
         let (i, j, est) = r.estimates[0];
         let cached = cache.get(i, j).expect("estimate must be memoized");

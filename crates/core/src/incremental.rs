@@ -10,12 +10,12 @@
 
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
-use plasma_lsh::bayes::{BayesLsh, ProbeTable};
+use plasma_lsh::bayes::BayesLsh;
 use plasma_lsh::family::LshFamily;
 use plasma_lsh::sketch::SketchSet;
 use rayon::prelude::*;
 
-use crate::apss::{build_sketches, ApssConfig};
+use crate::apss::{build_sketches, ApssConfig, PairEvaluator};
 use crate::cache::SharedKnowledgeCache;
 
 /// Frontier width from which the per-record join shards across workers;
@@ -204,31 +204,6 @@ pub fn incremental_apss_with_cache_gated(
     )
 }
 
-/// Evaluates one pair, through the shared cache's memos when available.
-fn eval_pair(
-    table: &mut ProbeTable<'_>,
-    sketches: &SketchSet,
-    cache: Option<&SharedKnowledgeCache>,
-    j: usize,
-    k: usize,
-) -> (u32, u32) {
-    match cache {
-        Some(cache) => {
-            let key = (j as u32, k as u32);
-            let mut profile = cache.load_profile(key);
-            let had_profile = !profile.is_empty();
-            let out = table.evaluate_profiled(sketches, j, k, &mut profile);
-            let memo = (out.new_hashes > 0 || !had_profile).then_some((profile, out.estimate));
-            cache.publish(key, memo, None);
-            (out.estimate.matches, out.estimate.hashes)
-        }
-        None => {
-            let est = table.evaluate_pair(sketches, j, k);
-            (est.matches, est.hashes)
-        }
-    }
-}
-
 /// The shared driver behind [`incremental_apss`] and
 /// [`incremental_apss_with_cache`].
 #[allow(clippy::too_many_arguments)]
@@ -245,7 +220,7 @@ fn run_incremental(
 ) -> IncrementalRun {
     let n = records.len();
     let engine = BayesLsh::new(LshFamily::for_measure(measure), cfg.bayes);
-    let mut table = engine.probe_table(t1);
+    let mut eval = PairEvaluator::new(&engine, sketches, t1, cache);
     let grid = engine.grid_points().to_vec();
     let threads = crate::apss::eval_threads(cfg, n);
 
@@ -260,6 +235,15 @@ fn run_incremental(
     let mut next_report = 0usize;
 
     for k in 1..n {
+        // Folds one evaluation's (m, n) stopping cell into the running sums.
+        let mut fold = |m: u32, h: u32| {
+            let tails = tail_memo
+                .entry((m, h))
+                .or_insert_with(|| tail_masses(&engine, &grid, report_thresholds, m, h));
+            for (ti, tail) in tails.iter().enumerate() {
+                running[ti] += tail;
+            }
+        };
         if threads > 1 && k >= par_join_min.max(1) {
             // Wide frontier: shard the join of record k against 0..k.
             // Workers only evaluate pairs, writing each evaluation's
@@ -272,30 +256,21 @@ fn run_incremental(
             let shard = k.div_ceil(threads);
             let mut cells: Vec<(u32, u32)> = vec![(0, 0); k];
             cells.par_chunks_mut(shard).enumerate_for_each(|c, slice| {
-                let mut table = engine.probe_table(t1);
+                let mut eval = PairEvaluator::new(&engine, sketches, t1, cache);
                 let lo = c * shard;
                 for (off, cell) in slice.iter_mut().enumerate() {
-                    *cell = eval_pair(&mut table, sketches, cache, lo + off, k);
+                    let est = eval.step((lo + off) as u32, k as u32, None).estimate;
+                    *cell = (est.matches, est.hashes);
                 }
             });
             for &(m, h) in &cells {
-                let tails = tail_memo
-                    .entry((m, h))
-                    .or_insert_with(|| tail_masses(&engine, &grid, report_thresholds, m, h));
-                for (ti, tail) in tails.iter().enumerate() {
-                    running[ti] += tail;
-                }
+                fold(m, h);
             }
         } else {
             // Join record k against records 0..k.
             for j in 0..k {
-                let (m, h) = eval_pair(&mut table, sketches, cache, j, k);
-                let tails = tail_memo
-                    .entry((m, h))
-                    .or_insert_with(|| tail_masses(&engine, &grid, report_thresholds, m, h));
-                for (ti, tail) in tails.iter().enumerate() {
-                    running[ti] += tail;
-                }
+                let est = eval.step(j as u32, k as u32, None).estimate;
+                fold(est.matches, est.hashes);
             }
         }
         let frac = (k + 1) as f64 / n as f64;

@@ -54,9 +54,8 @@
 //!   [`apss::ApssConfig::shard`] ([`ShardPolicy`]) — and k-way merges
 //!   per-shard sorted runs (`plasma_lsh::candidates`), so skewed key
 //!   distributions cannot serialize a probe;
-//! * pair evaluation chunks the candidate list with a private
-//!   `ProbeTable` and stats partial per worker ([`apss`], [`cache`],
-//!   [`topk`]), merging in candidate order.
+//! * pair evaluation is one chunked loop whose memo source is the shared
+//!   cache or nothing (see "Pair evaluation" in [`apss`]).
 //!
 //! Probe outputs — pairs, estimates, and counter stats — are
 //! bit-identical at every thread count, so experiments stay reproducible
@@ -77,8 +76,8 @@ pub mod watch;
 
 pub use apss::{ApssConfig, ApssResult, CandidateStrategy};
 pub use cache::{
-    CacheCapacity, CacheMemoryStats, CacheRegistry, EvictionPolicy, KnowledgeCache,
-    RegistryCapacity, SharedKnowledgeCache,
+    CacheCapacity, CacheMemoryStats, CacheRegistry, EvictionPolicy, RegistryCapacity,
+    SharedKnowledgeCache,
 };
 pub use cumulative::CumulativeCurve;
 pub use durable::{CorpusStore, DurableError, RecoveredCorpus, WalSyncStats, WAL_HEADER_BYTES};

@@ -362,9 +362,8 @@ pub(crate) fn fold_probe_report(
     sketch_seconds: f64,
 ) -> ProbeReport {
     let family = LshFamily::for_measure(measure);
-    let ests: Vec<plasma_lsh::bayes::PairEstimate> =
-        result.estimates.iter().map(|&(_, _, e)| e).collect();
-    let probe_curve = CumulativeCurve::from_estimates(family, bayes, ests.iter(), grid);
+    let ests = result.estimates.iter().map(|(_, _, e)| e);
+    let probe_curve = CumulativeCurve::from_estimates(family, bayes, ests, grid);
     let merged = match curve.as_ref() {
         Some(prev) => prev.merge_min_variance(&probe_curve),
         None => probe_curve,

@@ -44,63 +44,44 @@ impl KnnGraph {
         let engine = BayesLsh::new(LshFamily::for_measure(measure), cfg.bayes);
         let total_pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
         let threads = crate::apss::eval_threads(cfg, total_pairs);
-        let mut neighbors: Vec<Vec<(u32, f64)>> = vec![Vec::with_capacity(k + 1); n];
-
-        // Sequential path streams each surviving pair straight into the
-        // capped top-K lists — O(n·k) live memory, no buffering.
-        //
-        // The parallel path shards contiguous rows (balanced by pair
-        // count so late shards aren't starved by the triangular loop) and
-        // each shard maintains its own n × capped-k candidate lists under
-        // the identical push rule, folded in shard order afterwards. The
-        // fold is bit-identical to the sequential pass: for any row `v`,
+        // One shard streams each surviving pair of its rows straight
+        // into n × capped-k lists. With several workers, contiguous row
+        // shards (balanced by pair count so late shards aren't starved by
+        // the triangular loop) each keep their own lists under the
+        // identical push rule, folded in shard order afterwards. The
+        // fold is bit-identical to the one-shard pass: for any row `v`,
         // its pairs arrive in (i, j) order grouped by owning shard (shard
         // rows are contiguous), a shard-local list preserves that order
         // among the survivors it keeps, and an entry a shard's cap drops
         // loses to k earlier-or-equal entries that also precede it in the
         // global order — so it could never enter the global top-K either.
         // Peak memory is O(threads · n · k) instead of the pair count.
-        let similarity = |i: usize, j: usize, est: &plasma_lsh::bayes::PairEstimate| -> f64 {
-            if cfg.exact_on_accept {
-                measure.compute(&records[i], &records[j])
-            } else {
-                est.map_similarity
-            }
-        };
-        if threads <= 1 {
+        let eval_rows = |rows: std::ops::Range<usize>| -> Vec<Vec<(u32, f64)>> {
             let mut table = engine.probe_table(floor);
-            for i in 0..n {
+            let mut local: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+            for i in rows {
                 for j in (i + 1)..n {
                     let est = table.evaluate_pair(&sketches, i, j);
                     if est.decision == PairDecision::Pruned {
                         continue;
                     }
-                    let s = similarity(i, j, &est);
-                    push_capped(&mut neighbors, k, i, j as u32, s);
-                    push_capped(&mut neighbors, k, j, i as u32, s);
+                    let s = if cfg.exact_on_accept {
+                        measure.compute(&records[i], &records[j])
+                    } else {
+                        est.map_similarity
+                    };
+                    push_capped(&mut local, k, i, j as u32, s);
+                    push_capped(&mut local, k, j, i as u32, s);
                 }
             }
+            local
+        };
+        let neighbors = if threads <= 1 {
+            eval_rows(0..n)
         } else {
-            let eval_rows = |rows: std::ops::Range<usize>| -> Vec<Vec<(u32, f64)>> {
-                let mut table = engine.probe_table(floor);
-                let mut local: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-                for i in rows {
-                    for j in (i + 1)..n {
-                        let est = table.evaluate_pair(&sketches, i, j);
-                        if est.decision == PairDecision::Pruned {
-                            continue;
-                        }
-                        let s = similarity(i, j, &est);
-                        push_capped(&mut local, k, i, j as u32, s);
-                        push_capped(&mut local, k, j, i as u32, s);
-                    }
-                }
-                local
-            };
-            let bounds = balanced_row_shards(n, threads);
             let shard_lists: Vec<Vec<Vec<(u32, f64)>>> = rayon::scope(|s| {
-                let mut handles = Vec::with_capacity(bounds.len());
-                for range in bounds {
+                let mut handles = Vec::with_capacity(threads);
+                for range in balanced_row_shards(n, threads) {
                     let eval_rows = &eval_rows;
                     handles.push(s.spawn(move || eval_rows(range)));
                 }
@@ -109,6 +90,7 @@ impl KnnGraph {
                     .map(|h| h.join().expect("knn shard panicked"))
                     .collect()
             });
+            let mut neighbors: Vec<Vec<(u32, f64)>> = vec![Vec::with_capacity(k + 1); n];
             for local in shard_lists {
                 for (v, list) in local.into_iter().enumerate() {
                     for (u, s) in list {
@@ -116,7 +98,8 @@ impl KnnGraph {
                     }
                 }
             }
-        }
+            neighbors
+        };
 
         let mut reverse: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (v, list) in neighbors.iter().enumerate() {

@@ -251,27 +251,26 @@ impl WatchRegistry {
             let Some(shared) = weak.upgrade() else {
                 return false;
             };
-            let sketches = snapshot
-                .get_or_insert_with(|| cache.pin_snapshot(records))
-                .clone();
+            let sketches = snapshot.get_or_insert_with(|| cache.pin_snapshot(records));
             let cands = match slices
                 .iter()
                 .find(|(shape, _)| *shape == shared.cfg.candidates)
             {
                 Some((_, slice)) => slice.clone(),
                 None => {
-                    let slice = cache.generate_delta_candidates(&sketches, &shared.cfg, old_len);
+                    let slice = cache.generate_delta_candidates(sketches, &shared.cfg, old_len);
                     slices.push((shared.cfg.candidates, slice.clone()));
                     slice
                 }
             };
-            let result = cache.probe_delta_with(
+            let result = cache.evaluate_pinned(
                 records,
                 measure,
                 shared.threshold,
                 &shared.cfg,
-                &sketches,
-                cands,
+                sketches,
+                &cands,
+                std::time::Instant::now(),
             );
             shared
                 .deltas

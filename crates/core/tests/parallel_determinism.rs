@@ -10,17 +10,26 @@
 //! * full probe outputs — estimates, stats, and work counters through the
 //!   knowledge cache, plus `incremental_apss` wide-frontier runs — are
 //!   bit-identical with banded-join sharding on vs. off, at every
-//!   `ShardPolicy` and thread count.
+//!   `ShardPolicy` and thread count;
+//! * every entry into the shared evaluation loop (cold APSS, cold / warm /
+//!   batch-mismatched cached probes, sharded runs) equals an oracle that
+//!   walks the candidates directly with the un-tabled
+//!   `BayesLsh::evaluate_pair`.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use plasma_core::apss::{apss_with_sketches, build_sketches, ApssConfig, CandidateStrategy};
+use plasma_core::apss::{
+    apss_with_sketches, build_sketches, generate_candidates, ApssConfig, ApssStats,
+    CandidateStrategy, SimilarPair,
+};
 use plasma_core::{ApssResult, Session, ShardPolicy, SharedKnowledgeCache};
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
+use plasma_lsh::bayes::{BayesLsh, PairDecision};
+use plasma_lsh::sketch::SketchSet;
 
 fn gaussian_records(n: usize, seed: u64) -> Vec<SparseVector> {
     GaussianSpec {
@@ -506,12 +515,108 @@ fn knowledge_cache_probes_are_thread_count_invariant() {
     };
     let (sk1, _) = build_sketches(&records, Similarity::Cosine, &serial_cfg);
     let (sk2, _) = build_sketches(&records, Similarity::Cosine, &parallel_cfg);
-    let mut serial_cache = plasma_core::KnowledgeCache::new(sk1);
-    let mut parallel_cache = plasma_core::KnowledgeCache::new(sk2);
+    let serial_cache = SharedKnowledgeCache::new(sk1);
+    let parallel_cache = SharedKnowledgeCache::new(sk2);
     for threshold in [0.9, 0.6, 0.75] {
         let serial = serial_cache.probe(&records, Similarity::Cosine, threshold, &serial_cfg);
         let parallel = parallel_cache.probe(&records, Similarity::Cosine, threshold, &parallel_cfg);
         assert_identical(&serial, &parallel, &format!("cache probe at {threshold}"));
         assert!(threshold == 0.9 || parallel.stats.cache_hits > 0);
+    }
+}
+
+/// The expected probe result built without the shared evaluation loop: a
+/// direct walk over the candidates with the un-tabled
+/// `BayesLsh::evaluate_pair`.
+fn oracle(
+    records: &[SparseVector],
+    measure: Similarity,
+    sketches: &SketchSet,
+    t: f64,
+    cfg: &ApssConfig,
+) -> ApssResult {
+    let engine = BayesLsh::new(sketches.family(), cfg.bayes);
+    let (mut pairs, mut estimates, mut stats) = (Vec::new(), Vec::new(), ApssStats::default());
+    for (i, j) in generate_candidates(sketches, cfg) {
+        let est = engine.evaluate_pair(sketches, i as usize, j as usize, t);
+        stats.candidates += 1;
+        stats.hashes_compared += est.hashes as u64;
+        match est.decision {
+            PairDecision::Pruned => stats.pruned += 1,
+            PairDecision::Accepted => stats.accepted += 1,
+            PairDecision::Exhausted => stats.exhausted += 1,
+        }
+        let similarity = if cfg.exact_on_accept {
+            measure.compute(&records[i as usize], &records[j as usize])
+        } else {
+            est.map_similarity
+        };
+        if est.decision != PairDecision::Pruned && similarity >= t {
+            pairs.push(SimilarPair { i, j, similarity });
+        }
+        estimates.push((i, j, est));
+    }
+    ApssResult {
+        threshold: t,
+        pairs,
+        estimates,
+        stats,
+    }
+}
+
+#[test]
+fn every_entry_into_the_evaluation_loop_matches_a_direct_walk() {
+    let records = gaussian_records(70, 17);
+    let (measure, t) = (Similarity::Cosine, 0.7);
+    for exact in [false, true] {
+        for strategy in [
+            CandidateStrategy::Exhaustive,
+            CandidateStrategy::Banded { bands: 8, width: 8 },
+        ] {
+            let label = format!("exact={exact}/{strategy:?}");
+            let cfg = ApssConfig {
+                candidates: strategy,
+                exact_on_accept: exact,
+                parallelism: Some(1),
+                ..ApssConfig::default()
+            };
+            let (sketches, _) = build_sketches(&records, measure, &cfg);
+            let expected = oracle(&records, measure, &sketches, t, &cfg);
+            assert!(expected.stats.pruned > 0 && !expected.pairs.is_empty());
+
+            let cold = apss_with_sketches(&records, measure, &sketches, t, &cfg);
+            assert_identical(&expected, &cold, &format!("{label}: cold apss"));
+
+            let cache = SharedKnowledgeCache::new(sketches.clone());
+            let first = cache.probe(&records, measure, t, &cfg);
+            assert_identical(&expected, &first, &format!("{label}: cold cached probe"));
+
+            let warm = cache.probe(&records, measure, t, &cfg);
+            assert_same_outputs(&expected, &warm, &format!("{label}: warm re-probe"));
+            assert_eq!(warm.stats.hashes_compared, 0, "{label}");
+            assert_eq!(warm.stats.cache_hits, warm.stats.candidates, "{label}");
+
+            // A batch the pinned schedule rejects runs the cold walk (of
+            // its own schedule) against the same cache.
+            let mut other = cfg;
+            other.bayes.batch = cfg.bayes.batch / 2;
+            let mismatched = cache.probe(&records, measure, t, &other);
+            let expected_other = oracle(&records, measure, &sketches, t, &other);
+            assert_identical(
+                &expected_other,
+                &mismatched,
+                &format!("{label}: batch mismatch"),
+            );
+
+            let sharded_cfg = ApssConfig {
+                parallelism: Some(4),
+                ..cfg
+            };
+            let sharded = apss_with_sketches(&records, measure, &sketches, t, &sharded_cfg);
+            assert_identical(&expected, &sharded, &format!("{label}: 4 workers, cold"));
+            let sharded =
+                SharedKnowledgeCache::new(sketches).probe(&records, measure, t, &sharded_cfg);
+            assert_identical(&expected, &sharded, &format!("{label}: 4 workers, cached"));
+        }
     }
 }

@@ -233,36 +233,11 @@ impl ShardPolicy {
     }
 }
 
-/// Banded LSH candidate generation over a sketch set, using all cores and
-/// the default [`ShardPolicy`].
-///
-/// `bands` bands of `band_width` hashes each are read from the front of the
-/// sketches; records sharing a band key in the same bucket are paired.
-/// Duplicate pairs across bands are deduplicated. Output is sorted,
-/// unique, and independent of the thread count.
-pub fn banded(sketches: &SketchSet, bands: usize, band_width: usize) -> Vec<(u32, u32)> {
-    banded_with(sketches, bands, band_width, None)
-}
-
-/// [`banded`] with an explicit thread count (`None` = all cores,
-/// `Some(1)` = sequential) and the default [`ShardPolicy`].
-pub fn banded_with(
-    sketches: &SketchSet,
-    bands: usize,
-    band_width: usize,
-    parallelism: Option<usize>,
-) -> Vec<(u32, u32)> {
-    banded_with_policy(
-        sketches,
-        bands,
-        band_width,
-        parallelism,
-        ShardPolicy::default(),
-    )
-}
-
-/// [`banded`] with an explicit thread count and shard policy. The output
-/// is the sorted unique candidate set, bit-identical to
+/// Banded LSH candidate generation over a sketch set: `bands` bands of
+/// `band_width` hashes each are read from the front of the sketches, and
+/// records sharing a band key in the same bucket are paired (`parallelism`:
+/// `None` = all cores, `Some(1)` = sequential). The output is the sorted
+/// unique candidate set, bit-identical to
 /// [`banded_sequential`] at every `(parallelism, policy)` combination —
 /// pinned by `crates/lsh/tests/banded_differential.rs`.
 pub fn banded_with_policy(
@@ -1130,7 +1105,7 @@ mod tests {
         let c = SparseVector::from_set((0..50).collect());
         let z = SparseVector::from_set((500..550).collect());
         let sk = Sketcher::new(LshFamily::MinHash, 64, 1).sketch_all(&[a, b, c, z]);
-        let cands = banded(&sk, 8, 8);
+        let cands = banded_with_policy(&sk, 8, 8, None, ShardPolicy::default());
         assert!(cands.contains(&(0, 1)));
         assert!(cands.contains(&(0, 2)));
         assert!(cands.contains(&(1, 2)));
@@ -1143,7 +1118,7 @@ mod tests {
             .map(|i| SparseVector::from_set((i * 100..i * 100 + 50).collect()))
             .collect();
         let sk = Sketcher::new(LshFamily::MinHash, 64, 2).sketch_all(&records);
-        let cands = banded(&sk, 8, 8);
+        let cands = banded_with_policy(&sk, 8, 8, None, ShardPolicy::default());
         assert!(
             cands.len() <= 2,
             "disjoint sets should almost never collide, got {}",
@@ -1166,7 +1141,7 @@ mod tests {
             .map(|i| SparseVector::from_set((0..40 + i).collect()))
             .collect();
         let sk = Sketcher::new(LshFamily::MinHash, 64, 3).sketch_all(&records);
-        let cands = banded(&sk, 8, 8);
+        let cands = banded_with_policy(&sk, 8, 8, None, ShardPolicy::default());
         for w in cands.windows(2) {
             assert!(w[0] < w[1], "output must be sorted and deduplicated");
         }
@@ -1183,10 +1158,10 @@ mod tests {
             .map(|i| SparseVector::from_set((i / 3 * 40..i / 3 * 40 + 45).collect()))
             .collect();
         let sk = Sketcher::new(LshFamily::MinHash, 64, 5).sketch_all(&records);
-        let reference = banded_with(&sk, 16, 4, Some(1));
+        let reference = banded_with_policy(&sk, 16, 4, Some(1), ShardPolicy::default());
         for threads in [2, 3, 5, 16] {
             assert_eq!(
-                banded_with(&sk, 16, 4, Some(threads)),
+                banded_with_policy(&sk, 16, 4, Some(threads), ShardPolicy::default()),
                 reference,
                 "banded join diverged at {threads} threads"
             );
