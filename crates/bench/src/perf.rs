@@ -8,9 +8,9 @@
 //! shape: the same sweep under a byte cap, recording peak memo bytes,
 //! hit rate, and evictions against the unbounded baseline, and the
 //! banded-skew shape: candidate generation over a Zipf-clustered corpus
-//! whose dominant bucket holds the majority of all records, recording how
-//! the `ShardPolicy` fans that hot bucket out (`banded_skew` fields —
-//! shards, largest-shard pairs, seq vs parallel rate), and the streaming
+//! whose dominant bucket holds the majority of all records, recording the
+//! bucket shape and the one join's rate against the sequential reference
+//! (`banded_skew` fields), and the streaming
 //! shape: N record batches ingested into a live `StreamingSession` with a
 //! probe after each epoch, recording ingest throughput and the
 //! carried-memo hit rate (`streaming` fields), and the ingest-scaling
@@ -44,9 +44,7 @@ use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::rng::seeded;
 use plasma_data::vector::SparseVector;
 use plasma_data::zipf::Zipf;
-use plasma_lsh::candidates::{
-    banded_sequential, banded_shard_stats, banded_with_policy, ShardPolicy,
-};
+use plasma_lsh::candidates::{banded_bucket_stats, banded_join, banded_sequential};
 use plasma_lsh::family::LshFamily;
 use plasma_lsh::sketch::Sketcher;
 use plasma_server::json::{self, Json};
@@ -108,11 +106,8 @@ pub struct BoundedCacheRates {
 }
 
 /// Banded candidate generation over a Zipf-clustered corpus whose
-/// dominant bucket holds the majority of all records — the skewed-keys
-/// scenario that used to serialize the join inside one band. The shard
-/// fields show the hot bucket fanning out: `shards` far above one and
-/// `largest_shard_pairs` bounded by the policy while `hot_bucket_share`
-/// exceeds one half.
+/// dominant bucket holds the majority of all records (`hot_bucket_share`
+/// exceeds one half).
 #[derive(Debug, Clone, Copy)]
 pub struct BandedSkewRates {
     /// Records in the skewed corpus.
@@ -124,21 +119,16 @@ pub struct BandedSkewRates {
     /// Total pre-dedup pairs across all band buckets (the generation
     /// work a probe must distribute).
     pub total_pairs: u64,
-    /// Shards the default policy produces.
-    pub shards: u64,
-    /// Pairs carried by the largest shard — the longest serial pairing
-    /// any single worker is handed.
-    pub largest_shard_pairs: u64,
     /// Deduplicated candidates the join returns.
     pub candidates: u64,
     /// Generated pairs per second, sequential reference.
     pub seq_per_sec: f64,
-    /// Generated pairs per second, sharded at full parallelism.
+    /// Generated pairs per second, the one join (`banded_join`, cold).
     pub par_per_sec: f64,
 }
 
 impl BandedSkewRates {
-    /// Parallel speedup over sequential.
+    /// The one join's rate over the sequential reference's.
     pub fn speedup(&self) -> f64 {
         self.par_per_sec / self.seq_per_sec.max(f64::MIN_POSITIVE)
     }
@@ -434,7 +424,7 @@ pub fn measure() -> ApssPerfSnapshot {
         .collect();
     let (base_rates, base_stats) = baseline.expect("the session ladder includes 4");
     let bounded_cache = measure_bounded_cache(&ds.records, ds.measure, base_rates, base_stats);
-    let banded_skew = measure_banded_skew_sized(cores, 1000, 250);
+    let banded_skew = measure_banded_skew_sized(1000, 250);
     let streaming = measure_streaming_sized(100, 40, 3);
     // Fixed 200-record batches growing the corpus 200 → 2000 (10×): the
     // O(batch) acceptance shape.
@@ -799,31 +789,22 @@ const SKEW_WIDTH: usize = 8;
 /// Measures [`BandedSkewRates`] on an `n`-record Zipf-skewed corpus,
 /// with `budget_ms` of wall time per timed kernel (small in tests, 250ms
 /// in the real snapshot).
-fn measure_banded_skew_sized(cores: usize, n: usize, budget_ms: u64) -> BandedSkewRates {
+fn measure_banded_skew_sized(n: usize, budget_ms: u64) -> BandedSkewRates {
     let records = zipf_skewed_records(n, 9);
     let sketches = Sketcher::new(LshFamily::MinHash, 64, 7).sketch_all(&records);
-    let policy = ShardPolicy::default();
-    let stats = banded_shard_stats(&sketches, SKEW_BANDS, SKEW_WIDTH, policy);
+    let stats = banded_bucket_stats(&sketches, SKEW_BANDS, SKEW_WIDTH);
     let candidates = banded_sequential(&sketches, SKEW_BANDS, SKEW_WIDTH).len() as u64;
     let seq_per_sec = best_rate(stats.total_pairs, budget_ms, || {
         std::hint::black_box(banded_sequential(&sketches, SKEW_BANDS, SKEW_WIDTH));
     });
     let par_per_sec = best_rate(stats.total_pairs, budget_ms, || {
-        std::hint::black_box(banded_with_policy(
-            &sketches,
-            SKEW_BANDS,
-            SKEW_WIDTH,
-            Some(cores),
-            policy,
-        ));
+        std::hint::black_box(banded_join(&sketches, SKEW_BANDS, SKEW_WIDTH, 0));
     });
     BandedSkewRates {
         records: n as u64,
         hot_bucket_share: stats.hot_bucket_members as f64 / (n as f64).max(1.0),
         hot_bucket_pairs: stats.hot_bucket_pairs,
         total_pairs: stats.total_pairs,
-        shards: stats.shards,
-        largest_shard_pairs: stats.largest_shard_pairs,
         candidates,
         seq_per_sec,
         par_per_sec,
@@ -951,13 +932,11 @@ impl ApssPerfSnapshot {
         let skew = {
             let s = &self.banded_skew;
             format!(
-                "{{\"records\": {}, \"hot_bucket_share\": {:.4}, \"hot_bucket_pairs\": {}, \"total_pairs\": {}, \"shards\": {}, \"largest_shard_pairs\": {}, \"candidates\": {}, \"seq_per_sec\": {:.1}, \"par_per_sec\": {:.1}, \"speedup\": {:.3}}}",
+                "{{\"records\": {}, \"hot_bucket_share\": {:.4}, \"hot_bucket_pairs\": {}, \"total_pairs\": {}, \"candidates\": {}, \"seq_per_sec\": {:.1}, \"par_per_sec\": {:.1}, \"speedup\": {:.3}}}",
                 s.records,
                 s.hot_bucket_share,
                 s.hot_bucket_pairs,
                 s.total_pairs,
-                s.shards,
-                s.largest_shard_pairs,
                 s.candidates,
                 s.seq_per_sec,
                 s.par_per_sec,
@@ -1103,10 +1082,9 @@ impl ApssPerfSnapshot {
         ));
         let s = &self.banded_skew;
         out.push_str(&format!(
-            "  banded-skew (hot bucket {:>4.1}%) {:>6} shards (largest {:>8} pairs)   seq {:>11.0}/s   par {:>11.0}/s   speedup {:>5.2}x\n",
+            "  banded-skew (hot bucket {:>4.1}%) {:>8} candidates   seq {:>11.0}/s   join {:>11.0}/s   ratio {:>5.2}x\n",
             s.hot_bucket_share * 100.0,
-            s.shards,
-            s.largest_shard_pairs,
+            s.candidates,
             s.seq_per_sec,
             s.par_per_sec,
             s.speedup()
@@ -1173,7 +1151,7 @@ impl ApssPerfSnapshot {
 }
 
 /// Required keys of the `BENCH_apss.json` schema, including the
-/// bounded-cache memory fields, the banded-skew sharding fields, the
+/// bounded-cache memory fields, the banded-skew bucket-shape fields, the
 /// streaming-ingest fields, the ingest-scaling fields, the
 /// watch-scaling continuous-probe fields, the serving round-trip
 /// fields, the recovery warm-restart fields, and the open-loop
@@ -1181,7 +1159,7 @@ impl ApssPerfSnapshot {
 /// percentiles, and the offered-vs-achieved saturation curve).
 /// `repro check-bench` (the CI perf-smoke gate) fails when any goes
 /// missing, so snapshot consumers can rely on them across commits.
-const REQUIRED_SNAPSHOT_KEYS: [&str; 103] = [
+const REQUIRED_SNAPSHOT_KEYS: [&str; 101] = [
     "benchmark",
     "cores",
     "sketching",
@@ -1211,8 +1189,6 @@ const REQUIRED_SNAPSHOT_KEYS: [&str; 103] = [
     "hot_bucket_share",
     "hot_bucket_pairs",
     "total_pairs",
-    "shards",
-    "largest_shard_pairs",
     "candidates",
     "streaming",
     "batches",
@@ -1381,8 +1357,6 @@ const EXACT_GATES: &[&str] = &[
     "banded_skew.total_pairs",
     "banded_skew.hot_bucket_pairs",
     "banded_skew.candidates",
-    "banded_skew.shards",
-    "banded_skew.largest_shard_pairs",
     "streaming.batches",
     "streaming.batch_records",
     "streaming.final_records",
@@ -1674,8 +1648,6 @@ mod tests {
                 hot_bucket_share: 0.61,
                 hot_bucket_pairs: 185_745,
                 total_pairs: 1_600_000,
-                shards: 60,
-                largest_shard_pairs: 32_768,
                 candidates: 250_000,
                 seq_per_sec: 2_000_000.0,
                 par_per_sec: 6_000_000.0,
@@ -1757,8 +1729,7 @@ mod tests {
         assert!(json.contains("\"evicted_entries\": 1234"));
         assert!(json.contains("\"banded_skew\": {"));
         assert!(json.contains("\"hot_bucket_share\": 0.6100"));
-        assert!(json.contains("\"shards\": 60"));
-        assert!(json.contains("\"largest_shard_pairs\": 32768"));
+        assert!(json.contains("\"total_pairs\": 1600000"));
         assert!(json.contains("\"streaming\": {"));
         assert!(json.contains("\"final_epoch\": 3"));
         assert!(json.contains("\"carried_hit_rate\": 0.7300"));
@@ -1904,7 +1875,7 @@ mod tests {
         assert!(problems.iter().any(|p| p.contains("bounded_cache")));
         assert!(problems.iter().any(|p| p.contains("peak_memo_bytes")));
         assert!(problems.iter().any(|p| p.contains("banded_skew")));
-        assert!(problems.iter().any(|p| p.contains("largest_shard_pairs")));
+        assert!(problems.iter().any(|p| p.contains("hot_bucket_pairs")));
         assert!(problems.iter().any(|p| p.contains("streaming")));
         assert!(problems.iter().any(|p| p.contains("carried_hit_rate")));
         assert!(problems
@@ -1970,24 +1941,20 @@ mod tests {
 
     #[test]
     fn skew_measurement_fans_the_hot_bucket_across_shards() {
-        // The acceptance shape in miniature: a corpus whose hottest
-        // bucket holds the majority of records must still fan out —
-        // many shards, none above the policy's pair budget, so no single
-        // worker is handed the whole hot bucket.
-        let rates = measure_banded_skew_sized(4, 500, 5);
+        // The acceptance shape in miniature: the hottest bucket holds the
+        // majority of records, and the counted candidates are the
+        // reference join's.
+        let rates = measure_banded_skew_sized(500, 5);
         assert!(
             rates.hot_bucket_share > 0.5,
             "the scenario must be genuinely skewed: {}",
             rates.hot_bucket_share
         );
-        assert!(
-            rates.hot_bucket_pairs > ShardPolicy::default().max_pairs_per_shard as u64,
-            "hot bucket must exceed one shard's budget"
-        );
-        assert!(rates.shards > 1, "hot bucket must split: {rates:?}");
-        assert!(
-            rates.largest_shard_pairs <= ShardPolicy::default().max_pairs_per_shard as u64,
-            "no shard may serialize the hot bucket: {rates:?}"
+        let sketches =
+            Sketcher::new(LshFamily::MinHash, 64, 7).sketch_all(&zipf_skewed_records(500, 9));
+        assert_eq!(
+            rates.candidates,
+            banded_sequential(&sketches, SKEW_BANDS, SKEW_WIDTH).len() as u64
         );
         assert!(rates.candidates > 0 && rates.total_pairs >= rates.candidates);
         assert!(rates.seq_per_sec > 0.0 && rates.par_per_sec > 0.0);

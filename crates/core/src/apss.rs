@@ -26,7 +26,7 @@ use plasma_lsh::candidates;
 use plasma_lsh::family::LshFamily;
 use plasma_lsh::resolve_parallelism;
 use plasma_lsh::sketch::{SketchSet, Sketcher};
-use plasma_lsh::{BayesParams, ShardPolicy};
+use plasma_lsh::BayesParams;
 use rayon::prelude::*;
 
 use crate::cache::SharedKnowledgeCache;
@@ -60,18 +60,10 @@ pub struct ApssConfig {
     pub exact_on_accept: bool,
     /// RNG/hash seed.
     pub seed: u64,
-    /// Worker threads for sketching, candidate generation, and pair
-    /// evaluation: `None` = all cores, `Some(1)` = sequential. Results are
-    /// bit-identical regardless, so experiments stay reproducible at any
-    /// setting.
+    /// Worker threads for sketching and pair evaluation: `None` = all
+    /// cores, `Some(1)` = sequential. Results are bit-identical regardless,
+    /// so experiments stay reproducible at any setting.
     pub parallelism: Option<usize>,
-    /// How the banded join distributes bucket pairing across workers
-    /// (hot-bucket splitting thresholds, or
-    /// [`ShardPolicy::adaptive`] to derive the pair budget from the
-    /// measured load at plan time). Ignored by the exhaustive strategy.
-    /// Never changes the candidate set — only how its generation
-    /// parallelizes.
-    pub shard: ShardPolicy,
 }
 
 impl Default for ApssConfig {
@@ -83,7 +75,6 @@ impl Default for ApssConfig {
             exact_on_accept: false,
             seed: 0x9D_5A,
             parallelism: None,
-            shard: ShardPolicy::default(),
         }
     }
 }
@@ -180,7 +171,7 @@ pub fn generate_candidates(sketches: &SketchSet, cfg: &ApssConfig) -> Vec<(u32, 
     match cfg.candidates {
         CandidateStrategy::Exhaustive => candidates::exhaustive(sketches.len()),
         CandidateStrategy::Banded { bands, width } => {
-            candidates::banded_with_policy(sketches, bands, width, cfg.parallelism, cfg.shard)
+            candidates::banded_join(sketches, bands, width, 0)
         }
     }
 }

@@ -332,7 +332,6 @@ pub struct CacheMemoryStats {
 /// let again = cache.probe(&ds.records, Similarity::Cosine, 0.9, &cfg);
 /// assert_eq!(again.stats.hashes_compared, 0);
 /// assert_eq!(again.pairs, a.pairs);
-/// assert_eq!(cache.probe_history(), vec![0.9, 0.6, 0.9]);
 /// ```
 pub struct SharedKnowledgeCache {
     /// The corpus sketches, swappable for streamed growth: probes pin an
@@ -349,8 +348,6 @@ pub struct SharedKnowledgeCache {
     /// disagrees still return correct (bit-identical-to-fresh) results but
     /// bypass the profile memos; see [`probe`](Self::probe).
     schedule_batch: OnceLock<usize>,
-    /// Thresholds probed so far, in publication (append) order.
-    history: Mutex<Vec<f64>>,
     /// Monotonic touch clock; every read or publication of a pair memo
     /// takes a fresh stamp, giving the LRU policy its order.
     clock: AtomicU64,
@@ -425,7 +422,6 @@ impl SharedKnowledgeCache {
                 .collect(),
             capacity,
             schedule_batch: OnceLock::new(),
-            history: Mutex::new(Vec::new()),
             clock: AtomicU64::new(0),
             bytes: AtomicUsize::new(0),
             peak_bytes: AtomicUsize::new(0),
@@ -603,15 +599,6 @@ impl SharedKnowledgeCache {
         })
     }
 
-    /// Thresholds probed so far, in append order: each probe appends its
-    /// threshold exactly once, when its evaluation completes. Under
-    /// concurrent sessions the order is the order probes finished (the
-    /// history mutex serializes appends), so the list is always a
-    /// permutation of the probes issued, never a torn interleaving.
-    pub fn probe_history(&self) -> Vec<f64> {
-        self.history.lock().expect("history lock").clone()
-    }
-
     /// The most-refined decision record memoized for a pair, if any.
     ///
     /// Advisory: the record's *counts* (`matches`, `hashes`) and posterior
@@ -763,10 +750,7 @@ impl SharedKnowledgeCache {
                 *cache = BandBuckets::new(bands, width);
             }
             if cache.covered() <= sketches.len() {
-                let built = sketches.len() - cache.covered();
-                let pairs = cache.extend_and_generate(sketches);
-                self.bucket_build_records
-                    .fetch_add(built as u64, Ordering::Relaxed);
+                let pairs = self.extend_buckets(cache, sketches);
                 self.enforce_bucket_capacity(&mut guard);
                 return pairs;
             }
@@ -775,6 +759,20 @@ impl SharedKnowledgeCache {
             // and leave the cache for up-to-date probers.
         }
         Arc::new(crate::apss::generate_candidates(sketches, cfg))
+    }
+
+    /// Extends the bucket cache over `sketches`, counting into
+    /// `bucket_build_records` only the records it actually hashed.
+    fn extend_buckets(
+        &self,
+        cache: &mut BandBuckets,
+        sketches: &SketchSet,
+    ) -> Arc<Vec<(u32, u32)>> {
+        let before = cache.covered();
+        let pairs = cache.extend_and_generate(sketches);
+        self.bucket_build_records
+            .fetch_add((cache.covered() - before) as u64, Ordering::Relaxed);
+        pairs
     }
 
     /// Applies the byte cap to the bucket cache after an extension — the
@@ -823,9 +821,9 @@ impl SharedKnowledgeCache {
     /// or a prior call this epoch already did and recorded the same
     /// range. Any other watermark (shape change, capacity drop, cache
     /// never built) falls back to the cold
-    /// [`plasma_lsh::candidates::banded_delta`], which never touches the
-    /// shared cache — so the delta is bit-identical whether or not the
-    /// bucket cache survived.
+    /// [`plasma_lsh::candidates::banded_join`] from `from`, which never
+    /// touches the shared cache — so the delta is bit-identical whether
+    /// or not the bucket cache survived.
     pub(crate) fn generate_delta_candidates(
         &self,
         sketches: &SketchSet,
@@ -855,9 +853,7 @@ impl SharedKnowledgeCache {
                 if let Some(cache) = guard.as_mut() {
                     if cache.matches_shape(bands, width) {
                         if cache.covered() == from {
-                            self.bucket_build_records
-                                .fetch_add((n - from) as u64, Ordering::Relaxed);
-                            cache.extend_and_generate(sketches);
+                            self.extend_buckets(cache, sketches);
                             let delta = cache
                                 .delta_covering(from, n)
                                 .expect("extension covered exactly [from, n)");
@@ -875,7 +871,7 @@ impl SharedKnowledgeCache {
                     }
                 }
                 drop(guard);
-                Arc::new(plasma_lsh::candidates::banded_delta(
+                Arc::new(plasma_lsh::candidates::banded_join(
                     sketches, bands, width, from,
                 ))
             }
@@ -908,25 +904,6 @@ impl SharedKnowledgeCache {
     /// across sessions sharing a cache — [`CacheRegistry`] fingerprints it
     /// for exactly this reason.
     pub fn probe(
-        &self,
-        records: &[SparseVector],
-        measure: Similarity,
-        threshold: f64,
-        cfg: &ApssConfig,
-    ) -> ApssResult {
-        let result = self.probe_silent(records, measure, threshold, cfg);
-        self.history.lock().expect("history lock").push(threshold);
-        result
-    }
-
-    /// [`probe`](Self::probe) without the probe-history append: the full
-    /// evaluation a watch registration performs. Watch evaluations are
-    /// system-driven, not client probes, so they must not perturb
-    /// [`probe_history`](Self::probe_history) (which operators and the
-    /// min-variance curve bookkeeping read as the list of *client*
-    /// thresholds). They still deepen the shared memo pool and count
-    /// toward lifetime `cache_hits`.
-    pub(crate) fn probe_silent(
         &self,
         records: &[SparseVector],
         measure: Similarity,
@@ -985,12 +962,12 @@ impl SharedKnowledgeCache {
 
     /// Runs the shared evaluation loop ([`crate::apss::evaluate`]) over an
     /// explicit candidate list against a pinned snapshot, with this cache
-    /// as the memo source, and books the timing and lifetime hits; the
-    /// probe history is untouched. Pair evaluation is pair-local (sketch
-    /// prefixes never change, and the walk reads nothing but the two
-    /// sketches and its own memo), so evaluating a growth's delta slice is
-    /// bit-identical to that slice of a full probe — `concat(deltas) ==
-    /// cold probe` is pinned by `crates/core/tests/watch_differential.rs`.
+    /// as the memo source, and books the timing and lifetime hits. Pair
+    /// evaluation is pair-local (sketch prefixes never change, and the
+    /// walk reads nothing but the two sketches and its own memo), so
+    /// evaluating a growth's delta slice is bit-identical to that slice of
+    /// a full probe — `concat(deltas) == cold probe` is pinned by
+    /// `crates/core/tests/watch_differential.rs`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn evaluate_pinned(
         &self,
@@ -1541,16 +1518,21 @@ mod tests {
     }
 
     #[test]
-    fn probe_history_records_thresholds() {
+    fn zero_band_probes_hash_no_records() {
+        // A zero-band join hashes nothing, so the work counter must not
+        // charge the corpus on every probe.
         let records = dataset();
-        let cfg = ApssConfig::default();
+        let cfg = ApssConfig {
+            candidates: crate::apss::CandidateStrategy::Banded { bands: 0, width: 8 },
+            ..ApssConfig::default()
+        };
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
         let cache = SharedKnowledgeCache::new(sketches);
-        cache.probe(&records, Similarity::Cosine, 0.9, &cfg);
-        cache.probe(&records, Similarity::Cosine, 0.5, &cfg);
-        assert_eq!(cache.probe_history(), vec![0.9, 0.5]);
-        assert!(!cache.is_empty());
-        assert_eq!(cache.len(), cache.snapshot_estimates().len());
+        for _ in 0..2 {
+            let r = cache.probe(&records, Similarity::Cosine, 0.5, &cfg);
+            assert_eq!(r.stats.candidates, 0);
+        }
+        assert_eq!(cache.memory_stats().bucket_build_records, 0);
     }
 
     #[test]
@@ -1563,6 +1545,8 @@ mod tests {
         let (i, j, est) = r.estimates[0];
         let cached = cache.get(i, j).expect("estimate must be memoized");
         assert_eq!(cached.hashes, est.hashes);
+        assert!(!cache.is_empty());
+        assert_eq!(cache.len(), cache.snapshot_estimates().len());
     }
 
     #[test]

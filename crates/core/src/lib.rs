@@ -43,19 +43,19 @@
 //!
 //! # Parallel engine
 //!
-//! The APSS hot path is parallel end to end, governed by one knob —
+//! Sketching and pair evaluation are parallel, governed by one knob —
 //! [`apss::ApssConfig::parallelism`] (`None` = all cores, `Some(1)` =
 //! sequential):
 //!
 //! * sketching shards records into disjoint slices of the flat sketch
 //!   buffer (`plasma_lsh::sketch`);
-//! * banded candidate generation shards end to end — parallel bucket
-//!   build plus hot-bucket pair-range splitting under
-//!   [`apss::ApssConfig::shard`] ([`ShardPolicy`]) — and k-way merges
-//!   per-shard sorted runs (`plasma_lsh::candidates`), so skewed key
-//!   distributions cannot serialize a probe;
 //! * pair evaluation is one chunked loop whose memo source is the shared
 //!   cache or nothing (see "Pair evaluation" in [`apss`]).
+//!
+//! Banded candidates come from one join,
+//! `plasma_lsh::candidates::BandBuckets`: cold probes extend a fresh one
+//! once, cached probes and watches extend the cache's copy by the new
+//! records only.
 //!
 //! Probe outputs — pairs, estimates, and counter stats — are
 //! bit-identical at every thread count, so experiments stay reproducible
@@ -81,7 +81,6 @@ pub use cache::{
 };
 pub use cumulative::CumulativeCurve;
 pub use durable::{CorpusStore, DurableError, RecoveredCorpus, WalSyncStats, WAL_HEADER_BYTES};
-pub use plasma_lsh::ShardPolicy;
 pub use session::{ProbeReport, Session};
 pub use streaming::{IngestReport, StreamingSession};
 pub use watch::{WatchDelta, WatchHandle, WatchRegistry};

@@ -138,34 +138,6 @@ impl Session {
         self
     }
 
-    /// Sets the banded join's [`plasma_lsh::ShardPolicy`] — how hot band buckets are
-    /// split across workers when this session's candidate strategy is
-    /// [`crate::apss::CandidateStrategy::Banded`]. Probe results are
-    /// bit-identical at every policy; only how candidate generation
-    /// parallelizes changes. Pass
-    /// [`ShardPolicy::adaptive()`](plasma_lsh::ShardPolicy::adaptive) to
-    /// derive the per-shard pair budget from the join's measured load at
-    /// plan time instead of picking numbers by hand.
-    ///
-    /// ```
-    /// use plasma_core::apss::CandidateStrategy;
-    /// use plasma_core::{ApssConfig, Session, ShardPolicy};
-    /// use plasma_data::datasets::gaussian::GaussianSpec;
-    ///
-    /// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
-    /// let cfg = ApssConfig {
-    ///     candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
-    ///     ..ApssConfig::default()
-    /// };
-    /// let mut sharded = Session::new(&ds, cfg).with_shard_policy(ShardPolicy::new(2, 64));
-    /// let mut unsharded = Session::new(&ds, cfg).with_shard_policy(ShardPolicy::never_split());
-    /// assert_eq!(sharded.probe(0.8).pairs, unsharded.probe(0.8).pairs);
-    /// ```
-    pub fn with_shard_policy(mut self, policy: plasma_lsh::ShardPolicy) -> Self {
-        self.cfg.shard = policy;
-        self
-    }
-
     /// Bounds the memo pool of the knowledge cache this session builds on
     /// its first probe. Probe reports are bit-identical at every capacity
     /// — eviction only trades cache hits for memory (see

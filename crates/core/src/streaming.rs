@@ -32,13 +32,11 @@
 //! A streamed history `ingest(b₁); probe(t); ingest(b₂); probe(t'); …` is
 //! **bit-identical**, probe for probe, to running each probe cold over
 //! the corpus as of that epoch — same pairs, same estimates, same
-//! decision counters — at every thread count, [`ShardPolicy`], and
-//! session count. Carried memos change only the work counters
-//! (`hashes_compared` shrinks, `cache_hits` grows), exactly like any
-//! warm cache. `crates/core/tests/streaming_differential.rs` pins the
-//! guarantee over batch-split × parallelism × session grids.
-//!
-//! [`ShardPolicy`]: plasma_lsh::ShardPolicy
+//! decision counters — at every thread count and session count. Carried
+//! memos change only the work counters (`hashes_compared` shrinks,
+//! `cache_hits` grows), exactly like any warm cache.
+//! `crates/core/tests/streaming_differential.rs` pins the guarantee over
+//! batch-split × parallelism × session grids.
 //!
 //! # Multi-session streaming
 //!
@@ -71,8 +69,8 @@ use crate::watch::{WatchHandle, WatchRegistry};
 struct StreamingCorpus {
     measure: Similarity,
     /// The sketch/schedule configuration pinned at corpus creation; forks
-    /// may override probe-time knobs (parallelism, shard policy) on their
-    /// own copies, but `n_hashes`/`seed`/`bayes.batch` are corpus-wide.
+    /// may override the probe-time parallelism on their own copies, but
+    /// `n_hashes`/`seed`/`bayes.batch` are corpus-wide.
     cfg: ApssConfig,
     /// Memory policy for the cache built on first use (ignored once a
     /// cache is attached or built).
@@ -165,8 +163,8 @@ pub struct IngestReport {
 /// ```
 pub struct StreamingSession {
     corpus: Arc<StreamingCorpus>,
-    /// Per-fork probe configuration (parallelism / shard policy may
-    /// diverge; sketch-relevant knobs are shared with the corpus).
+    /// Per-fork probe configuration (parallelism may diverge;
+    /// sketch-relevant knobs are shared with the corpus).
     cfg: ApssConfig,
     grid: Vec<f64>,
     curve: Option<CumulativeCurve>,
@@ -212,14 +210,6 @@ impl StreamingSession {
     /// outputs, and carried memos are bit-identical at every setting.
     pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
         self.cfg.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the banded join's [`plasma_lsh::ShardPolicy`] for this
-    /// session's probes (see
-    /// [`Session::with_shard_policy`](crate::session::Session::with_shard_policy)).
-    pub fn with_shard_policy(mut self, policy: plasma_lsh::ShardPolicy) -> Self {
-        self.cfg.shard = policy;
         self
     }
 

@@ -20,12 +20,12 @@
 //! new record, and a pair `(i, j)` with `i < j` touches the new range
 //! exactly when `j` does. Evaluating just those candidates
 //! ([`SharedKnowledgeCache`]'s delta path, fed by the epoch-persistent
-//! band buckets or the cold `banded_delta` join) yields deltas that are
+//! band buckets or a cold `banded_join`) yields deltas that are
 //! **disjoint across epochs** and whose concatenation is bit-identical
 //! to a cold probe of the full corpus — pairs, estimates, and canonical
 //! `(i, j)` order. `crates/core/tests/watch_differential.rs` pins this
-//! across batch schedules, parallelism, segment geometry, shard
-//! policies, eviction, and late registration.
+//! across batch schedules, parallelism, segment geometry, eviction, and
+//! late registration.
 //!
 //! # Lifecycle
 //!
@@ -195,7 +195,7 @@ impl WatchRegistry {
         threshold: f64,
         cfg: &ApssConfig,
     ) -> WatchHandle {
-        let result = cache.probe_silent(records, measure, threshold, cfg);
+        let result = cache.probe(records, measure, threshold, cfg);
         let shared = Arc::new(WatchShared {
             threshold,
             cfg: *cfg,

@@ -7,28 +7,28 @@
 //!   every `(threads × concurrent sessions)` configuration, probes racing
 //!   from OS threads return exactly the fresh sequential answer, and a
 //!   re-probe at an already-probed threshold compares zero new hashes;
-//! * full probe outputs — estimates, stats, and work counters through the
-//!   knowledge cache, plus `incremental_apss` wide-frontier runs — are
-//!   bit-identical with banded-join sharding on vs. off, at every
-//!   `ShardPolicy` and thread count;
+//! * banded probe outputs — estimates, stats, and work counters, cold and
+//!   through the knowledge cache, plus `incremental_apss` wide-frontier
+//!   runs — are bit-identical at every thread count on a hot-bucket
+//!   corpus;
 //! * every entry into the shared evaluation loop (cold APSS, cold / warm /
-//!   batch-mismatched cached probes, sharded runs) equals an oracle that
-//!   walks the candidates directly with the un-tabled
-//!   `BayesLsh::evaluate_pair`.
+//!   batch-mismatched cached probes, 4-worker runs) equals an oracle that
+//!   walks the reference candidates (`exhaustive` / `banded_sequential`)
+//!   directly with the un-tabled `BayesLsh::evaluate_pair`.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use plasma_core::apss::{
-    apss_with_sketches, build_sketches, generate_candidates, ApssConfig, ApssStats,
-    CandidateStrategy, SimilarPair,
+    apss_with_sketches, build_sketches, ApssConfig, ApssStats, CandidateStrategy, SimilarPair,
 };
-use plasma_core::{ApssResult, Session, ShardPolicy, SharedKnowledgeCache};
+use plasma_core::{ApssResult, Session, SharedKnowledgeCache};
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
 use plasma_lsh::bayes::{BayesLsh, PairDecision};
+use plasma_lsh::candidates::{banded_sequential, exhaustive};
 use plasma_lsh::sketch::SketchSet;
 
 fn gaussian_records(n: usize, seed: u64) -> Vec<SparseVector> {
@@ -207,7 +207,7 @@ fn run_shared_workload(
 }
 
 /// [`run_shared_workload`] with a caller-supplied config (candidate
-/// strategy, shard policy, thread count all pinned by the caller).
+/// strategy and thread count pinned by the caller).
 fn run_shared_workload_cfg(
     records: &[SparseVector],
     cfg: &ApssConfig,
@@ -333,19 +333,10 @@ fn racing_sessions_return_fresh_results_and_warm_the_cache() {
         assert_eq!(again.stats.hashes_compared, 0, "re-probe at {t}");
         assert_eq!(again.stats.cache_hits, again.stats.candidates);
     }
-    // History holds every probe exactly once (append-ordered, no tearing).
-    let mut history = cache.probe_history();
-    assert_eq!(history.len(), thresholds.len() * 2);
-    history.truncate(thresholds.len());
-    history.sort_by(f64::total_cmp);
-    let mut expected = thresholds.to_vec();
-    expected.sort_by(f64::total_cmp);
-    assert_eq!(history, expected);
 }
 
 /// A corpus where well over half of all records are exact copies of one
-/// template — every band has a dominant bucket, the shape banded-join
-/// sharding exists for.
+/// template — every band has a dominant bucket.
 fn hot_bucket_records(n: usize) -> Vec<SparseVector> {
     (0..n)
         .map(|i| {
@@ -356,26 +347,14 @@ fn hot_bucket_records(n: usize) -> Vec<SparseVector> {
         .collect()
 }
 
-/// The shard-policy grid the end-to-end pins sweep: sharding off, the
-/// default, and an aggressive splitter that fans every bucket out.
-fn shard_policies() -> [ShardPolicy; 3] {
-    [
-        ShardPolicy::never_split(),
-        ShardPolicy::default(),
-        ShardPolicy::new(2, 16),
-    ]
-}
-
-/// Full probe outputs are bit-identical with sharding on vs. off — every
-/// policy, every thread count, on the hot-bucket corpus — including the
-/// work counters (the candidate set is the same, so the evaluation
-/// schedule is the same).
+/// Full banded probe outputs are bit-identical at every thread count on
+/// the hot-bucket corpus — including the work counters (the candidate
+/// set is the same, so the evaluation schedule is the same).
 #[test]
-fn banded_probe_invariant_across_shard_policies() {
+fn banded_probe_invariant_across_threads() {
     let records = hot_bucket_records(70);
     let reference_cfg = ApssConfig {
         candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
-        shard: ShardPolicy::never_split(),
         parallelism: Some(1),
         ..ApssConfig::default()
     };
@@ -391,30 +370,26 @@ fn banded_probe_invariant_across_shard_policies() {
         reference.stats.candidates > 0,
         "hot-bucket corpus must generate candidates"
     );
-    for policy in shard_policies() {
-        for threads in [1usize, 2, 4] {
-            let cfg = ApssConfig {
-                shard: policy,
-                parallelism: Some(threads),
-                ..reference_cfg
-            };
-            let run = apss_with_sketches(&records, Similarity::Jaccard, &sketches, 0.7, &cfg);
-            assert_identical(&reference, &run, &format!("threads={threads} {policy:?}"));
-        }
+    for threads in [2usize, 4] {
+        let cfg = ApssConfig {
+            parallelism: Some(threads),
+            ..reference_cfg
+        };
+        let run = apss_with_sketches(&records, Similarity::Jaccard, &sketches, 0.7, &cfg);
+        assert_identical(&reference, &run, &format!("threads={threads}"));
     }
 }
 
 /// The same guarantee through the knowledge cache: a serialized probe
 /// workload over one shared cache — banded candidates, multiple sessions
 /// — is bit-identical (work counters included) for every
-/// `(threads × sessions × shard policy)` configuration.
+/// `(threads × sessions)` configuration.
 #[test]
-fn shared_cache_workload_invariant_across_shard_policies() {
+fn banded_shared_cache_workload_invariant_across_threads_and_sessions() {
     let records = hot_bucket_records(60);
     let workload = [0.9, 0.6, 0.75, 0.6];
     let base = ApssConfig {
         candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
-        shard: ShardPolicy::never_split(),
         parallelism: Some(1),
         ..ApssConfig::default()
     };
@@ -423,31 +398,28 @@ fn shared_cache_workload_invariant_across_shard_policies() {
         reference[1].stats.cache_hits > 0,
         "workload must exercise the cache"
     );
-    for policy in shard_policies() {
-        for threads in [1usize, 4] {
-            for sessions in [1usize, 3] {
-                let cfg = ApssConfig {
-                    shard: policy,
-                    parallelism: Some(threads),
-                    ..base
-                };
-                let run = run_shared_workload_cfg(&records, &cfg, sessions, &workload);
-                for (q, (a, b)) in reference.iter().zip(&run).enumerate() {
-                    assert_identical(
-                        a,
-                        b,
-                        &format!("{policy:?} threads={threads} sessions={sessions} probe#{q}"),
-                    );
-                }
+    for threads in [1usize, 4] {
+        for sessions in [1usize, 3] {
+            let cfg = ApssConfig {
+                parallelism: Some(threads),
+                ..base
+            };
+            let run = run_shared_workload_cfg(&records, &cfg, sessions, &workload);
+            for (q, (a, b)) in reference.iter().zip(&run).enumerate() {
+                assert_identical(
+                    a,
+                    b,
+                    &format!("threads={threads} sessions={sessions} probe#{q}"),
+                );
             }
         }
     }
 }
 
-/// `incremental_apss` wide frontiers through a cache warmed by sharded
+/// `incremental_apss` wide frontiers through a cache warmed by 4-worker
 /// banded probes: the parallel per-record join (gate lowered so it
 /// engages on a CI-sized dataset) reports estimates bit-identical to the
-/// plain sequential run, whatever shard policy filled the memo pool.
+/// plain sequential run.
 #[test]
 fn incremental_wide_frontier_invariant_with_sharded_cache() {
     let records = gaussian_records(90, 23);
@@ -465,40 +437,37 @@ fn incremental_wide_frontier_invariant_with_sharded_cache() {
         &report_at,
         &sequential_cfg,
     );
-    for policy in shard_policies() {
-        let warm_cfg = ApssConfig {
-            candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
-            shard: policy,
-            parallelism: Some(4),
-            ..ApssConfig::default()
-        };
-        let (sketches, _) = build_sketches(&records, Similarity::Cosine, &warm_cfg);
-        let cache = SharedKnowledgeCache::new(sketches);
-        // Warm the memo pool through sharded banded probes…
-        cache.probe(&records, Similarity::Cosine, 0.8, &warm_cfg);
-        cache.probe(&records, Similarity::Cosine, 0.6, &warm_cfg);
-        // …then run the incremental pass with the wide-frontier join
-        // active from frontier width 8 onward.
-        let wide = plasma_core::incremental::incremental_apss_with_cache_gated(
-            &records,
-            Similarity::Cosine,
-            &cache,
-            0.5,
-            &report_t,
-            &report_at,
-            &warm_cfg,
-            8,
-        );
-        assert_eq!(plain.steps.len(), wide.steps.len(), "{policy:?}");
-        for (a, b) in plain.steps.iter().zip(&wide.steps) {
-            assert_eq!(a.fraction.to_bits(), b.fraction.to_bits(), "{policy:?}");
-            for (x, y) in a.estimates.iter().zip(&b.estimates) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{policy:?}: estimate diverged");
-            }
+    let warm_cfg = ApssConfig {
+        candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
+        parallelism: Some(4),
+        ..ApssConfig::default()
+    };
+    let (sketches, _) = build_sketches(&records, Similarity::Cosine, &warm_cfg);
+    let cache = SharedKnowledgeCache::new(sketches);
+    // Warm the memo pool through 4-worker banded probes…
+    cache.probe(&records, Similarity::Cosine, 0.8, &warm_cfg);
+    cache.probe(&records, Similarity::Cosine, 0.6, &warm_cfg);
+    // …then run the incremental pass with the wide-frontier join
+    // active from frontier width 8 onward.
+    let wide = plasma_core::incremental::incremental_apss_with_cache_gated(
+        &records,
+        Similarity::Cosine,
+        &cache,
+        0.5,
+        &report_t,
+        &report_at,
+        &warm_cfg,
+        8,
+    );
+    assert_eq!(plain.steps.len(), wide.steps.len());
+    for (a, b) in plain.steps.iter().zip(&wide.steps) {
+        assert_eq!(a.fraction.to_bits(), b.fraction.to_bits());
+        for (x, y) in a.estimates.iter().zip(&b.estimates) {
+            assert_eq!(x.to_bits(), y.to_bits(), "estimate diverged");
         }
-        for (x, y) in plain.final_estimates.iter().zip(&wide.final_estimates) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{policy:?}: final estimate");
-        }
+    }
+    for (x, y) in plain.final_estimates.iter().zip(&wide.final_estimates) {
+        assert_eq!(x.to_bits(), y.to_bits(), "final estimate");
     }
 }
 
@@ -525,9 +494,9 @@ fn knowledge_cache_probes_are_thread_count_invariant() {
     }
 }
 
-/// The expected probe result built without the shared evaluation loop: a
-/// direct walk over the candidates with the un-tabled
-/// `BayesLsh::evaluate_pair`.
+/// The expected probe result built without the shared evaluation loop or
+/// the served join: a direct walk over the reference candidates with the
+/// un-tabled `BayesLsh::evaluate_pair`.
 fn oracle(
     records: &[SparseVector],
     measure: Similarity,
@@ -537,7 +506,11 @@ fn oracle(
 ) -> ApssResult {
     let engine = BayesLsh::new(sketches.family(), cfg.bayes);
     let (mut pairs, mut estimates, mut stats) = (Vec::new(), Vec::new(), ApssStats::default());
-    for (i, j) in generate_candidates(sketches, cfg) {
+    let candidates = match cfg.candidates {
+        CandidateStrategy::Exhaustive => exhaustive(sketches.len()),
+        CandidateStrategy::Banded { bands, width } => banded_sequential(sketches, bands, width),
+    };
+    for (i, j) in candidates {
         let est = engine.evaluate_pair(sketches, i as usize, j as usize, t);
         stats.candidates += 1;
         stats.hashes_compared += est.hashes as u64;

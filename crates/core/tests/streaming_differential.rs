@@ -7,7 +7,7 @@
 //! schedule, parallelism in {1, 2, 4}, and session count in {1, 2}. Work
 //! counters are pinned twice over:
 //!
-//! * across thread counts and shard policies, a streamed history's
+//! * across thread counts, a streamed history's
 //!   `hashes_compared` / `cache_hits` are bit-identical (probes are
 //!   serialized, so warmth is deterministic);
 //! * against cold runs, the carry-over arithmetic is *exact*: the first
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 
 use plasma_core::apss::{apss_with_sketches, build_sketches, ApssConfig, CandidateStrategy};
 use plasma_core::streaming::StreamingSession;
-use plasma_core::{ApssResult, ShardPolicy};
+use plasma_core::ApssResult;
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
@@ -45,7 +45,7 @@ fn dataset(n: usize, seed: u64) -> Vec<SparseVector> {
 
 /// Everything a probe returns except timings: pairs, estimates, decision
 /// counters — and optionally the work counters too (exact for serialized
-/// streamed runs compared across thread counts / shard policies).
+/// streamed runs compared across thread counts).
 fn assert_same_outputs(a: &ApssResult, b: &ApssResult, work_counters: bool, label: &str) {
     assert_eq!(a.pairs.len(), b.pairs.len(), "{label}: pair count");
     for (x, y) in a.pairs.iter().zip(&b.pairs) {
@@ -104,8 +104,7 @@ fn run_streamed(
 ) -> StreamedRun {
     let mut driver =
         StreamingSession::from_records(records[..bounds[0]].to_vec(), Similarity::Cosine, cfg)
-            .with_parallelism(cfg.parallelism)
-            .with_shard_policy(cfg.shard);
+            .with_parallelism(cfg.parallelism);
     // An empty ingest forces the epoch-0 sketch build so the cache handle
     // exists before the first sweep.
     driver.ingest(&[]);
@@ -249,46 +248,17 @@ proptest! {
 
 /// The same contract through the banded join: streamed probes over a
 /// grown corpus are bit-identical to cold banded runs, and the whole
-/// history — including work counters — is invariant across shard
-/// policies and thread counts.
+/// history — including work counters — is invariant across thread
+/// counts.
 #[test]
-fn banded_streamed_history_is_policy_invariant_and_matches_cold() {
+fn banded_streamed_history_is_thread_invariant_and_matches_cold() {
     let records = dataset(110, 23);
     let bounds = [50usize, 80, 110];
     let base = ApssConfig {
         candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
         ..ApssConfig::default()
     };
-    // Full differential (incl. cold equivalence + carry-over arithmetic)
-    // under the default policy…
     check_schedule(&records, &bounds, 2, base);
-    // …and the whole streamed history pinned identical across policies.
-    let reference = run_streamed(
-        &records,
-        &bounds,
-        2,
-        ApssConfig {
-            parallelism: Some(1),
-            ..base
-        },
-    );
-    for policy in [ShardPolicy::never_split(), ShardPolicy::new(2, 64)] {
-        for p in [1usize, 4] {
-            let run = run_streamed(
-                &records,
-                &bounds,
-                2,
-                ApssConfig {
-                    parallelism: Some(p),
-                    shard: policy,
-                    ..base
-                },
-            );
-            for (i, (a, b)) in reference.results.iter().zip(&run.results).enumerate() {
-                assert_same_outputs(a, b, true, &format!("probe {i}: {policy:?} @ {p} threads"));
-            }
-        }
-    }
 }
 
 /// The cached-bucket probe path, explicitly: banded candidates over a

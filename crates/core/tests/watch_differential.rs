@@ -12,8 +12,8 @@
 //!   once, at the epoch that created it) and each delta is internally
 //!   sorted;
 //! * the whole delta history — including work counters — is invariant
-//!   across parallelism {1, 2, 4}, segment geometry {8, 512}, and shard
-//!   policies, for any batch-split schedule;
+//!   across parallelism {1, 2, 4} and segment geometry {8, 512}, for any
+//!   batch-split schedule;
 //! * watches survive `CacheCapacity` bucket-cache eviction with
 //!   unchanged outputs, and a late-registered watch's first delta equals
 //!   the full cold probe at its registration epoch;
@@ -29,7 +29,7 @@ use plasma_core::apss::{apss_with_sketches, build_sketches, ApssConfig, Candidat
 use plasma_core::cache::{CacheCapacity, SharedKnowledgeCache};
 use plasma_core::streaming::StreamingSession;
 use plasma_core::watch::WatchDelta;
-use plasma_core::{ApssResult, ShardPolicy};
+use plasma_core::ApssResult;
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
@@ -85,9 +85,7 @@ fn run_watched(
         None => StreamingSession::from_records(seed, Similarity::Cosine, cfg)
             .with_cache_capacity(capacity),
     };
-    let mut session = session
-        .with_parallelism(cfg.parallelism)
-        .with_shard_policy(cfg.shard);
+    let mut session = session.with_parallelism(cfg.parallelism);
     let handles: Vec<_> = thresholds.iter().map(|&t| session.watch(t)).collect();
     // Ingest through an alternating fork: watches belong to the corpus,
     // not the registering session.
@@ -300,12 +298,11 @@ proptest! {
 }
 
 /// The same contract through the banded join, with the delta candidates
-/// served from the epoch-persistent bucket cache: the full differential
-/// under the default policy, then the whole delta history pinned
-/// bit-identical across shard policies × parallelism × segment geometry
-/// {8, 512}.
+/// served from the epoch-persistent bucket cache: the full differential,
+/// then the whole delta history pinned bit-identical across parallelism ×
+/// segment geometry {8, 512}.
 #[test]
-fn banded_watch_history_is_policy_and_geometry_invariant() {
+fn banded_watch_history_is_thread_and_geometry_invariant() {
     let records = dataset(110, 23);
     let bounds = [50usize, 80, 110];
     let base = ApssConfig {
@@ -324,27 +321,24 @@ fn banded_watch_history_is_policy_and_geometry_invariant() {
         None,
         CacheCapacity::unbounded(),
     );
-    for policy in [ShardPolicy::never_split(), ShardPolicy::adaptive()] {
-        for p in [1usize, 4] {
-            for geometry in [None, Some(8), Some(512)] {
-                let run = run_watched(
-                    &records,
-                    &bounds,
-                    &WATCHED,
-                    ApssConfig {
-                        parallelism: Some(p),
-                        shard: policy,
-                        ..base
-                    },
-                    geometry,
-                    CacheCapacity::unbounded(),
-                );
-                assert_same_history(
-                    &reference,
-                    &run,
-                    &format!("{policy:?} @ {p} threads, segment_records {geometry:?}"),
-                );
-            }
+    for p in [1usize, 4] {
+        for geometry in [Some(8), Some(512)] {
+            let run = run_watched(
+                &records,
+                &bounds,
+                &WATCHED,
+                ApssConfig {
+                    parallelism: Some(p),
+                    ..base
+                },
+                geometry,
+                CacheCapacity::unbounded(),
+            );
+            assert_same_history(
+                &reference,
+                &run,
+                &format!("{p} threads, segment_records {geometry:?}"),
+            );
         }
     }
 }

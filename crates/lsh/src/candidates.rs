@@ -10,80 +10,30 @@
 //!   `1 − (1 − p(s)^w)^b` with `b` bands, so band width tunes the
 //!   threshold the join targets.
 //!
-//! # Skew-proof sharding
+//! # One banded join
 //!
-//! Real high-dimensional corpora are heavy-tailed: one band key routinely
-//! collects a large fraction of all records (near-duplicate clusters, a
-//! dominant topic, degenerate band keys). A join that parallelizes only
-//! *across* bands serializes on that hot bucket — the whole engine waits
-//! on one worker enumerating `m·(m−1)/2` pairs. The banded join here
-//! therefore shards **within** bands as well, in three phases:
+//! [`BandBuckets`] is the only banded join. It keeps one bucket map per
+//! band plus the canonical sorted-unique pair set of the records it
+//! covers; an extension hashes only the records past its watermark and
+//! pairs each against its bucket's prior members. Every way to banded
+//! candidates is a use of it:
 //!
-//! 1. **Bucket build** — band keys for all `bands × records` cells are
-//!    computed into a flat table by record-sharded workers, then
-//!    per-worker partial bucket maps are built over disjoint *key ranges*
-//!    of each band (a multiplicative range partition of the `u64` key
-//!    space), so no two workers ever own the same bucket.
-//! 2. **Pair-range sharding** — every bucket's pair count is known up
-//!    front (`m·(m−1)/2`, checked arithmetic). A [`ShardPolicy`] turns
-//!    the bucket list into shards of bounded pair count: small buckets
-//!    are grouped greedily, and a hot bucket is **split into disjoint
-//!    triangular-index ranges** `[lo, hi)` over its pair enumeration —
-//!    decoded back to `(row, col)` coordinates with exact integer
-//!    arithmetic — so one dominant bucket fans out across every worker.
-//! 3. **Dedup** — each shard emits a sorted duplicate-free run; runs are
-//!    merged by the k-way heap dedup. The output is the sorted unique
-//!    pair set, bit-identical to [`banded_sequential`] for every thread
-//!    count and every policy.
+//! * a **warm** probe (nothing new to cover) is one `Arc` clone;
+//! * a post-ingest probe or watch delta **extends** by the new records —
+//!   `O(new × bands)` key work instead of `O(corpus × bands)`;
+//! * the **cold** join, [`banded_join`], is a fresh `BandBuckets` whose
+//!   watermark starts at `from` with every band at 0, extended once: the
+//!   prefix re-buckets silently (the partial-eviction mechanism) and only
+//!   records in `[from, n)` emit pairs, so `from = 0` is the full join.
 //!
-//! Cross-band duplicates are removed by the merge; within one band a
-//! record holds exactly one key, so a band's pairs are duplicate-free by
-//! construction and split shards need no per-shard dedup at all.
-//!
-//! # Epoch-persistent buckets
-//!
-//! For a *growing* corpus (streaming ingest), rebuilding every bucket on
-//! every probe is `O(corpus)` work that re-derives identical state: a
-//! record's band keys never change after ingest. [`BandBuckets`] caches
-//! the per-band bucket maps and the canonical pair set across epochs, so
-//! a post-ingest probe hashes only the new records and joins them against
-//! the cached buckets — `O(new × bands)` instead of `O(corpus × bands)` —
-//! while remaining bit-identical to a cold [`banded_sequential`] run.
+//! [`banded_sequential`] is the independent reference all of them are
+//! pinned against bit for bit.
 
-use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use plasma_data::hash::FxHashMap;
-use rayon::prelude::*;
 
-use crate::resolve_parallelism;
 use crate::sketch::SketchSet;
-
-thread_local! {
-    /// Reused band-key table, one per thread: every banded entry point
-    /// needs a `bands × records`-shaped (or `records`-shaped) `u64`
-    /// buffer, and an interactive session calls these entry points once
-    /// per probe. Hoisting the buffer into thread-local scratch mirrors
-    /// the `sketch_into` append scratch — steady-state probes allocate no
-    /// key tables at all.
-    static KEYS_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` over a zeroed `len`-word slice drawn from [`KEYS_SCRATCH`].
-///
-/// The vector is moved *out* of the thread-local for the duration of the
-/// call (and returned afterwards), so `f` may hand disjoint sub-slices to
-/// parallel workers without holding a `RefCell` borrow across threads.
-fn with_key_scratch<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
-    let mut keys = KEYS_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
-    keys.clear();
-    keys.resize(len, 0);
-    let out = f(&mut keys);
-    KEYS_SCRATCH.with(|cell| *cell.borrow_mut() = keys);
-    out
-}
 
 /// Exact capacity for [`exhaustive`], `n·(n−1)/2`, computed with checked
 /// arithmetic: when the multiply would overflow `usize` (an allocation no
@@ -104,201 +54,67 @@ pub fn exhaustive(n: usize) -> Vec<(u32, u32)> {
     out
 }
 
-/// How banded candidate generation splits bucket pairing across workers.
-///
-/// The policy bounds the pair count a single shard (one worker's unit of
-/// pairing work) may carry. Small buckets are grouped until the budget
-/// fills; a bucket that is both **hot** (at least
-/// [`bucket_split_members`](Self::bucket_split_members) members) and over
-/// budget is split into disjoint triangular pair ranges of at most
-/// [`max_pairs_per_shard`](Self::max_pairs_per_shard) pairs each.
-///
-/// The policy never changes the candidate set — only how its generation
-/// is distributed. [`banded_with_policy`] returns bit-identical output
-/// for every policy and thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPolicy {
-    /// Minimum member count for a bucket to be split-eligible. Buckets
-    /// below this stay whole (grouped with neighbors), whatever their
-    /// pair count. Must be at least 2.
-    pub bucket_split_members: usize,
-    /// Pair budget per shard. With the default policy every shard carries
-    /// at most this many pairs; a custom policy whose
-    /// `bucket_split_members` threshold exceeds the budget can leave an
-    /// over-budget bucket whole in its own shard. Must be at least 1.
-    pub max_pairs_per_shard: usize,
-    /// When set (via [`ShardPolicy::adaptive`]), the numeric knobs above
-    /// are placeholders: the join derives the real pair budget from the
-    /// measured total pair count at plan time ([`Self::resolved_for`]),
-    /// targeting [`TARGET_SHARDS_PER_WORKER`] shards per worker.
-    adaptive: bool,
-}
-
-/// Shards the adaptive policy aims to hand each worker. More than one so
-/// an unlucky hot shard cannot straggle the whole join; not many more, so
-/// per-shard overhead (staging buffers, merge runs) stays negligible.
-const TARGET_SHARDS_PER_WORKER: u64 = 3;
-
-/// Floor for the adaptively derived pair budget: below ~1k pairs the
-/// per-shard fixed costs dominate the pairing work itself.
-const MIN_ADAPTIVE_PAIRS: u64 = 1 << 10;
-
-/// Ceiling for the adaptively derived pair budget: bounds the largest
-/// serial pairing run (and staging buffer) any worker can be handed, even
-/// on enormous corpora.
-const MAX_ADAPTIVE_PAIRS: u64 = 1 << 22;
-
-impl Default for ShardPolicy {
-    /// `bucket_split_members = 256`, `max_pairs_per_shard = 32 768`. A
-    /// 256-member bucket holds 32 640 pairs, so with the defaults every
-    /// shard is bounded by the pair budget.
-    fn default() -> Self {
-        Self {
-            bucket_split_members: 256,
-            max_pairs_per_shard: 32_768,
-            adaptive: false,
-        }
-    }
-}
-
-impl ShardPolicy {
-    /// A policy with explicit knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bucket_split_members < 2` (a 1-member bucket has no
-    /// pairs to split) or `max_pairs_per_shard == 0`.
-    pub fn new(bucket_split_members: usize, max_pairs_per_shard: usize) -> Self {
-        assert!(
-            bucket_split_members >= 2,
-            "buckets need at least 2 members to pair"
-        );
-        assert!(max_pairs_per_shard >= 1, "shards must hold at least 1 pair");
-        Self {
-            bucket_split_members,
-            max_pairs_per_shard,
-            adaptive: false,
-        }
-    }
-
-    /// The sharding-off policy: every bucket stays whole and all buckets
-    /// land in one shard — the parallel path degenerates to one worker
-    /// pairing everything (bucket build still shards). Useful as the
-    /// differential baseline and for measuring what sharding buys.
-    pub fn never_split() -> Self {
-        Self {
-            bucket_split_members: usize::MAX,
-            max_pairs_per_shard: usize::MAX,
-            adaptive: false,
-        }
-    }
-
-    /// The self-tuning policy: instead of a fixed pair budget, derive
-    /// `max_pairs_per_shard` at plan time from the join's measured total
-    /// pair count — `total_pairs / (workers × TARGET_SHARDS_PER_WORKER)`,
-    /// clamped to `[2^10, 2^22]` — so small joins don't fragment into
-    /// thousands of trivial shards and huge joins still load-balance.
-    /// Every bucket is split-eligible (`bucket_split_members = 2`).
-    ///
-    /// Like every policy, this never changes the candidate set — only how
-    /// its generation is distributed — so deriving the budget from the
-    /// (thread-count-dependent) worker count is safe.
-    pub fn adaptive() -> Self {
-        Self {
-            adaptive: true,
-            ..Self::default()
-        }
-    }
-
-    /// Whether this policy derives its pair budget at plan time.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// Resolves an adaptive policy against a measured `total_pairs` and a
-    /// `workers` count, returning the concrete fixed policy the shard
-    /// planner runs with. Non-adaptive policies return themselves
-    /// unchanged.
-    pub fn resolved_for(self, total_pairs: u64, workers: usize) -> ShardPolicy {
-        if !self.adaptive {
-            return self;
-        }
-        let target_shards = (workers.max(1) as u64) * TARGET_SHARDS_PER_WORKER;
-        let budget = (total_pairs / target_shards).clamp(MIN_ADAPTIVE_PAIRS, MAX_ADAPTIVE_PAIRS);
-        ShardPolicy {
-            bucket_split_members: 2,
-            max_pairs_per_shard: budget as usize,
-            adaptive: false,
-        }
-    }
-}
-
-/// Banded LSH candidate generation over a sketch set: `bands` bands of
-/// `band_width` hashes each are read from the front of the sketches, and
-/// records sharing a band key in the same bucket are paired (`parallelism`:
-/// `None` = all cores, `Some(1)` = sequential). The output is the sorted
-/// unique candidate set, bit-identical to
-/// [`banded_sequential`] at every `(parallelism, policy)` combination —
-/// pinned by `crates/lsh/tests/banded_differential.rs`.
-pub fn banded_with_policy(
+/// The cold banded join over a sketch set: `bands` bands of `band_width`
+/// hashes each are read from the front of the sketches, and every
+/// candidate pair that touches a record in `[from, n)` is returned, sorted
+/// unique — bit-identical to [`banded_sequential`] filtered down to pairs
+/// with `j >= from`. `from = 0` is the full join; a larger `from` is the
+/// delta a corpus growth adds, the fallback when no warm
+/// [`BandBuckets`] covers the range.
+pub fn banded_join(
     sketches: &SketchSet,
     bands: usize,
     band_width: usize,
-    parallelism: Option<usize>,
-    policy: ShardPolicy,
+    from: usize,
 ) -> Vec<(u32, u32)> {
-    let threads = resolve_parallelism(parallelism);
-    if threads <= 1 || sketches.len() < 2 || bands == 0 {
-        return banded_sequential(sketches, bands, band_width);
-    }
-    banded_sharded(sketches, bands, band_width, threads, policy)
+    let mut buckets = BandBuckets::new(bands, band_width);
+    buckets.covered = from;
+    buckets.join_new(sketches)
 }
 
 /// The sequential reference: one pass per band into a reused bucket map
 /// (capacity-hinted to the record count; member vectors are recycled
 /// through a pool instead of reallocated per band), pairs accumulated
 /// into one buffer, then a single global sort + dedup. This is the
-/// canonical output every sharded configuration must reproduce exactly.
+/// canonical output [`BandBuckets`] must reproduce exactly.
 pub fn banded_sequential(sketches: &SketchSet, bands: usize, band_width: usize) -> Vec<(u32, u32)> {
     let n = sketches.len();
     let mut out: Vec<(u32, u32)> = Vec::new();
     if n < 2 || bands == 0 {
         return out;
     }
-    with_key_scratch(n, |keys| {
-        // Capacity hint: at most n distinct keys per band; the map (and the
-        // recycled member vectors) are reused across every band.
-        let mut buckets: FxHashMap<u64, Vec<u32>> =
-            FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        for band in 0..bands {
-            sketches.band_keys_into(band, band_width, 0, keys);
-            for (i, &key) in keys.iter().enumerate() {
-                buckets
-                    .entry(key)
-                    .or_insert_with(|| pool.pop().unwrap_or_default())
-                    .push(i as u32);
-            }
-            for (_, mut members) in buckets.drain() {
-                if members.len() >= 2 {
-                    emit_bucket(&members, &mut out);
-                }
-                members.clear();
-                pool.push(members);
-            }
+    let mut keys = vec![0u64; n];
+    // Capacity hint: at most n distinct keys per band; the map (and the
+    // recycled member vectors) are reused across every band.
+    let mut buckets: FxHashMap<u64, Vec<u32>> =
+        FxHashMap::with_capacity_and_hasher(n, Default::default());
+    let mut pool: Vec<Vec<u32>> = Vec::new();
+    for band in 0..bands {
+        sketches.band_keys_into(band, band_width, 0, &mut keys);
+        for (i, &key) in keys.iter().enumerate() {
+            buckets
+                .entry(key)
+                .or_insert_with(|| pool.pop().unwrap_or_default())
+                .push(i as u32);
         }
-    });
+        for (_, mut members) in buckets.drain() {
+            if members.len() >= 2 {
+                emit_bucket(&members, &mut out);
+            }
+            members.clear();
+            pool.push(members);
+        }
+    }
     out.sort_unstable();
     out.dedup();
     out
 }
 
-/// Shape of one band's bucket-and-shard structure under a policy, for
-/// bench/telemetry introspection (`repro bench` publishes these as the
-/// `banded_skew` fields). Computed from a sequential bucket build, so the
-/// numbers are deterministic.
+/// Bucket shape of a banded join, for bench/telemetry introspection
+/// (`repro bench` publishes these as the `banded_skew` fields). Computed
+/// from a sequential bucket build, so the numbers are deterministic.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BandedShardStats {
+pub struct BandedBucketStats {
     /// Records in the sketch set.
     pub records: u64,
     /// Buckets with at least 2 members, across all bands.
@@ -309,92 +125,42 @@ pub struct BandedShardStats {
     pub hot_bucket_pairs: u64,
     /// Total pairs across all buckets (pre-dedup generation work).
     pub total_pairs: u64,
-    /// Shards the policy produces.
-    pub shards: u64,
-    /// Pairs carried by the largest shard — the longest serial pairing
-    /// any single worker can be handed. Sharding is doing its job when
-    /// this stays near `max_pairs_per_shard` while `hot_bucket_pairs`
-    /// dwarfs it.
-    pub largest_shard_pairs: u64,
 }
 
-/// Computes [`BandedShardStats`] for a join configuration without
-/// generating any pairs.
-pub fn banded_shard_stats(
+/// Computes [`BandedBucketStats`] for a join shape without generating any
+/// pairs.
+pub fn banded_bucket_stats(
     sketches: &SketchSet,
     bands: usize,
     band_width: usize,
-    policy: ShardPolicy,
-) -> BandedShardStats {
+) -> BandedBucketStats {
     let n = sketches.len();
-    let mut stats = BandedShardStats {
+    let mut stats = BandedBucketStats {
         records: n as u64,
         ..Default::default()
     };
     if n < 2 || bands == 0 {
         return stats;
     }
+    let mut keys = vec![0u64; n];
     let mut counts: FxHashMap<u64, usize> =
         FxHashMap::with_capacity_and_hasher(n, Default::default());
-    let mut sizes: Vec<usize> = Vec::new();
-    with_key_scratch(n, |keys| {
-        for band in 0..bands {
-            sketches.band_keys_into(band, band_width, 0, keys);
-            for &key in keys.iter() {
-                *counts.entry(key).or_insert(0) += 1;
-            }
-            sizes.extend(counts.drain().map(|(_, c)| c).filter(|&c| c >= 2));
+    for band in 0..bands {
+        sketches.band_keys_into(band, band_width, 0, &mut keys);
+        for &key in &keys {
+            *counts.entry(key).or_insert(0) += 1;
         }
-    });
-    stats.buckets = sizes.len() as u64;
-    for &m in &sizes {
-        let pairs = bucket_pair_count(m);
-        stats.total_pairs += pairs;
-        if m as u64 > stats.hot_bucket_members {
-            stats.hot_bucket_members = m as u64;
-            stats.hot_bucket_pairs = pairs;
+        for (_, m) in counts.drain().filter(|&(_, m)| m >= 2) {
+            let pairs = bucket_pair_count(m);
+            stats.buckets += 1;
+            stats.total_pairs += pairs;
+            if m as u64 > stats.hot_bucket_members {
+                stats.hot_bucket_members = m as u64;
+                stats.hot_bucket_pairs = pairs;
+            }
         }
     }
-    // An adaptive policy is resolved against the process-default worker
-    // count — the same count `banded` itself would use with
-    // `parallelism: None` — so stats reflect the plan a default-threaded
-    // join would run.
-    let policy = policy.resolved_for(stats.total_pairs, resolve_parallelism(None));
-    let shards = plan_shards(&sizes, policy);
-    stats.shards = shards.len() as u64;
-    stats.largest_shard_pairs = shards
-        .iter()
-        .map(|s| match *s {
-            Shard::Whole { first, count } => sizes[first..first + count]
-                .iter()
-                .map(|&m| bucket_pair_count(m))
-                .sum(),
-            Shard::Slice { lo, hi, .. } => hi - lo,
-        })
-        .max()
-        .unwrap_or(0);
     stats
-}
-
-/// One unit of pairing work in the sharded join.
-#[derive(Debug, Clone, Copy)]
-enum Shard {
-    /// A run of consecutive whole buckets, grouped under the pair budget.
-    Whole {
-        /// Index of the first bucket in the group.
-        first: usize,
-        /// Number of consecutive buckets grouped.
-        count: usize,
-    },
-    /// A triangular pair-index range `[lo, hi)` of one hot bucket.
-    Slice {
-        /// Index of the split bucket.
-        bucket: usize,
-        /// First pair index (inclusive).
-        lo: u64,
-        /// Last pair index (exclusive).
-        hi: u64,
-    },
 }
 
 /// `m·(m−1)/2` in `u128` intermediate arithmetic, so even a
@@ -403,31 +169,6 @@ enum Shard {
 fn bucket_pair_count(members: usize) -> u64 {
     let m = members as u128;
     u64::try_from(m * m.saturating_sub(1) / 2).expect("bucket pair count overflows u64")
-}
-
-/// Pairs in triangular rows `< a` of an `m`-member bucket:
-/// `a·(2m − a − 1)/2`, exact in `u128`.
-fn tri_prefix(m: u64, a: u64) -> u64 {
-    debug_assert!(a < m);
-    let (m, a) = (m as u128, a as u128);
-    (a * (2 * m - a - 1) / 2) as u64
-}
-
-/// Decodes linear pair index `t` of an `m`-member bucket's row-major
-/// triangular enumeration back to `(row, col)`, `row < col < m`. Integer
-/// binary search — no floating point, exact for every representable `t`.
-fn tri_decode(m: u64, t: u64) -> (u64, u64) {
-    debug_assert!(m >= 2 && t < bucket_pair_count(m as usize));
-    let (mut lo, mut hi) = (0u64, m - 2);
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if tri_prefix(m, mid) <= t {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    (lo, lo + 1 + (t - tri_prefix(m, lo)))
 }
 
 /// Emits every pair of one bucket. Members arrive in ascending record
@@ -442,228 +183,8 @@ fn emit_bucket(members: &[u32], out: &mut Vec<(u32, u32)>) {
     }
 }
 
-/// Emits the triangular pair range `[lo, hi)` of one bucket: decode the
-/// start coordinate once, then walk the enumeration. Sorted and
-/// duplicate-free by construction.
-fn emit_slice(members: &[u32], lo: u64, hi: u64, out: &mut Vec<(u32, u32)>) {
-    if hi <= lo {
-        return;
-    }
-    let m = members.len() as u64;
-    out.reserve((hi - lo) as usize);
-    let (mut a, mut b) = tri_decode(m, lo);
-    for _ in lo..hi {
-        out.push((members[a as usize], members[b as usize]));
-        b += 1;
-        if b == m {
-            a += 1;
-            b = a + 1;
-        }
-    }
-}
-
-/// The multiplicative range partition of the `u64` key space into
-/// `partitions` contiguous ranges: workers own disjoint key ranges, so
-/// partial bucket maps merge by concatenation.
-fn key_partition(key: u64, partitions: usize) -> usize {
-    ((key as u128 * partitions as u128) >> 64) as usize
-}
-
-/// Turns the bucket size list into shards under `policy`: consecutive
-/// small buckets group greedily up to the pair budget; hot buckets split
-/// into triangular ranges. Every bucket's pairs land in exactly one
-/// shard's ranges, so shard runs partition the (band-local) pair set.
-fn plan_shards(sizes: &[usize], policy: ShardPolicy) -> Vec<Shard> {
-    let max_pairs = policy.max_pairs_per_shard.max(1) as u64;
-    let mut shards = Vec::new();
-    let (mut group_first, mut group_count, mut group_pairs) = (0usize, 0usize, 0u64);
-    for (b, &m) in sizes.iter().enumerate() {
-        let pairs = bucket_pair_count(m);
-        if m >= policy.bucket_split_members && pairs > max_pairs {
-            if group_count > 0 {
-                shards.push(Shard::Whole {
-                    first: group_first,
-                    count: group_count,
-                });
-                group_count = 0;
-                group_pairs = 0;
-            }
-            let mut lo = 0u64;
-            while lo < pairs {
-                let hi = (lo.saturating_add(max_pairs)).min(pairs);
-                shards.push(Shard::Slice { bucket: b, lo, hi });
-                lo = hi;
-            }
-        } else {
-            if group_count > 0 && group_pairs.saturating_add(pairs) > max_pairs {
-                shards.push(Shard::Whole {
-                    first: group_first,
-                    count: group_count,
-                });
-                group_count = 0;
-                group_pairs = 0;
-            }
-            if group_count == 0 {
-                group_first = b;
-            }
-            group_count += 1;
-            group_pairs = group_pairs.saturating_add(pairs);
-        }
-    }
-    if group_count > 0 {
-        shards.push(Shard::Whole {
-            first: group_first,
-            count: group_count,
-        });
-    }
-    shards
-}
-
-/// The sharded parallel join (phases 1–3 of the module docs). `threads`
-/// is already resolved and `> 1`.
-fn banded_sharded(
-    sketches: &SketchSet,
-    bands: usize,
-    band_width: usize,
-    threads: usize,
-    policy: ShardPolicy,
-) -> Vec<(u32, u32)> {
-    let n = sketches.len();
-
-    // Phases 1a + 1b run inside the thread-local key scratch (the table is
-    // dead once buckets exist; it returns to the scratch slot, not the
-    // allocator, so the next probe's build is allocation-free).
-    let total = bands
-        .checked_mul(n)
-        .expect("band-key table size overflows usize");
-    let buckets: Vec<Vec<u32>> = with_key_scratch(total, |keys| {
-        // Phase 1a: the flat band-key table, record-sharded across workers
-        // into disjoint slices.
-        let key_chunk = total.div_ceil(threads);
-        keys.par_chunks_mut(key_chunk)
-            .enumerate_for_each(|chunk_idx, slice| {
-                let mut idx = chunk_idx * key_chunk;
-                let mut off = 0;
-                while off < slice.len() {
-                    let (band, first) = (idx / n, idx % n);
-                    let take = (n - first).min(slice.len() - off);
-                    sketches.band_keys_into(band, band_width, first, &mut slice[off..off + take]);
-                    idx += take;
-                    off += take;
-                }
-            });
-
-        // Phase 1b: per-worker partial bucket maps over disjoint
-        // (band, key-range) cells. When bands alone undersupply the workers,
-        // each band's key space is range-partitioned so the bucket build
-        // itself spreads out. The map (and its allocation) is reused across
-        // one worker's cells; member vectors move out through `drain`.
-        let partitions = threads.div_ceil(bands.min(threads));
-        let cells: Vec<(usize, usize)> = (0..bands)
-            .flat_map(|band| (0..partitions).map(move |p| (band, p)))
-            .collect();
-        let cell_chunk = cells.len().div_ceil(threads);
-        let nested_buckets: Vec<Vec<Vec<u32>>> = cells
-            .par_chunks(cell_chunk)
-            .map(|chunk| {
-                let mut local: Vec<Vec<u32>> = Vec::new();
-                let mut map: FxHashMap<u64, Vec<u32>> =
-                    FxHashMap::with_capacity_and_hasher(n / partitions + 1, Default::default());
-                for &(band, p) in chunk {
-                    let band_keys = &keys[band * n..(band + 1) * n];
-                    if partitions == 1 {
-                        for (i, &key) in band_keys.iter().enumerate() {
-                            map.entry(key).or_default().push(i as u32);
-                        }
-                    } else {
-                        for (i, &key) in band_keys.iter().enumerate() {
-                            if key_partition(key, partitions) == p {
-                                map.entry(key).or_default().push(i as u32);
-                            }
-                        }
-                    }
-                    local.extend(map.drain().map(|(_, m)| m).filter(|m| m.len() >= 2));
-                }
-                local
-            })
-            .collect();
-        nested_buckets.into_iter().flatten().collect()
-    });
-    if buckets.is_empty() {
-        return Vec::new();
-    }
-
-    // Phase 2: shard plan from the bucket sizes; an adaptive policy
-    // derives its pair budget from the measured total here.
-    let sizes: Vec<usize> = buckets.iter().map(Vec::len).collect();
-    let total_pairs: u64 = sizes.iter().map(|&m| bucket_pair_count(m)).sum();
-    let policy = policy.resolved_for(total_pairs, threads);
-    let shards = plan_shards(&sizes, policy);
-
-    // Phase 3: emit one sorted run per shard (worker-local staging buffer
-    // reused across a worker's shards; emitted runs are exact-sized), then
-    // k-way merge-dedup into the canonical sorted unique pair set.
-    let shard_chunk = shards.len().div_ceil(threads);
-    let nested_runs: Vec<Vec<Vec<(u32, u32)>>> = shards
-        .par_chunks(shard_chunk)
-        .map(|chunk| {
-            let mut scratch: Vec<(u32, u32)> = Vec::new();
-            let mut runs: Vec<Vec<(u32, u32)>> = Vec::with_capacity(chunk.len());
-            for shard in chunk {
-                scratch.clear();
-                match *shard {
-                    Shard::Whole { first, count } => {
-                        for members in &buckets[first..first + count] {
-                            emit_bucket(members, &mut scratch);
-                        }
-                        // Grouped buckets may interleave records and (across
-                        // a band boundary) repeat a pair; canonicalize the
-                        // run here so the merge sees sorted unique input.
-                        scratch.sort_unstable();
-                        scratch.dedup();
-                    }
-                    Shard::Slice { bucket, lo, hi } => {
-                        emit_slice(&buckets[bucket], lo, hi, &mut scratch);
-                    }
-                }
-                runs.push(scratch.as_slice().to_vec());
-            }
-            runs
-        })
-        .collect();
-    kway_merge_dedup(nested_runs.into_iter().flatten().collect())
-}
-
-/// Merges sorted runs into one sorted, duplicate-free vector.
-fn kway_merge_dedup(runs: Vec<Vec<(u32, u32)>>) -> Vec<(u32, u32)> {
-    match runs.len() {
-        0 => return Vec::new(),
-        1 => return runs.into_iter().next().expect("one run"),
-        _ => {}
-    }
-    let mut heap: BinaryHeap<Reverse<((u32, u32), usize)>> = BinaryHeap::new();
-    let mut cursors = vec![0usize; runs.len()];
-    for (r, run) in runs.iter().enumerate() {
-        if let Some(&first) = run.first() {
-            heap.push(Reverse((first, r)));
-        }
-    }
-    let mut out: Vec<(u32, u32)> = Vec::with_capacity(runs.iter().map(Vec::len).max().unwrap_or(0));
-    while let Some(Reverse((pair, r))) = heap.pop() {
-        if out.last() != Some(&pair) {
-            out.push(pair);
-        }
-        cursors[r] += 1;
-        if let Some(&next) = runs[r].get(cursors[r]) {
-            heap.push(Reverse((next, r)));
-        }
-    }
-    out
-}
-
-/// Epoch-persistent band buckets: the incremental alternative to
-/// rebuilding every bucket map from scratch on each probe of a growing
-/// corpus.
+/// Epoch-persistent band buckets: the one banded join, cold or
+/// incremental.
 ///
 /// A record's band key depends only on its own sketch, so bucket
 /// membership never changes once a record is ingested — an epoch that
@@ -778,14 +299,32 @@ impl BandBuckets {
             return Arc::clone(&self.pairs);
         }
         let from = self.covered;
+        let fresh = self.join_new(sketches);
+        if !fresh.is_empty() {
+            self.pairs = Arc::new(merge_sorted_unique(&self.pairs, &fresh));
+        }
+        self.delta = Arc::new(fresh);
+        self.delta_range = (from, n);
+        self.recount_bytes();
+        Arc::clone(&self.pairs)
+    }
+
+    /// The join itself: hashes records `[covered, n)` into every band,
+    /// pairs each against its bucket's prior members, advances every
+    /// watermark to `n`, and returns the fresh pairs sorted unique. A band
+    /// whose watermark trails `covered` first re-buckets that prefix
+    /// without emitting pairs.
+    fn join_new(&mut self, sketches: &SketchSet) -> Vec<(u32, u32)> {
+        let n = sketches.len();
+        let from = self.covered;
         let mut keys: Vec<u64> = Vec::new();
         let mut fresh: Vec<(u32, u32)> = Vec::new();
         for (band, map) in self.maps.iter_mut().enumerate() {
-            // An evicted band restarts from watermark 0: its prefix
-            // records re-join their buckets without emitting pairs
-            // (those pairs are already in `pairs` — the same silent
-            // prefix pass `banded_delta` does cold), so eviction can
-            // never change outputs.
+            // An evicted band (or every band of a cold join from `from`)
+            // restarts below the watermark: its prefix records re-join
+            // their buckets without emitting pairs — those pairs are
+            // already in `pairs`, or not wanted — so eviction can never
+            // change outputs.
             let start = self.band_covered[band];
             keys.clear();
             keys.resize(n - start, 0);
@@ -808,21 +347,15 @@ impl BandBuckets {
         self.covered = n;
         fresh.sort_unstable();
         fresh.dedup();
-        if !fresh.is_empty() {
-            self.pairs = Arc::new(merge_sorted_unique(&self.pairs, &fresh));
-        }
-        self.delta = Arc::new(fresh);
-        self.delta_range = (from, n);
-        self.recount_bytes();
-        Arc::clone(&self.pairs)
+        fresh
     }
 
     /// The new-records-only candidate slice of the most recent extension,
     /// if it covered exactly `[from, to)`: every cached pair that touches
     /// a record in that range, sorted unique — bit-identical to
-    /// [`banded_delta`] over the same snapshot. Returns `None` when the
-    /// cache's last extension covered a different range (the caller must
-    /// fall back to the cold [`banded_delta`] path).
+    /// [`banded_join`] from `from` over the same snapshot. Returns `None`
+    /// when the cache's last extension covered a different range (the
+    /// caller must fall back to the cold [`banded_join`]).
     pub fn delta_covering(&self, from: usize, to: usize) -> Option<Arc<Vec<(u32, u32)>>> {
         (self.delta_range == (from, to)).then(|| Arc::clone(&self.delta))
     }
@@ -886,62 +419,6 @@ impl BandBuckets {
         bytes += self.delta.capacity() * std::mem::size_of::<(u32, u32)>();
         self.bytes = bytes;
     }
-}
-
-/// The new-records-only slice of a banded join: every candidate pair that
-/// touches a record in `[from, n)`, computed cold — prefix records
-/// `[0, from)` only *populate* buckets (no pairs are emitted among them),
-/// then each new record pairs against its bucket's prior members. Output
-/// is sorted unique, bit-identical to filtering
-/// `banded_sequential(sketches, bands, band_width)` down to pairs with
-/// `j >= from` — the fallback [`BandBuckets::delta_covering`] equivalence
-/// when no warm bucket cache covers the requested range (shape change,
-/// capacity drop, or a watch registered against a cold cache).
-pub fn banded_delta(
-    sketches: &SketchSet,
-    bands: usize,
-    band_width: usize,
-    from: usize,
-) -> Vec<(u32, u32)> {
-    let n = sketches.len();
-    let mut out: Vec<(u32, u32)> = Vec::new();
-    if n < 2 || bands == 0 || from >= n {
-        return out;
-    }
-    with_key_scratch(n, |keys| {
-        let mut buckets: FxHashMap<u64, Vec<u32>> =
-            FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        for band in 0..bands {
-            sketches.band_keys_into(band, band_width, 0, keys);
-            // Prefix records join buckets silently: their mutual pairs
-            // belong to earlier epochs, not this delta.
-            for (i, &key) in keys[..from].iter().enumerate() {
-                buckets
-                    .entry(key)
-                    .or_insert_with(|| pool.pop().unwrap_or_default())
-                    .push(i as u32);
-            }
-            // New records pair against every prior member (all of which
-            // have smaller ids, so (m, r) is canonical i < j), then join
-            // the bucket themselves so new×new pairs are emitted too.
-            for (off, &key) in keys[from..].iter().enumerate() {
-                let r = (from + off) as u32;
-                let members = buckets
-                    .entry(key)
-                    .or_insert_with(|| pool.pop().unwrap_or_default());
-                out.extend(members.iter().map(|&m| (m, r)));
-                members.push(r);
-            }
-            for (_, mut members) in buckets.drain() {
-                members.clear();
-                pool.push(members);
-            }
-        }
-    });
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 /// Merges two sorted duplicate-free pair runs into one sorted
@@ -1025,79 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn tri_decode_inverts_the_enumeration() {
-        for m in [2u64, 3, 4, 7, 100] {
-            let mut t = 0u64;
-            for a in 0..m {
-                for b in (a + 1)..m {
-                    assert_eq!(tri_decode(m, t), (a, b), "m={m} t={t}");
-                    t += 1;
-                }
-            }
-            assert_eq!(t, bucket_pair_count(m as usize));
-        }
-    }
-
-    #[test]
-    fn emit_slice_ranges_tile_the_bucket() {
-        let members: Vec<u32> = vec![3, 8, 11, 20, 21, 33, 40];
-        let mut whole = Vec::new();
-        emit_bucket(&members, &mut whole);
-        let total = bucket_pair_count(members.len());
-        for step in [1u64, 2, 5, total] {
-            let mut tiled = Vec::new();
-            let mut lo = 0;
-            while lo < total {
-                let hi = (lo + step).min(total);
-                emit_slice(&members, lo, hi, &mut tiled);
-                lo = hi;
-            }
-            assert_eq!(tiled, whole, "step {step}");
-        }
-    }
-
-    #[test]
-    fn plan_shards_bounds_every_shard_with_default_policy() {
-        let policy = ShardPolicy::default();
-        // One hot bucket (1000 members) among small ones.
-        let sizes = vec![3usize, 1000, 2, 2, 300, 5];
-        let shards = plan_shards(&sizes, policy);
-        let hot_pairs = bucket_pair_count(1000);
-        let max = policy.max_pairs_per_shard as u64;
-        assert!(shards.len() as u64 >= hot_pairs / max);
-        let mut covered = 0u64;
-        for s in &shards {
-            let pairs = match *s {
-                Shard::Whole { first, count } => sizes[first..first + count]
-                    .iter()
-                    .map(|&m| bucket_pair_count(m))
-                    .sum(),
-                Shard::Slice { lo, hi, .. } => hi - lo,
-            };
-            assert!(pairs <= max, "{s:?} carries {pairs} pairs");
-            covered += pairs;
-        }
-        let total: u64 = sizes.iter().map(|&m| bucket_pair_count(m)).sum();
-        assert_eq!(covered, total, "shards must tile every pair exactly once");
-    }
-
-    #[test]
-    fn never_split_policy_yields_one_shard() {
-        let shards = plan_shards(&[10, 4000, 7], ShardPolicy::never_split());
-        assert_eq!(shards.len(), 1);
-        match shards[0] {
-            Shard::Whole { first: 0, count: 3 } => {}
-            other => panic!("expected one whole-group shard, got {other:?}"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 members")]
-    fn shard_policy_rejects_unpairable_split_threshold() {
-        let _ = ShardPolicy::new(1, 64);
-    }
-
-    #[test]
     fn banded_finds_near_duplicates() {
         // Three clones and one unrelated record: the clones must pair up.
         let a = SparseVector::from_set((0..50).collect());
@@ -1105,7 +509,7 @@ mod tests {
         let c = SparseVector::from_set((0..50).collect());
         let z = SparseVector::from_set((500..550).collect());
         let sk = Sketcher::new(LshFamily::MinHash, 64, 1).sketch_all(&[a, b, c, z]);
-        let cands = banded_with_policy(&sk, 8, 8, None, ShardPolicy::default());
+        let cands = banded_join(&sk, 8, 8, 0);
         assert!(cands.contains(&(0, 1)));
         assert!(cands.contains(&(0, 2)));
         assert!(cands.contains(&(1, 2)));
@@ -1118,7 +522,7 @@ mod tests {
             .map(|i| SparseVector::from_set((i * 100..i * 100 + 50).collect()))
             .collect();
         let sk = Sketcher::new(LshFamily::MinHash, 64, 2).sketch_all(&records);
-        let cands = banded_with_policy(&sk, 8, 8, None, ShardPolicy::default());
+        let cands = banded_join(&sk, 8, 8, 0);
         assert!(
             cands.len() <= 2,
             "disjoint sets should almost never collide, got {}",
@@ -1141,7 +545,7 @@ mod tests {
             .map(|i| SparseVector::from_set((0..40 + i).collect()))
             .collect();
         let sk = Sketcher::new(LshFamily::MinHash, 64, 3).sketch_all(&records);
-        let cands = banded_with_policy(&sk, 8, 8, None, ShardPolicy::default());
+        let cands = banded_join(&sk, 8, 8, 0);
         for w in cands.windows(2) {
             assert!(w[0] < w[1], "output must be sorted and deduplicated");
         }
@@ -1151,54 +555,33 @@ mod tests {
     }
 
     #[test]
-    fn banded_is_thread_count_invariant() {
+    fn banded_join_matches_reference_under_cross_band_duplication() {
         // Near-duplicate clusters generate heavy cross-band duplication;
-        // every thread count must produce the same sorted unique list.
+        // the cold join must still produce the reference's sorted unique
+        // list.
         let records: Vec<SparseVector> = (0..30u32)
             .map(|i| SparseVector::from_set((i / 3 * 40..i / 3 * 40 + 45).collect()))
             .collect();
         let sk = Sketcher::new(LshFamily::MinHash, 64, 5).sketch_all(&records);
-        let reference = banded_with_policy(&sk, 16, 4, Some(1), ShardPolicy::default());
-        for threads in [2, 3, 5, 16] {
-            assert_eq!(
-                banded_with_policy(&sk, 16, 4, Some(threads), ShardPolicy::default()),
-                reference,
-                "banded join diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn kway_merge_dedup_merges_and_dedups() {
-        let runs = vec![
-            vec![(0, 1), (0, 3), (2, 5)],
-            vec![(0, 1), (1, 2), (2, 5)],
-            vec![],
-            vec![(0, 2)],
-        ];
-        assert_eq!(
-            kway_merge_dedup(runs),
-            vec![(0, 1), (0, 2), (0, 3), (1, 2), (2, 5)]
-        );
+        let reference = banded_sequential(&sk, 16, 4);
+        assert!(!reference.is_empty());
+        assert_eq!(banded_join(&sk, 16, 4, 0), reference);
     }
 
     #[test]
     fn empty_and_singleton_datasets_yield_empty_candidates() {
         // The 0-record/1-record allocation guard: capacity hints must not
-        // assume a non-empty dataset, on either path or any policy.
+        // assume a non-empty dataset, on any path.
         for n in [0usize, 1] {
             let records: Vec<SparseVector> = (0..n as u32)
                 .map(|_| SparseVector::from_set(vec![1, 2, 3]))
                 .collect();
             let sk = Sketcher::new(LshFamily::MinHash, 64, 3).sketch_all(&records);
             assert!(banded_sequential(&sk, 8, 8).is_empty());
-            for policy in [ShardPolicy::default(), ShardPolicy::never_split()] {
-                assert!(banded_with_policy(&sk, 8, 8, Some(4), policy).is_empty());
-            }
-            let stats = banded_shard_stats(&sk, 8, 8, ShardPolicy::default());
+            assert!(banded_join(&sk, 8, 8, 0).is_empty());
+            let stats = banded_bucket_stats(&sk, 8, 8);
             assert_eq!(stats.records, n as u64);
-            assert_eq!(stats.shards, 0);
-            assert_eq!(stats.total_pairs, 0);
+            assert_eq!((stats.buckets, stats.total_pairs), (0, 0));
         }
     }
 
@@ -1249,9 +632,9 @@ mod tests {
 
     #[test]
     fn banded_delta_is_the_j_filtered_full_join() {
-        // The cold delta path must equal the full sequential join filtered
-        // down to pairs touching `[from, n)` — at every split point,
-        // including from=0 (whole join) and from=n (empty delta).
+        // The cold join from `from` must equal the full sequential join
+        // filtered down to pairs touching `[from, n)` — at every split
+        // point, including from=0 (whole join) and from=n (empty delta).
         let records: Vec<SparseVector> = (0..40u32)
             .map(|i| {
                 let mut items: Vec<u32> = (i / 4 * 50..i / 4 * 50 + 40).collect();
@@ -1268,16 +651,16 @@ mod tests {
                 .copied()
                 .filter(|&(_, j)| j as usize >= from)
                 .collect();
-            assert_eq!(banded_delta(&sk, 8, 8, from), expect, "from={from}");
+            assert_eq!(banded_join(&sk, 8, 8, from), expect, "from={from}");
         }
-        assert!(banded_delta(&sk, 0, 8, 0).is_empty());
+        assert!(banded_join(&sk, 0, 8, 0).is_empty());
     }
 
     #[test]
     fn bucket_cache_delta_matches_cold_delta_at_every_epoch() {
-        // Every extension's fresh slice must equal the cold banded_delta
-        // over the same range, and delta_covering must refuse ranges the
-        // last extension did not produce.
+        // Every extension's fresh slice must equal the cold join from the
+        // same watermark, and delta_covering must refuse ranges the last
+        // extension did not produce.
         let records: Vec<SparseVector> = (0..45u32)
             .map(|i| {
                 let mut items: Vec<u32> = (i / 3 * 40..i / 3 * 40 + 45).collect();
@@ -1296,7 +679,7 @@ mod tests {
             let delta = cache
                 .delta_covering(lo, hi)
                 .expect("extension must record its delta range");
-            assert_eq!(*delta, banded_delta(&set, 8, 8, lo), "range {lo}..{hi}");
+            assert_eq!(*delta, banded_join(&set, 8, 8, lo), "range {lo}..{hi}");
             assert!(cache.delta_covering(lo, hi + 1).is_none());
             // A warm re-probe leaves the recorded delta untouched.
             cache.extend_and_generate(&set);
@@ -1348,7 +731,7 @@ mod tests {
             let pairs = cache.extend_and_generate(&set);
             assert_eq!(*pairs, banded_sequential(&set, 8, 8), "epoch {hi}");
             let delta = cache.delta_covering(lo, hi).expect("delta recorded");
-            assert_eq!(*delta, banded_delta(&set, 8, 8, lo), "delta {lo}..{hi}");
+            assert_eq!(*delta, banded_join(&set, 8, 8, lo), "delta {lo}..{hi}");
             assert_eq!(cache.resident_bands(), 8, "growth re-warms all bands");
         }
 
@@ -1379,75 +762,9 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_derives_budget_from_measured_pairs() {
-        use plasma_data::rng::seeded;
-        use plasma_data::zipf::Zipf;
-        use rand::Rng as _;
-
-        // A Zipf-clustered corpus: the hot cluster dominates, so the
-        // measured total pair count is the load the budget must balance.
-        let zipf = Zipf::new(20, 1.5);
-        let mut rng = seeded(42);
-        let records: Vec<SparseVector> = (0..300)
-            .map(|_| {
-                let c = zipf.sample(&mut rng) as u32;
-                let mut items: Vec<u32> = (c * 60..c * 60 + 45).collect();
-                items.push(5000 + rng.gen_range(0..4u32));
-                SparseVector::from_set(items)
-            })
-            .collect();
-        let sk = Sketcher::new(LshFamily::MinHash, 64, 11).sketch_all(&records);
-
-        // total_pairs is policy-independent; measure it once.
-        let measured = banded_shard_stats(&sk, 8, 8, ShardPolicy::never_split());
-        assert!(measured.total_pairs > 0);
-
-        // The resolved budget is pinned to the documented formula.
-        let policy = ShardPolicy::adaptive();
-        assert!(policy.is_adaptive());
-        for workers in [1usize, 4, 64] {
-            let resolved = policy.resolved_for(measured.total_pairs, workers);
-            assert!(!resolved.is_adaptive());
-            assert_eq!(resolved.bucket_split_members, 2);
-            let expect = (measured.total_pairs / (workers as u64 * TARGET_SHARDS_PER_WORKER))
-                .clamp(MIN_ADAPTIVE_PAIRS, MAX_ADAPTIVE_PAIRS);
-            assert_eq!(
-                resolved.max_pairs_per_shard as u64, expect,
-                "workers={workers}"
-            );
-            // Resolving twice is a fixed point.
-            assert_eq!(
-                resolved.resolved_for(measured.total_pairs, workers),
-                resolved
-            );
-        }
-
-        // Stats under the adaptive policy respect the budget resolved at
-        // the same (process-default) worker count…
-        let resolved = policy.resolved_for(measured.total_pairs, resolve_parallelism(None));
-        let stats = banded_shard_stats(&sk, 8, 8, policy);
-        assert_eq!(stats.total_pairs, measured.total_pairs);
-        assert!(
-            stats.largest_shard_pairs <= resolved.max_pairs_per_shard as u64,
-            "{stats:?} exceeds adaptive budget {resolved:?}"
-        );
-
-        // …and the adaptive join's output is bit-identical to the
-        // sequential reference at every thread count.
-        let reference = banded_sequential(&sk, 8, 8);
-        for threads in [1usize, 2, 4, 8] {
-            assert_eq!(
-                banded_with_policy(&sk, 8, 8, Some(threads), policy),
-                reference,
-                "adaptive policy diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
     fn shard_stats_see_the_hot_bucket() {
         // 40 identical records + 10 distinct: every band has one 40-member
-        // bucket, and the default policy keeps its slices under budget.
+        // bucket, and the stats see it in every band.
         let mut records: Vec<SparseVector> = (0..40)
             .map(|_| SparseVector::from_set((0..50).collect()))
             .collect();
@@ -1456,15 +773,11 @@ mod tests {
                 .map(|i| SparseVector::from_set((1000 + i * 100..1000 + i * 100 + 30).collect())),
         );
         let sk = Sketcher::new(LshFamily::MinHash, 64, 9).sketch_all(&records);
-        let policy = ShardPolicy::new(2, 100);
-        let stats = banded_shard_stats(&sk, 8, 8, policy);
+        let stats = banded_bucket_stats(&sk, 8, 8);
+        assert_eq!(stats.records, 50);
         assert_eq!(stats.hot_bucket_members, 40);
         assert_eq!(stats.hot_bucket_pairs, bucket_pair_count(40));
+        assert!(stats.buckets >= 8, "one hot bucket per band: {stats:?}");
         assert!(stats.total_pairs >= 8 * stats.hot_bucket_pairs);
-        assert!(stats.largest_shard_pairs <= 100);
-        assert!(
-            stats.shards >= 8 * (stats.hot_bucket_pairs / 100),
-            "hot bucket must fan out: {stats:?}"
-        );
     }
 }

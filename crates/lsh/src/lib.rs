@@ -21,12 +21,9 @@
 //!   dimensions once while updating every hash lane, and whole-dataset
 //!   passes shard records across threads into disjoint slices of the flat
 //!   sketch buffer. Output is bit-identical at every thread count.
-//! * [`candidates`] — exhaustive and banded-LSH candidate generation; the
-//!   banded join shards end to end (parallel bucket build over key-range
-//!   partitions, hot buckets split into triangular pair ranges under a
-//!   [`candidates::ShardPolicy`]) and merges per-shard sorted runs with a
-//!   k-way dedup, avoiding a global hash-set of pairs. Skewed key
-//!   distributions therefore cannot serialize candidate generation.
+//! * [`candidates`] — exhaustive and banded-LSH candidate generation;
+//!   [`candidates::BandBuckets`] is the one banded join, serving cold,
+//!   incremental (new records only) and warm (`Arc` clone) candidates.
 //! * [`bayes`] — posterior inference and the memoized per-`(m, n)`
 //!   decision table ([`bayes::ProbeTable`]); tables are cheap to build, so
 //!   parallel callers give each worker its own.
@@ -45,7 +42,6 @@ pub mod family;
 pub mod sketch;
 
 pub use bayes::{BayesLsh, BayesParams, PairDecision};
-pub use candidates::ShardPolicy;
 pub use family::LshFamily;
 pub use sketch::{SketchSet, Sketcher};
 
