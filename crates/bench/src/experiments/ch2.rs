@@ -6,7 +6,7 @@ use plasma_core::apss::{apss, ApssConfig, CandidateStrategy};
 use plasma_core::cues;
 use plasma_core::incremental::incremental_apss;
 use plasma_core::plot;
-use plasma_core::session::Session;
+use plasma_core::StreamingSession;
 use plasma_data::datasets::catalog;
 use plasma_data::datasets::Dataset;
 use plasma_data::similarity::pair_counts_at_thresholds;
@@ -102,7 +102,7 @@ pub fn fig2_3(opts: &Opts) {
     let grid: Vec<f64> = (1..=19).map(|k| k as f64 * 0.05).collect();
     let truth = pair_counts_at_thresholds(&ds.records, ds.measure, &grid);
 
-    let mut session = Session::new(&ds, ApssConfig::default()).with_grid(grid.clone());
+    let mut session = StreamingSession::new(&ds, ApssConfig::default()).with_grid(grid.clone());
     let r1 = session.probe(0.8);
     let after_first = r1.curve.clone();
     let suggested = session.suggest_next_threshold().unwrap_or(0.5);
@@ -156,7 +156,7 @@ pub fn fig2_3(opts: &Opts) {
 /// Fig 2.5: wine triangle counts at t ∈ {0.9, 0.95} plus cues.
 pub fn fig2_5(opts: &Opts) {
     let ds = catalog::wine_like(opts.seed);
-    let mut session = Session::new(&ds, ApssConfig::default());
+    let mut session = StreamingSession::new(&ds, ApssConfig::default());
     let mut t = Table::new(&["t", "pairs", "triangles", "clusterability", "max clique"]);
     for &th in &[0.95, 0.9] {
         let r = session.probe(th);
@@ -300,7 +300,7 @@ pub fn fig2_10(opts: &Opts) {
         uncached.push(start.elapsed().as_secs_f64());
     }
     // With caching: one session.
-    let mut session = Session::new(&ds, cfg);
+    let mut session = StreamingSession::new(&ds, cfg);
     let mut cached = Vec::new();
     for &th in &ladder {
         let start = Instant::now();
@@ -327,7 +327,7 @@ pub fn sec2_2_2(opts: &Opts) {
     let cfg = ApssConfig::default();
 
     let start = Instant::now();
-    let mut session = Session::new(&ds, cfg);
+    let mut session = StreamingSession::new(&ds, cfg);
     session.probe(0.8);
     let next = session.suggest_next_threshold().unwrap_or(0.5);
     session.probe(next);
@@ -382,7 +382,7 @@ pub fn sec2_3_4(opts: &Opts) {
         .map(|row| SparseVector::from_dense(row))
         .collect();
 
-    let mut session = Session::from_records(
+    let mut session = StreamingSession::from_records(
         records.clone(),
         plasma_data::similarity::Similarity::Cosine,
         ApssConfig {

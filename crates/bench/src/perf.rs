@@ -38,7 +38,7 @@ use std::time::Instant;
 use plasma_core::apss::{apss_with_sketches, build_sketches, ApssConfig};
 use plasma_core::cache::{CacheCapacity, CacheMemoryStats, CacheRegistry};
 use plasma_core::durable::{self, CorpusStore};
-use plasma_core::{Session, SharedKnowledgeCache, StreamingSession};
+use plasma_core::{SharedKnowledgeCache, StreamingSession};
 use plasma_data::datasets::corpus::CorpusSpec;
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::rng::seeded;
@@ -69,7 +69,7 @@ impl KernelRates {
 }
 
 /// One session-count configuration of the concurrent-probe measurement:
-/// `sessions` OS threads, each driving its own [`Session`] attached to
+/// `sessions` OS threads, each driving its own [`StreamingSession`] attached to
 /// one [`SharedKnowledgeCache`], each sweeping the same threshold ladder.
 #[derive(Debug, Clone, Copy)]
 pub struct MultiSessionRates {
@@ -840,8 +840,9 @@ fn sweep_shared_cache(
             .map(|_| {
                 let cache = cache.clone();
                 scope.spawn(move || {
-                    let mut session = Session::from_records(records.to_vec(), measure, cfg)
-                        .with_shared_cache(cache);
+                    let mut session =
+                        StreamingSession::from_records(records.to_vec(), measure, cfg)
+                            .with_shared_cache(cache);
                     let mut totals = (0.0f64, 0u64, 0u64);
                     for &t in &SESSION_SWEEP {
                         let r = session.probe(t);

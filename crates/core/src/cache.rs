@@ -30,7 +30,7 @@
 //! take `&self`, and workers publish memos into their stripe as they
 //! evaluate — there is no global lock and no single-threaded fold. Many
 //! sessions probing the same corpus at different thresholds share one
-//! sketch set and one memo pool ([`Session::with_shared_cache`],
+//! sketch set and one memo pool ([`StreamingSession::with_shared_cache`],
 //! [`CacheRegistry`]).
 //!
 //! Sharing does not cost reproducibility, because profile-backed
@@ -73,7 +73,7 @@
 //! stays keyed by the epoch-0 fingerprint, so growth never duplicates a
 //! registry slot.
 //!
-//! [`Session::with_shared_cache`]: crate::session::Session::with_shared_cache
+//! [`StreamingSession::with_shared_cache`]: crate::streaming::StreamingSession::with_shared_cache
 //! [`MatchProfile`]: plasma_lsh::bayes::MatchProfile
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -1371,17 +1371,18 @@ impl CacheRegistry {
         }
     }
 
-    /// Opens a [`crate::session::Session`] attached to this registry's
-    /// cache for the dataset (building it if needed) — the one-call path
-    /// for "another user starts exploring the same corpus".
+    /// Opens a [`crate::streaming::StreamingSession`] attached to this
+    /// registry's cache for the dataset (building it if needed) — the
+    /// one-call path for "another user starts exploring the same corpus".
     pub fn session(
         &self,
         records: Vec<SparseVector>,
         measure: Similarity,
         cfg: ApssConfig,
-    ) -> crate::session::Session {
+    ) -> crate::streaming::StreamingSession {
         let cache = self.get_or_build(&records, measure, &cfg);
-        crate::session::Session::from_records(records, measure, cfg).with_shared_cache(cache)
+        crate::streaming::StreamingSession::from_records(records, measure, cfg)
+            .with_shared_cache(cache)
     }
 
     /// Number of registered caches (including any whose first build is

@@ -16,7 +16,6 @@ use plasma_lsh::sketch::SketchSet;
 use rayon::prelude::*;
 
 use crate::apss::{build_sketches, ApssConfig, PairEvaluator};
-use crate::cache::SharedKnowledgeCache;
 
 /// Frontier width from which the per-record join shards across workers;
 /// below it, thread spawn overhead (and the per-worker `ProbeTable`
@@ -117,7 +116,6 @@ pub fn incremental_apss_gated(
         records,
         measure,
         &sketches,
-        None,
         t1,
         report_thresholds,
         report_points,
@@ -126,92 +124,12 @@ pub fn incremental_apss_gated(
     )
 }
 
-/// [`incremental_apss`] wired into a [`SharedKnowledgeCache`]: sketches
-/// come from the cache (zero sketch cost), pair evaluations read memoized
-/// match profiles, and every comparison this run performs is published
-/// back — so a streaming pass warms the cache for interactive sessions
-/// and vice versa. Estimates are bit-identical to [`incremental_apss`]
-/// over the same sketches: profile-backed evaluation replays the fresh
-/// schedule, so cache warmth changes only the work done, never the
-/// numbers reported.
-///
-/// The cache's [`crate::cache::CacheCapacity`] applies to this run's
-/// publications like any probe's: a bounded pool may evict memos this
-/// pass published (or wanted to read), which costs recomputation on later
-/// touches but never changes any reported estimate.
-pub fn incremental_apss_with_cache(
-    records: &[SparseVector],
-    measure: Similarity,
-    cache: &SharedKnowledgeCache,
-    t1: f64,
-    report_thresholds: &[f64],
-    report_points: &[f64],
-    cfg: &ApssConfig,
-) -> IncrementalRun {
-    incremental_apss_with_cache_gated(
-        records,
-        measure,
-        cache,
-        t1,
-        report_thresholds,
-        report_points,
-        cfg,
-        PAR_JOIN_MIN,
-    )
-}
-
-/// Test hook: [`incremental_apss_with_cache`] with an explicit
-/// wide-frontier gate (see [`incremental_apss_gated`]). Results are
-/// bit-identical at every gate.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn incremental_apss_with_cache_gated(
-    records: &[SparseVector],
-    measure: Similarity,
-    cache: &SharedKnowledgeCache,
-    t1: f64,
-    report_thresholds: &[f64],
-    report_points: &[f64],
-    cfg: &ApssConfig,
-    par_join_min: usize,
-) -> IncrementalRun {
-    assert_eq!(
-        cache.sketches().len(),
-        records.len(),
-        "shared cache sketches {} records, incremental run has {}",
-        cache.sketches().len(),
-        records.len()
-    );
-    assert_eq!(
-        cache.sketches().family(),
-        LshFamily::for_measure(measure),
-        "shared cache hash family does not serve this run's measure"
-    );
-    let memos = cache.schedule_accepts(cfg.bayes.batch).then_some(cache);
-    // Pin one corpus epoch for the whole run (the cache may be growing
-    // under concurrent streaming ingest).
-    let sketches = cache.sketches();
-    run_incremental(
-        records,
-        measure,
-        &sketches,
-        memos,
-        t1,
-        report_thresholds,
-        report_points,
-        cfg,
-        par_join_min,
-    )
-}
-
-/// The shared driver behind [`incremental_apss`] and
-/// [`incremental_apss_with_cache`].
+/// The driver behind [`incremental_apss`].
 #[allow(clippy::too_many_arguments)]
 fn run_incremental(
     records: &[SparseVector],
     measure: Similarity,
     sketches: &SketchSet,
-    cache: Option<&SharedKnowledgeCache>,
     t1: f64,
     report_thresholds: &[f64],
     report_points: &[f64],
@@ -220,7 +138,7 @@ fn run_incremental(
 ) -> IncrementalRun {
     let n = records.len();
     let engine = BayesLsh::new(LshFamily::for_measure(measure), cfg.bayes);
-    let mut eval = PairEvaluator::new(&engine, sketches, t1, cache);
+    let mut eval = PairEvaluator::new(&engine, sketches, t1, None);
     let grid = engine.grid_points().to_vec();
     let threads = crate::apss::eval_threads(cfg, n);
 
@@ -256,7 +174,7 @@ fn run_incremental(
             let shard = k.div_ceil(threads);
             let mut cells: Vec<(u32, u32)> = vec![(0, 0); k];
             cells.par_chunks_mut(shard).enumerate_for_each(|c, slice| {
-                let mut eval = PairEvaluator::new(&engine, sketches, t1, cache);
+                let mut eval = PairEvaluator::new(&engine, sketches, t1, None);
                 let lo = c * shard;
                 for (off, cell) in slice.iter_mut().enumerate() {
                     let est = eval.step((lo + off) as u32, k as u32, None).estimate;
@@ -364,132 +282,6 @@ mod tests {
             (early - fin).abs() / fin.max(1.0) < 0.5,
             "30% estimate {early} vs final {fin}"
         );
-    }
-
-    #[test]
-    fn cached_incremental_run_is_bit_identical_and_warms_the_cache() {
-        let records = dataset(80);
-        let cfg = ApssConfig::default();
-        let plain = incremental_apss(
-            &records,
-            Similarity::Cosine,
-            0.5,
-            &[0.75, 0.85],
-            &[0.25, 0.5, 1.0],
-            &cfg,
-        );
-        let (sketches, _) = crate::apss::build_sketches(&records, Similarity::Cosine, &cfg);
-        let cache = SharedKnowledgeCache::new(sketches);
-        let cached = incremental_apss_with_cache(
-            &records,
-            Similarity::Cosine,
-            &cache,
-            0.5,
-            &[0.75, 0.85],
-            &[0.25, 0.5, 1.0],
-            &cfg,
-        );
-        for (a, b) in plain.steps.iter().zip(&cached.steps) {
-            assert_eq!(a.fraction.to_bits(), b.fraction.to_bits());
-            for (x, y) in a.estimates.iter().zip(&b.estimates) {
-                assert_eq!(x.to_bits(), y.to_bits(), "estimates must match exactly");
-            }
-        }
-        for (x, y) in plain.final_estimates.iter().zip(&cached.final_estimates) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // The streaming pass published every pair's profile: a session
-        // probe at the same threshold now needs zero new hash work.
-        assert!(!cache.is_empty());
-        let probe = cache.probe(&records, Similarity::Cosine, 0.5, &cfg);
-        assert_eq!(probe.stats.hashes_compared, 0);
-        assert_eq!(probe.stats.cache_hits, probe.stats.candidates);
-    }
-
-    #[test]
-    fn capped_cache_never_changes_incremental_estimates() {
-        let records = dataset(70);
-        let cfg = ApssConfig::default();
-        let plain = incremental_apss(
-            &records,
-            Similarity::Cosine,
-            0.5,
-            &[0.75],
-            &[0.25, 0.5, 1.0],
-            &cfg,
-        );
-        let (sketches, _) = crate::apss::build_sketches(&records, Similarity::Cosine, &cfg);
-        // A tiny byte cap evicts aggressively throughout the run…
-        let cap = 2048;
-        let cache = SharedKnowledgeCache::with_capacity(
-            sketches,
-            crate::cache::CacheCapacity::bounded(cap),
-        );
-        let capped = incremental_apss_with_cache(
-            &records,
-            Similarity::Cosine,
-            &cache,
-            0.5,
-            &[0.75],
-            &[0.25, 0.5, 1.0],
-            &cfg,
-        );
-        // …but estimates are still bit-identical to the cacheless run,
-        // and accounting stayed under the cap.
-        for (a, b) in plain.steps.iter().zip(&capped.steps) {
-            for (x, y) in a.estimates.iter().zip(&b.estimates) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        for (x, y) in plain.final_estimates.iter().zip(&capped.final_estimates) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        let stats = cache.memory_stats();
-        assert!(stats.memo_bytes <= cap, "{} > {cap}", stats.memo_bytes);
-        assert!(stats.evicted_entries > 0, "a 2 KiB cap must have evicted");
-    }
-
-    #[test]
-    fn incremental_run_on_a_grown_cache_matches_plain() {
-        // A cache grown by streaming ingest serves incremental runs over
-        // the full corpus: estimates bit-identical to a cacheless run,
-        // with the carried old-pair memos saving work.
-        let records = dataset(70);
-        let cfg = ApssConfig::default();
-        let mut streaming = crate::streaming::StreamingSession::from_records(
-            records[..40].to_vec(),
-            Similarity::Cosine,
-            cfg,
-        );
-        streaming.probe(0.5);
-        streaming.ingest(&records[40..]);
-        let cache = streaming.shared_cache().expect("probed above");
-        assert_eq!(cache.epoch(), 1);
-        let plain = incremental_apss(
-            &records,
-            Similarity::Cosine,
-            0.5,
-            &[0.75],
-            &[0.25, 0.5, 1.0],
-            &cfg,
-        );
-        let grown = incremental_apss_with_cache(
-            &records,
-            Similarity::Cosine,
-            &cache,
-            0.5,
-            &[0.75],
-            &[0.25, 0.5, 1.0],
-            &cfg,
-        );
-        for (a, b) in plain.steps.iter().zip(&grown.steps) {
-            for (x, y) in a.estimates.iter().zip(&b.estimates) {
-                assert_eq!(x.to_bits(), y.to_bits(), "grown cache changed an estimate");
-            }
-        }
-        for (x, y) in plain.final_estimates.iter().zip(&grown.final_estimates) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

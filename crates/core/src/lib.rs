@@ -21,11 +21,12 @@
 //!   memoized estimates.
 //! * [`incremental`] — streaming pair-count estimates after each fraction
 //!   of the dataset processed (Figs. 2.6–2.8).
-//! * [`streaming`] — the streaming ingest engine: a [`StreamingSession`]
-//!   interleaves `ingest` (epoch-versioned batch-extend sketching) and
-//!   `probe` over a growing corpus, with the knowledge cache carrying
-//!   every old-pair memo across each epoch bump. Streamed probes are
-//!   bit-identical to cold batch runs over the same corpus.
+//! * [`streaming`] — the interactive driver tying it all together: a
+//!   [`StreamingSession`] interleaves `ingest` (epoch-versioned
+//!   batch-extend sketching) and `probe` over a corpus that may grow,
+//!   with the knowledge cache carrying every old-pair memo across each
+//!   epoch bump. Streamed probes are bit-identical to cold runs over the
+//!   same corpus.
 //! * [`watch`] — continuous probes: `watch(threshold)` subscriptions that
 //!   receive only the per-epoch *delta* on every ingest ([`WatchDelta`]),
 //!   with concatenated deltas bit-identical to a cold probe at every
@@ -38,7 +39,6 @@
 //!   [`durable::DurableError`] — it can never change probe outputs.
 //! * [`cues`] — dimensionless visual cues: triangle vertex-cover histogram
 //!   and clique/triangle density plots (Fig. 2.5).
-//! * [`session`] — the interactive driver tying it all together.
 //! * [`plot`] — ASCII and SVG renderers for the cues and curves.
 //!
 //! # Parallel engine
@@ -69,7 +69,6 @@ pub mod cumulative;
 pub mod durable;
 pub mod incremental;
 pub mod plot;
-pub mod session;
 pub mod streaming;
 pub mod topk;
 pub mod watch;
@@ -81,6 +80,5 @@ pub use cache::{
 };
 pub use cumulative::CumulativeCurve;
 pub use durable::{CorpusStore, DurableError, RecoveredCorpus, WalSyncStats, WAL_HEADER_BYTES};
-pub use session::{ProbeReport, Session};
-pub use streaming::{IngestReport, StreamingSession};
+pub use streaming::{IngestReport, ProbeReport, StreamingSession};
 pub use watch::{WatchDelta, WatchHandle, WatchRegistry};

@@ -1,11 +1,15 @@
-//! Streaming ingest: probing a corpus that grows while sessions run.
+//! The interactive session driver (Fig. 2.1's workflow), over a corpus
+//! that may grow while sessions run.
 //!
-//! The batch [`Session`](crate::session::Session) assumes the corpus is
-//! fixed at session start. This module removes that assumption for
-//! insert-heavy workloads: a [`StreamingSession`] interleaves
-//! [`ingest`](StreamingSession::ingest) (append a batch of records) and
-//! [`probe`](StreamingSession::probe) (BayesLSH APSS at a threshold) over
-//! one shared, growing corpus.
+//! A [`StreamingSession`] interleaves [`ingest`](StreamingSession::ingest)
+//! (append a batch of records) and [`probe`](StreamingSession::probe)
+//! (BayesLSH APSS at a threshold) over one shared corpus. Each probe
+//! memoizes everything in the knowledge cache and returns a
+//! [`ProbeReport`]: the pairs, the session's merged Cumulative APSS Graph
+//! (with error bars), work counters and the epoch it ran at. Probes after
+//! the first reuse sketches and pair memos, so they are cheap — the
+//! knowledge-caching result of §2.3.3. A corpus that never grows is just
+//! a session that never calls `ingest`.
 //!
 //! # Epoch lineage
 //!
@@ -47,6 +51,14 @@
 //! probes pin a consistent `(records, sketches)` snapshot under the
 //! corpus read lock, so ingest (which takes the write lock) simply waits
 //! for them rather than tearing them.
+//!
+//! [`StreamingSession::with_shared_cache`] instead opens a session with
+//! its *own* records over an existing cache (typically from a
+//! [`crate::cache::CacheRegistry`]): sessions on any number of threads
+//! then share one sketch set and one memo pool, each keeping its own
+//! curve and threshold grid. Another session's ingest does not grow such
+//! a session's records; once the cache grows past them, its probes fail
+//! with a re-sync panic rather than answer over records it lacks.
 
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -57,11 +69,14 @@ use plasma_data::vector::SparseVector;
 use plasma_lsh::family::LshFamily;
 use plasma_lsh::sketch::{SketchSet, Sketcher};
 
-use crate::apss::{build_sketches, ApssConfig};
+use crate::apss::{build_sketches, ApssConfig, SimilarPair};
 use crate::cache::{CacheCapacity, SharedKnowledgeCache};
+use crate::cues::{self, DensityPlot, TriangleCue};
 use crate::cumulative::CumulativeCurve;
-use crate::session::{fold_probe_report, ProbeReport};
 use crate::watch::{WatchHandle, WatchRegistry};
+
+/// Lowest threshold of a session's default cumulative-curve grid.
+const GRID_LO: f64 = 0.05;
 
 /// The growth state every fork of a streaming session shares: the record
 /// store (authoritative, behind one lock) and the knowledge cache whose
@@ -129,35 +144,67 @@ pub struct IngestReport {
     pub snapshot_clone_bytes: usize,
 }
 
-/// An interactive session over a **growing** corpus — the streaming
-/// sibling of [`Session`](crate::session::Session).
+/// What one probe returns to the user.
+#[derive(Debug, Clone)]
+pub struct ProbeReport {
+    /// The probed threshold.
+    pub threshold: f64,
+    /// The corpus epoch the probe ran at: the growth epoch of the sketch
+    /// snapshot it pinned.
+    pub epoch: u64,
+    /// Pairs meeting the threshold.
+    pub pairs: Vec<SimilarPair>,
+    /// Updated Cumulative APSS Graph estimate (merged across probes).
+    pub curve: CumulativeCurve,
+    /// Seconds spent on this probe (sketching charged to the first).
+    pub seconds: f64,
+    /// Sketch seconds charged to this probe (non-zero only on the first).
+    pub sketch_seconds: f64,
+    /// Candidates evaluated / pruned / cache hits.
+    pub candidates: u64,
+    /// Candidates pruned by Eq. 2.1.
+    pub pruned: u64,
+    /// Pair evaluations answered entirely from the knowledge cache
+    /// (zero new hash comparisons for that pair).
+    pub cache_hits: u64,
+    /// Hashes compared during this probe.
+    pub hashes_compared: u64,
+}
+
+/// An interactive PLASMA-HD session over a corpus that may grow.
 ///
 /// `ingest` appends a batch of records (amortized parallel sketching, one
 /// epoch bump), `probe` runs BayesLSH APSS over everything ingested so
 /// far, and the knowledge cache carries every old-pair memo across each
-/// epoch. Probe outputs are bit-identical to a cold batch run over the
+/// epoch. Probe outputs are bit-identical to a cold APSS run over the
 /// same corpus; only the work counters show the carried knowledge.
 ///
 /// ```
-/// use plasma_core::streaming::StreamingSession;
-/// use plasma_core::{ApssConfig, Session};
+/// use plasma_core::apss::apss;
+/// use plasma_core::{ApssConfig, StreamingSession};
 /// use plasma_data::datasets::gaussian::GaussianSpec;
 ///
 /// let ds = GaussianSpec::new("doc", 60, 6, 2).generate(7);
 /// let (head, tail) = ds.records.split_at(40);
+/// let cfg = ApssConfig::default();
 ///
-/// let mut s = StreamingSession::from_records(head.to_vec(), ds.measure, ApssConfig::default());
-/// s.probe(0.8);
+/// // The first probe pays for sketching; a re-probe of the same
+/// // threshold is answered from the cache without comparing a hash.
+/// let mut s = StreamingSession::from_records(head.to_vec(), ds.measure, cfg);
+/// let first = s.probe(0.8);
+/// assert!(first.sketch_seconds > 0.0);
+/// let again = s.probe(0.8);
+/// assert_eq!((again.hashes_compared, again.pairs), (0, first.pairs));
 ///
 /// // Records arrive while the session is live: one epoch bump.
 /// let grew = s.ingest(tail);
 /// assert_eq!((grew.records_added, grew.epoch), (tail.len(), 1));
 /// assert!(grew.carried_memos > 0, "old-pair memos survive the bump");
 ///
-/// // The grown probe equals a cold batch run over the full corpus…
+/// // The grown probe equals a cold APSS run over the full corpus…
 /// let after = s.probe(0.8);
-/// let mut cold = Session::from_records(ds.records.clone(), ds.measure, ApssConfig::default());
-/// assert_eq!(after.pairs, cold.probe(0.8).pairs);
+/// assert_eq!(after.epoch, 1);
+/// assert_eq!(after.pairs, apss(&ds.records, ds.measure, 0.8, &cfg).pairs);
 /// // …and the carried memos answered every old pair without hashing.
 /// assert!(after.cache_hits > 0);
 /// ```
@@ -171,19 +218,15 @@ pub struct StreamingSession {
 }
 
 impl StreamingSession {
-    /// Opens a streaming session seeded with a dataset's records.
+    /// Opens a session seeded with a dataset's records.
     pub fn new(dataset: &Dataset, cfg: ApssConfig) -> Self {
         Self::from_records(dataset.records.clone(), dataset.measure, cfg)
     }
 
-    /// Opens a streaming session over raw records — pass an empty `Vec`
+    /// Opens a session over raw records — pass an empty `Vec`
     /// to start from nothing and build the corpus entirely by ingest.
     /// Sketches are built lazily on the first ingest or probe.
     pub fn from_records(records: Vec<SparseVector>, measure: Similarity, cfg: ApssConfig) -> Self {
-        let lo = match measure {
-            Similarity::Jaccard => 0.05,
-            Similarity::Cosine => 0.05,
-        };
         Self {
             corpus: Arc::new(StreamingCorpus {
                 measure,
@@ -194,7 +237,7 @@ impl StreamingSession {
                 watches: WatchRegistry::new(),
             }),
             cfg,
-            grid: crate::cumulative::default_grid(lo),
+            grid: crate::cumulative::default_grid(GRID_LO),
             curve: None,
         }
     }
@@ -250,12 +293,18 @@ impl StreamingSession {
         {
             let records = self.corpus.records.read().expect("corpus lock");
             let sketches = cache.sketches();
-            assert_eq!(
+            assert!(
+                sketches.len() == records.len(),
+                "shared cache sketches {} records, session has {}{}",
                 sketches.len(),
                 records.len(),
-                "shared cache sketches {} records, streaming corpus has {}",
-                sketches.len(),
-                records.len()
+                if sketches.epoch() > 0 {
+                    " — the cache has grown past this session's corpus \
+                     (streamed ingest); open the session over the grown \
+                     corpus, or fork the session that ingested"
+                } else {
+                    ""
+                }
             );
             assert_eq!(
                 sketches.family(),
@@ -354,28 +403,53 @@ impl StreamingSession {
     }
 
     /// Probes everything ingested so far at `threshold`, reusing carried
-    /// memos for every pair of pre-growth records. The report is
-    /// bit-identical (pairs, estimates, curve, decision counters) to a
-    /// batch [`Session`](crate::session::Session) probing the same corpus
-    /// cold; carried knowledge shows up only in `cache_hits` and
-    /// `hashes_compared`.
+    /// memos for every pair of pre-growth records, and folds the probe's
+    /// estimates into this session's curve. The report is bit-identical
+    /// (pairs, estimates, curve, decision counters) to a fresh session
+    /// probing the same corpus cold; carried knowledge shows up only in
+    /// `cache_hits` and `hashes_compared`.
+    ///
+    /// The report's `epoch` is read under the corpus read guard, before
+    /// the cache pins its snapshot. A fork's cache grows only under the
+    /// write guard, so the label is exact. A session over its own records
+    /// ([`with_shared_cache`](Self::with_shared_cache)) never grows them,
+    /// so a probe that succeeds pinned a snapshot of exactly that length,
+    /// which is the labelled epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a re-sync message when the cache has grown past this
+    /// session's records.
     pub fn probe(&mut self, threshold: f64) -> ProbeReport {
         let start = Instant::now();
         let corpus = self.corpus.clone();
         let records: RwLockReadGuard<'_, Vec<SparseVector>> =
             corpus.records.read().expect("corpus lock");
-        let (cache, sketch_secs) = corpus.ensure_cache(&records);
+        let (cache, sketch_seconds) = corpus.ensure_cache(&records);
+        let epoch = cache.epoch();
         let result = cache.probe(&records, corpus.measure, threshold, &self.cfg);
         drop(records);
-        fold_probe_report(
-            corpus.measure,
-            self.cfg.bayes,
-            &self.grid,
-            &mut self.curve,
-            result,
-            start.elapsed().as_secs_f64(),
-            sketch_secs,
-        )
+        let seconds = start.elapsed().as_secs_f64();
+        let family = LshFamily::for_measure(corpus.measure);
+        let ests = result.estimates.iter().map(|(_, _, e)| e);
+        let probe_curve = CumulativeCurve::from_estimates(family, self.cfg.bayes, ests, &self.grid);
+        let curve = match self.curve.take() {
+            Some(prev) => prev.merge_min_variance(&probe_curve),
+            None => probe_curve,
+        };
+        self.curve = Some(curve.clone());
+        ProbeReport {
+            threshold: result.threshold,
+            epoch,
+            pairs: result.pairs,
+            curve,
+            seconds,
+            sketch_seconds,
+            candidates: result.stats.candidates,
+            pruned: result.stats.pruned,
+            cache_hits: result.stats.cache_hits,
+            hashes_compared: result.stats.hashes_compared,
+        }
     }
 
     /// Registers a continuous probe at `threshold`: the returned handle
@@ -478,6 +552,24 @@ impl StreamingSession {
         self.curve.as_ref()
     }
 
+    /// Suggests the next threshold to probe: the knee of the current curve
+    /// (§2.2.2's "the user then notices the knee … and investigating it,
+    /// selects a new similarity threshold").
+    pub fn suggest_next_threshold(&self) -> Option<f64> {
+        let curve = self.curve.as_ref()?;
+        curve.knee().map(|k| curve.thresholds[k])
+    }
+
+    /// Triangle cue for the graph induced by a probe's pairs.
+    pub fn triangle_cue(&self, pairs: &[SimilarPair]) -> TriangleCue {
+        cues::triangle_cue(&cues::pairs_to_graph(self.len(), pairs))
+    }
+
+    /// Density plot for the graph induced by a probe's pairs.
+    pub fn density_plot(&self, pairs: &[SimilarPair]) -> DensityPlot {
+        cues::density_plot(&cues::pairs_to_graph(self.len(), pairs))
+    }
+
     /// A snapshot of the corpus sketches at the current epoch, once the
     /// cache exists.
     pub fn sketches(&self) -> Option<Arc<SketchSet>> {
@@ -488,8 +580,9 @@ impl StreamingSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::Session;
+    use crate::apss::apss;
     use plasma_data::datasets::gaussian::GaussianSpec;
+    use plasma_data::similarity::pair_counts_at_thresholds;
 
     fn dataset(n: usize) -> Vec<SparseVector> {
         GaussianSpec {
@@ -499,6 +592,15 @@ mod tests {
         }
         .generate(17)
         .records
+    }
+
+    fn session_dataset() -> Dataset {
+        GaussianSpec {
+            separation: 4.0,
+            spread: 0.6,
+            ..GaussianSpec::new("session-test", 60, 8, 3)
+        }
+        .generate(41)
     }
 
     #[test]
@@ -511,11 +613,10 @@ mod tests {
         streaming.ingest(&records[45..]);
         assert_eq!(streaming.epoch(), 2);
         let streamed = streaming.probe(0.7);
-        let mut cold = Session::from_records(records, Similarity::Cosine, cfg);
-        let cold_report = cold.probe(0.7);
-        assert_eq!(streamed.pairs, cold_report.pairs);
-        assert_eq!(streamed.candidates, cold_report.candidates);
-        assert_eq!(streamed.pruned, cold_report.pruned);
+        let cold = apss(&records, Similarity::Cosine, 0.7, &cfg);
+        assert_eq!(streamed.pairs, cold.pairs);
+        assert_eq!(streamed.candidates, cold.stats.candidates);
+        assert_eq!(streamed.pruned, cold.stats.pruned);
     }
 
     #[test]
@@ -545,8 +646,10 @@ mod tests {
         assert_eq!(a.epoch(), 1);
         let grown = a.probe(0.7);
         assert!(grown.cache_hits > 0, "carried memos must produce hits");
-        let mut cold = Session::from_records(records.to_vec(), Similarity::Cosine, cfg);
-        assert_eq!(grown.pairs, cold.probe(0.7).pairs);
+        assert_eq!(
+            grown.pairs,
+            apss(&records, Similarity::Cosine, 0.7, &cfg).pairs
+        );
     }
 
     #[test]
@@ -561,7 +664,129 @@ mod tests {
         s.ingest(&records[10..]);
         assert_eq!(s.epoch(), 2);
         let streamed = s.probe(0.8);
-        let mut cold = Session::from_records(records, Similarity::Cosine, cfg);
-        assert_eq!(streamed.pairs, cold.probe(0.8).pairs);
+        assert_eq!(
+            streamed.pairs,
+            apss(&records, Similarity::Cosine, 0.8, &cfg).pairs
+        );
+    }
+
+    #[test]
+    fn probe_reports_the_epoch_it_pinned() {
+        const HEAD: usize = 16;
+        const BATCH: usize = 8;
+        const BATCHES: u64 = 6;
+        let len_at = |epoch: u64| HEAD + BATCH * epoch as usize;
+        let records = dataset(len_at(BATCHES));
+        let cfg = ApssConfig::default();
+        let cold: Vec<_> = (0..=BATCHES)
+            .map(|e| apss(&records[..len_at(e)], Similarity::Cosine, 0.7, &cfg).pairs)
+            .collect();
+
+        let mut writer =
+            StreamingSession::from_records(records[..HEAD].to_vec(), Similarity::Cosine, cfg);
+        writer.probe(0.7);
+        // A pinned-style session: its own epoch-0 records over the shared
+        // cache, labelled with the epoch its probe pinned.
+        let cache = writer.shared_cache().expect("probed");
+        let mut pinned =
+            StreamingSession::from_records(records[..HEAD].to_vec(), Similarity::Cosine, cfg)
+                .with_shared_cache(cache);
+        assert_eq!(pinned.probe(0.7).epoch, 0);
+
+        // One fork ingests while another probes in a loop: every report's
+        // pairs must be the cold answer at the epoch it is labelled with.
+        let mut reader = writer.fork();
+        let start = std::sync::Barrier::new(2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let reports = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for b in 0..BATCHES {
+                    writer.ingest(&records[len_at(b)..len_at(b + 1)]);
+                }
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+            });
+            let mut reports = Vec::new();
+            start.wait();
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                reports.push(reader.probe(0.7));
+            }
+            reports.push(reader.probe(0.7));
+            reports
+        });
+        assert_eq!(reports.last().expect("probed").epoch, BATCHES);
+        for report in &reports {
+            assert_eq!(
+                report.pairs, cold[report.epoch as usize],
+                "epoch {}",
+                report.epoch
+            );
+        }
+    }
+
+    #[test]
+    fn first_probe_pays_sketch_cost_later_probes_do_not() {
+        let ds = session_dataset();
+        let mut s = StreamingSession::new(&ds, ApssConfig::default());
+        let r1 = s.probe(0.9);
+        let r2 = s.probe(0.7);
+        assert!(r1.sketch_seconds > 0.0);
+        assert_eq!(r2.sketch_seconds, 0.0);
+        assert!(r2.cache_hits > 0);
+    }
+
+    #[test]
+    fn curve_estimate_tracks_ground_truth_at_probed_threshold() {
+        let ds = session_dataset();
+        let mut s = StreamingSession::new(&ds, ApssConfig::default());
+        let r = s.probe(0.7);
+        // Ground truth at the probed threshold.
+        let truth = pair_counts_at_thresholds(&ds.records, ds.measure, &[0.7])[0];
+        let idx = r
+            .curve
+            .thresholds
+            .iter()
+            .position(|&t| (t - 0.7).abs() < 0.026)
+            .expect("grid covers 0.7");
+        let est = r.curve.expected[idx];
+        let rel = (est - truth as f64).abs() / (truth as f64).max(1.0);
+        assert!(rel < 0.35, "estimate {est} vs truth {truth} (rel {rel})");
+    }
+
+    #[test]
+    fn suggestion_points_at_knee() {
+        let ds = session_dataset();
+        let mut s = StreamingSession::new(&ds, ApssConfig::default());
+        s.probe(0.8);
+        let next = s.suggest_next_threshold();
+        assert!(next.is_some());
+        let t = next.expect("some");
+        assert!((0.0..=1.0).contains(&t));
+    }
+
+    #[test]
+    fn cues_computed_from_pairs() {
+        let ds = session_dataset();
+        let mut s = StreamingSession::new(&ds, ApssConfig::default());
+        let r = s.probe(0.6);
+        let cue = s.triangle_cue(&r.pairs);
+        // Well-separated clusters at threshold 0.6 → triangles exist.
+        assert!(cue.total_triangles > 0);
+        let dp = s.density_plot(&r.pairs);
+        assert!(dp.max_clique >= 3);
+    }
+
+    #[test]
+    fn merged_curve_tightens_with_second_probe() {
+        let ds = session_dataset();
+        let mut s = StreamingSession::new(&ds, ApssConfig::default());
+        let r1 = s.probe(0.9);
+        let sum_sd_before: f64 = r1.curve.std_dev.iter().sum();
+        let r2 = s.probe(0.5);
+        let sum_sd_after: f64 = r2.curve.std_dev.iter().sum();
+        assert!(
+            sum_sd_after <= sum_sd_before + 1e-9,
+            "min-variance merge can only tighten: {sum_sd_before} → {sum_sd_after}"
+        );
     }
 }

@@ -245,12 +245,12 @@ fn registry_per_cache_policy_reaches_built_caches() {
     let mut session = registry.session(records.clone(), Similarity::Cosine, cfg);
     for &t in &[0.9, 0.6, 0.4] {
         session.probe(t);
-        let stats = session.cache().expect("attached").memory_stats();
+        let stats = session.shared_cache().expect("attached").memory_stats();
         assert!(stats.memo_bytes <= cap, "{} > {cap}", stats.memo_bytes);
     }
     assert!(
         session
-            .cache()
+            .shared_cache()
             .expect("attached")
             .memory_stats()
             .evicted_entries

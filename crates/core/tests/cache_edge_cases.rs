@@ -2,7 +2,7 @@
 //! re-probes (must be pure cache hits), and descending threshold sweeps.
 
 use plasma_core::apss::{apss_with_sketches, build_sketches, ApssConfig};
-use plasma_core::{CacheRegistry, Session, SharedKnowledgeCache};
+use plasma_core::{CacheRegistry, SharedKnowledgeCache};
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
@@ -33,7 +33,8 @@ fn probing_an_empty_dataset_is_a_no_op_not_a_panic() {
 
     // The full session loop tolerates emptiness too: report, curve, and
     // cues all come back trivial.
-    let mut session = Session::from_records(Vec::new(), Similarity::Cosine, cfg);
+    use plasma_core::StreamingSession;
+    let mut session = StreamingSession::from_records(Vec::new(), Similarity::Cosine, cfg);
     assert!(session.is_empty());
     let report = session.probe(0.7);
     assert_eq!(report.pairs.len(), 0);
@@ -141,10 +142,10 @@ fn registry_sessions_share_one_cache_per_dataset() {
     let mut alice = registry.session(records.clone(), Similarity::Cosine, cfg);
     let mut bob = registry.session(records.clone(), Similarity::Cosine, cfg);
     assert_eq!(registry.len(), 1, "same corpus + config → one cache");
-    let cache = alice.cache().expect("attached at open");
-    assert!(std::ptr::eq(
-        cache as *const SharedKnowledgeCache,
-        bob.cache().expect("attached") as *const SharedKnowledgeCache
+    let cache = alice.shared_cache().expect("attached at open");
+    assert!(std::sync::Arc::ptr_eq(
+        &cache,
+        &bob.shared_cache().expect("attached")
     ));
 
     // Alice explores; Bob re-treads her threshold without any hashing.

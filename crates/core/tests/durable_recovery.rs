@@ -16,8 +16,8 @@ use std::sync::Mutex;
 use plasma_core::apss::{ApssConfig, CandidateStrategy};
 use plasma_core::cache::{CacheCapacity, CacheRegistry};
 use plasma_core::durable::{self, CorpusStore, DurableError};
-use plasma_core::session::ProbeReport;
 use plasma_core::streaming::StreamingSession;
+use plasma_core::ProbeReport;
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;

@@ -8,9 +8,9 @@
 //!   from OS threads return exactly the fresh sequential answer, and a
 //!   re-probe at an already-probed threshold compares zero new hashes;
 //! * banded probe outputs — estimates, stats, and work counters, cold and
-//!   through the knowledge cache, plus `incremental_apss` wide-frontier
-//!   runs — are bit-identical at every thread count on a hot-bucket
-//!   corpus;
+//!   through the knowledge cache — are bit-identical at every thread count
+//!   on a hot-bucket corpus, and so are `incremental_apss` wide-frontier
+//!   runs;
 //! * every entry into the shared evaluation loop (cold APSS, cold / warm /
 //!   batch-mismatched cached probes, 4-worker runs) equals an oracle that
 //!   walks the reference candidates (`exhaustive` / `banded_sequential`)
@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use plasma_core::apss::{
     apss_with_sketches, build_sketches, ApssConfig, ApssStats, CandidateStrategy, SimilarPair,
 };
-use plasma_core::{ApssResult, Session, SharedKnowledgeCache};
+use plasma_core::{ApssResult, SharedKnowledgeCache, StreamingSession};
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
@@ -251,7 +251,7 @@ fn shared_cache_workload_invariant_across_threads_and_sessions() {
     }
 }
 
-/// Same matrix through the user-facing API: real `Session`s attached via
+/// Same matrix through the user-facing API: real `StreamingSession`s attached via
 /// `with_shared_cache`, each folding its own cumulative curve, reports
 /// compared field by field against the single-threaded single-session
 /// reference.
@@ -268,9 +268,9 @@ fn attached_sessions_report_invariant_across_threads_and_sessions() {
         };
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
         let cache = Arc::new(SharedKnowledgeCache::new(sketches));
-        let mut open: Vec<Session> = (0..sessions)
+        let mut open: Vec<StreamingSession> = (0..sessions)
             .map(|_| {
-                Session::from_records(records.clone(), Similarity::Cosine, cfg)
+                StreamingSession::from_records(records.clone(), Similarity::Cosine, cfg)
                     .with_shared_cache(cache.clone())
             })
             .collect();
@@ -416,13 +416,13 @@ fn banded_shared_cache_workload_invariant_across_threads_and_sessions() {
     }
 }
 
-/// `incremental_apss` wide frontiers through a cache warmed by 4-worker
-/// banded probes: the parallel per-record join (gate lowered so it
-/// engages on a CI-sized dataset) reports estimates bit-identical to the
-/// plain sequential run.
+/// `incremental_apss` wide frontiers: the parallel per-record join (gate
+/// lowered to frontier width 8 so it engages on a CI-sized dataset, and
+/// enough records that the run resolves to 4 workers) reports estimates
+/// bit-identical to the plain sequential run.
 #[test]
-fn incremental_wide_frontier_invariant_with_sharded_cache() {
-    let records = gaussian_records(90, 23);
+fn incremental_wide_frontier_invariant_across_threads() {
+    let records = gaussian_records(256, 23);
     let report_t = [0.75, 0.85];
     let report_at = [0.25, 0.5, 1.0];
     let sequential_cfg = ApssConfig {
@@ -437,26 +437,17 @@ fn incremental_wide_frontier_invariant_with_sharded_cache() {
         &report_at,
         &sequential_cfg,
     );
-    let warm_cfg = ApssConfig {
-        candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
+    let wide_cfg = ApssConfig {
         parallelism: Some(4),
         ..ApssConfig::default()
     };
-    let (sketches, _) = build_sketches(&records, Similarity::Cosine, &warm_cfg);
-    let cache = SharedKnowledgeCache::new(sketches);
-    // Warm the memo pool through 4-worker banded probes…
-    cache.probe(&records, Similarity::Cosine, 0.8, &warm_cfg);
-    cache.probe(&records, Similarity::Cosine, 0.6, &warm_cfg);
-    // …then run the incremental pass with the wide-frontier join
-    // active from frontier width 8 onward.
-    let wide = plasma_core::incremental::incremental_apss_with_cache_gated(
+    let wide = plasma_core::incremental::incremental_apss_gated(
         &records,
         Similarity::Cosine,
-        &cache,
         0.5,
         &report_t,
         &report_at,
-        &warm_cfg,
+        &wide_cfg,
         8,
     );
     assert_eq!(plain.steps.len(), wide.steps.len());

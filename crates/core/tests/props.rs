@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use plasma_core::apss::{apss, ApssConfig};
 use plasma_core::cues;
-use plasma_core::session::Session;
+use plasma_core::StreamingSession;
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::similarity::Similarity;
 
@@ -31,7 +31,7 @@ proptest! {
     ) {
         let records = spec(n, k, sep, seed);
         let mut session =
-            Session::from_records(records, Similarity::Cosine, ApssConfig::default());
+            StreamingSession::from_records(records, Similarity::Cosine, ApssConfig::default());
         let r = session.probe(0.7);
         for w in r.curve.expected.windows(2) {
             prop_assert!(w[0] >= w[1] - 1e-6, "curve increased: {} -> {}", w[0], w[1]);
@@ -51,7 +51,7 @@ proptest! {
             exact_on_accept: true,
             ..ApssConfig::default()
         };
-        let mut session = Session::from_records(records, Similarity::Cosine, cfg);
+        let mut session = StreamingSession::from_records(records, Similarity::Cosine, cfg);
         let high = session.probe(0.85);
         let low = session.probe(0.55);
         let high_pairs: std::collections::HashSet<(u32, u32)> =

@@ -22,7 +22,7 @@
 
 use proptest::prelude::*;
 
-use plasma_core::apss::{apss_with_sketches, build_sketches, ApssConfig, CandidateStrategy};
+use plasma_core::apss::{apss, apss_with_sketches, build_sketches, ApssConfig, CandidateStrategy};
 use plasma_core::streaming::StreamingSession;
 use plasma_core::ApssResult;
 use plasma_data::datasets::gaussian::GaussianSpec;
@@ -273,7 +273,6 @@ fn banded_streamed_history_is_thread_invariant_and_matches_cold() {
 #[test]
 fn bucket_cache_accounting_and_capacity_drop() {
     use plasma_core::cache::CacheCapacity;
-    use plasma_core::Session;
 
     let records = dataset(90, 31);
     let bounds = [30usize, 31, 60, 90];
@@ -324,18 +323,17 @@ fn bucket_cache_accounting_and_capacity_drop() {
         for (ti, &t) in LADDER.iter().enumerate() {
             let warm = cached.probe(t);
             let cold_dropped = dropped.probe(t);
-            let mut cold = Session::from_records(records[..hi].to_vec(), Similarity::Cosine, cfg);
-            let cold_report = cold.probe(t);
-            assert_eq!(warm.pairs, cold_report.pairs, "epoch {e} t={t}");
-            assert_eq!(warm.candidates, cold_report.candidates, "epoch {e}");
+            let cold = apss(&records[..hi], Similarity::Cosine, t, &cfg);
+            assert_eq!(warm.pairs, cold.pairs, "epoch {e} t={t}");
+            assert_eq!(warm.candidates, cold.stats.candidates, "epoch {e}");
             assert_eq!(warm.pairs, cold_dropped.pairs, "epoch {e} t={t} dropped");
             assert_eq!(warm.pruned, cold_dropped.pruned, "epoch {e}");
             // Both sessions' watches concatenate to the same cold truth,
             // eviction or not.
-            assert_eq!(merged[ti], cold_report.pairs, "epoch {e} t={t} watch");
+            assert_eq!(merged[ti], cold.pairs, "epoch {e} t={t} watch");
             assert_eq!(
                 merged[LADDER.len() + ti],
-                cold_report.pairs,
+                cold.pairs,
                 "epoch {e} t={t} watch under bounded(0)"
             );
         }
@@ -370,7 +368,6 @@ fn bucket_cache_accounting_and_capacity_drop() {
 #[test]
 fn partial_eviction_ladder_rung_survives_memory_pressure() {
     use plasma_core::cache::CacheCapacity;
-    use plasma_core::Session;
 
     // Many small clusters: the candidate pair set (not evictable — it is
     // the cache's canonical answer) stays small, so the cap pressure
@@ -422,11 +419,10 @@ fn partial_eviction_ladder_rung_survives_memory_pressure() {
         }
         for &t in &LADDER {
             let warm = partial.probe(t);
-            let mut cold = Session::from_records(records[..hi].to_vec(), Similarity::Cosine, cfg);
-            let cold_report = cold.probe(t);
-            assert_eq!(warm.pairs, cold_report.pairs, "epoch {e} t={t}");
-            assert_eq!(warm.candidates, cold_report.candidates, "epoch {e}");
-            assert_eq!(warm.pruned, cold_report.pruned, "epoch {e}");
+            let cold = apss(&records[..hi], Similarity::Cosine, t, &cfg);
+            assert_eq!(warm.pairs, cold.pairs, "epoch {e} t={t}");
+            assert_eq!(warm.candidates, cold.stats.candidates, "epoch {e}");
+            assert_eq!(warm.pruned, cold.stats.pruned, "epoch {e}");
         }
         let bytes = partial
             .shared_cache()
@@ -454,11 +450,10 @@ fn partial_eviction_ladder_rung_survives_memory_pressure() {
 }
 
 /// Driver-level pin: `StreamingSession::probe` reports (the user-facing
-/// surface) agree with a cold batch `Session` at every epoch, for both
-/// forks of a two-session corpus.
+/// surface) agree with a cold `apss` run at every epoch, for both forks of
+/// a two-session corpus.
 #[test]
 fn streaming_session_reports_match_cold_sessions_at_every_epoch() {
-    use plasma_core::Session;
     let records = dataset(56, 77);
     let bounds = [24usize, 40, 56];
     let cfg = ApssConfig::default();
@@ -473,15 +468,13 @@ fn streaming_session_reports_match_cold_sessions_at_every_epoch() {
             ingester.ingest(&records[prev..hi]);
         }
         prev = hi;
-        let prefix = records[..hi].to_vec();
         for (label, s) in [("a", &mut a), ("b", &mut b)] {
             for &t in &LADDER {
                 let streamed = s.probe(t);
-                let mut cold = Session::from_records(prefix.clone(), Similarity::Cosine, cfg);
-                let cold_report = cold.probe(t);
-                assert_eq!(streamed.pairs, cold_report.pairs, "epoch {e} {label} t={t}");
-                assert_eq!(streamed.candidates, cold_report.candidates, "epoch {e}");
-                assert_eq!(streamed.pruned, cold_report.pruned, "epoch {e}");
+                let cold = apss(&records[..hi], Similarity::Cosine, t, &cfg);
+                assert_eq!(streamed.pairs, cold.pairs, "epoch {e} {label} t={t}");
+                assert_eq!(streamed.candidates, cold.stats.candidates, "epoch {e}");
+                assert_eq!(streamed.pruned, cold.stats.pruned, "epoch {e}");
             }
         }
         if e > 0 {

@@ -601,20 +601,18 @@ fn k_watches_share_one_candidate_generation_per_epoch() {
     }
 }
 
-/// Satellite pin: batch (non-streaming) sessions sharing a cache ride
-/// the same epoch-persistent bucket cache — a second identical-shape
-/// probe builds zero buckets, from this or any other session, and the
-/// counter is visible in `memory_stats`.
+/// Satellite pin: sessions that never ingest, sharing a cache, ride the
+/// same epoch-persistent bucket cache — a second identical-shape probe
+/// builds zero buckets, from this or any other session, and the counter
+/// is visible in `memory_stats`.
 #[test]
 fn batch_sessions_build_buckets_once_per_corpus() {
-    use plasma_core::Session;
-
     let records = dataset(64, 3);
     let cfg = ApssConfig {
         candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
         ..ApssConfig::default()
     };
-    let mut first = Session::from_records(records.clone(), Similarity::Cosine, cfg);
+    let mut first = StreamingSession::from_records(records.clone(), Similarity::Cosine, cfg);
     first.probe(0.8);
     let cache = first.shared_cache().expect("built by first probe");
     assert_eq!(
@@ -628,7 +626,7 @@ fn batch_sessions_build_buckets_once_per_corpus() {
         records.len() as u64,
         "second identical-shape probe builds zero buckets"
     );
-    let mut second = Session::from_records(records.clone(), Similarity::Cosine, cfg)
+    let mut second = StreamingSession::from_records(records.clone(), Similarity::Cosine, cfg)
         .with_shared_cache(cache.clone());
     second.probe(0.7);
     assert_eq!(
@@ -642,7 +640,7 @@ fn batch_sessions_build_buckets_once_per_corpus() {
     );
     // An exhaustive probe never touches the bucket cache.
     let mut exhaustive =
-        Session::from_records(records.clone(), Similarity::Cosine, ApssConfig::default());
+        StreamingSession::from_records(records.clone(), Similarity::Cosine, ApssConfig::default());
     exhaustive.probe(0.8);
     exhaustive.probe(0.6);
     assert_eq!(

@@ -14,7 +14,7 @@
 //! * [`core`] — APSS probes, the (shareable, lock-striped, byte-bounded)
 //!   knowledge cache with LRU eviction and registry-wide capacity limits,
 //!   cumulative threshold curves, incremental estimates, and the
-//!   interactive [`Session`](core::Session) driver
+//!   interactive [`StreamingSession`](core::StreamingSession) driver
 //! * [`graph`] — similarity-graph construction and structural measures
 //!   (triangles, cores, components, communities, …)
 //! * [`lam`] — lattice-structure mining and compression baselines
@@ -31,11 +31,11 @@
 //! knowledge cache make the re-probe free:
 //!
 //! ```
-//! use plasma_hd::core::{ApssConfig, Session};
+//! use plasma_hd::core::{ApssConfig, StreamingSession};
 //! use plasma_hd::data::datasets::gaussian::GaussianSpec;
 //!
 //! let ds = GaussianSpec::new("demo", 40, 6, 2).generate(7);
-//! let mut session = Session::new(&ds, ApssConfig::default());
+//! let mut session = StreamingSession::new(&ds, ApssConfig::default());
 //!
 //! let first = session.probe(0.8);           // pays for sketching
 //! let again = session.probe(0.8);           // answered from the cache
@@ -45,8 +45,10 @@
 //! // The cache is shareable: further sessions over the same corpus skip
 //! // sketching entirely and reuse every memoized pair comparison.
 //! let cache = session.shared_cache().expect("probed above");
-//! let mut colleague = Session::new(&ds, ApssConfig::default()).with_shared_cache(cache);
-//! assert_eq!(colleague.probe(0.8).hashes_compared, 0);
+//! let mut colleague =
+//!     StreamingSession::new(&ds, ApssConfig::default()).with_shared_cache(cache);
+//! let shared = colleague.probe(0.8);
+//! assert_eq!((shared.sketch_seconds, shared.hashes_compared), (0.0, 0));
 //! ```
 //!
 //! For long-lived servers the cache is memory-boundable — byte caps with

@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use plasma_core::durable::{self, CorpusStore};
 use plasma_core::{
-    ApssConfig, CacheCapacity, CacheRegistry, RegistryCapacity, Session, SharedKnowledgeCache,
+    ApssConfig, CacheCapacity, CacheRegistry, RegistryCapacity, SharedKnowledgeCache,
     StreamingSession, WalSyncStats,
 };
 use plasma_data::similarity::Similarity;
@@ -425,7 +425,7 @@ impl ProbeService {
     }
 }
 
-/// Session state of one connection.
+/// The attached session of one connection.
 enum SessionKind {
     /// A fork of the corpus master: may probe, ingest, and watch. The
     /// fork shares the corpus records, cache, and watch registry, so the
@@ -436,9 +436,10 @@ enum SessionKind {
         session: StreamingSession,
         corpus: Arc<ServedCorpus>,
     },
-    /// A probe-only snapshot of the corpus at attach time; goes stale
-    /// (structured `stale_session` error) once the corpus grows.
-    Pinned { session: Session },
+    /// A probe-only session over its own snapshot of the corpus records
+    /// at attach time, sharing the corpus cache; goes stale (structured
+    /// `stale_session` error) once the corpus grows.
+    Pinned { session: StreamingSession },
 }
 
 struct ConnState {
@@ -688,8 +689,8 @@ impl Connection {
                 epoch,
             });
         }
-        // Pinned: snapshot the corpus and open a batch session over the
-        // shared cache. The declared measure (defaulting to the corpus's)
+        // Pinned: snapshot the corpus records and open a session over them
+        // and the shared cache. The declared measure (defaulting to the corpus's)
         // flows into the session so the engine's hash-family guard fires
         // on a mismatch — surfaced as a structured error, not a crash.
         let measure = declared_measure.unwrap_or(corpus.measure);
@@ -704,7 +705,8 @@ impl Connection {
             drop(master);
             let records = snapshot.len();
             let built = catch_engine(|| {
-                Session::from_records(snapshot, measure, corpus.cfg).with_shared_cache(cache)
+                StreamingSession::from_records(snapshot, measure, corpus.cfg)
+                    .with_shared_cache(cache)
             });
             match built {
                 Ok(session) => {
@@ -731,40 +733,14 @@ impl Connection {
 
     fn handle_probe(&self, threshold: f64) -> Interaction {
         let mut state = self.state.lock().expect("connection state lock");
-        match state.session.as_mut() {
-            None => Interaction::error(ErrorCode::NoSession, "attach to a corpus first"),
-            Some(SessionKind::Stream { session, .. }) => {
-                // The probe pins one consistent epoch internally, but the
-                // session can only report its epoch after the pin is
-                // released — a concurrent ingest in that gap would mislabel
-                // the frame. Epoch-stable across the probe ⇒ that is the
-                // epoch the probe saw; retry the rare races.
-                match catch_engine(AssertUnwindSafe(|| {
-                    for _ in 0..16 {
-                        let before = session.epoch();
-                        let report = session.probe(threshold);
-                        if session.epoch() == before {
-                            return (report, before);
-                        }
-                    }
-                    let report = session.probe(threshold);
-                    let epoch = session.epoch();
-                    (report, epoch)
-                })) {
-                    Ok((report, epoch)) => Interaction::reply(Response::from_probe(&report, epoch)),
-                    Err(msg) => Interaction::error(classify_panic(&msg), msg),
-                }
-            }
-            Some(SessionKind::Pinned { session, .. }) => {
-                let epoch = session
-                    .shared_cache()
-                    .map(|c| c.epoch())
-                    .unwrap_or_default();
-                match catch_engine(AssertUnwindSafe(|| session.probe(threshold))) {
-                    Ok(report) => Interaction::reply(Response::from_probe(&report, epoch)),
-                    Err(msg) => Interaction::error(classify_panic(&msg), msg),
-                }
-            }
+        let Some(SessionKind::Stream { session, .. } | SessionKind::Pinned { session }) =
+            state.session.as_mut()
+        else {
+            return Interaction::error(ErrorCode::NoSession, "attach to a corpus first");
+        };
+        match catch_engine(AssertUnwindSafe(|| session.probe(threshold))) {
+            Ok(report) => Interaction::reply(Response::from_probe(&report, report.epoch)),
+            Err(msg) => Interaction::error(classify_panic(&msg), msg),
         }
     }
 
@@ -901,15 +877,8 @@ impl Connection {
     fn handle_memory_stats(&self) -> Interaction {
         let state = self.state.lock().expect("connection state lock");
         let (scope, stats) = match &state.session {
-            Some(kind) => {
-                let cache = match kind {
-                    SessionKind::Stream { session, .. } => session.shared_cache(),
-                    SessionKind::Pinned { session, .. } => session.shared_cache(),
-                };
-                match cache {
-                    Some(cache) => ("corpus", vec![cache]),
-                    None => ("corpus", Vec::new()),
-                }
+            Some(SessionKind::Stream { session, .. } | SessionKind::Pinned { session }) => {
+                ("corpus", session.shared_cache().into_iter().collect())
             }
             None => {
                 let corpora = self.service.corpora.read().expect("corpora lock");
@@ -1061,7 +1030,7 @@ fn drain_watches(state: &mut ConnState) -> Vec<Response> {
 
 /// Maps an engine panic message to the protocol error code.
 fn classify_panic(message: &str) -> ErrorCode {
-    if message.contains("re-sync the corpus") || message.contains("stale prefix") {
+    if message.contains("re-sync the corpus") {
         ErrorCode::StaleSession
     } else {
         ErrorCode::EnginePanic

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use plasma_hd::core::apss::{apss, ApssConfig};
 use plasma_hd::core::plot;
-use plasma_hd::core::session::Session;
+use plasma_hd::core::StreamingSession;
 use plasma_hd::data::datasets::catalog;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
 
     // --- The guided walk -------------------------------------------------
     let guided_start = Instant::now();
-    let mut session = Session::new(&dataset, cfg);
+    let mut session = StreamingSession::new(&dataset, cfg);
 
     println!("step 1: user probes a high threshold (0.9) to see duplicates…");
     let r1 = session.probe(0.9);

@@ -5,7 +5,7 @@
 //! ```
 
 use plasma_hd::core::apss::ApssConfig;
-use plasma_hd::core::session::Session;
+use plasma_hd::core::StreamingSession;
 use plasma_hd::data::datasets::catalog;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     );
 
     // 2. Open an interactive session and probe at a similarity threshold.
-    let mut session = Session::new(&dataset, ApssConfig::default());
+    let mut session = StreamingSession::new(&dataset, ApssConfig::default());
     let report = session.probe(0.8);
     println!(
         "probe(0.8): {} similar pairs in {:.1} ms ({} candidates, {} pruned early)",
