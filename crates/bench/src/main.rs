@@ -6,41 +6,17 @@
 //! ```text
 //! repro <experiment-id | all | list | bench | loadgen
 //!        | check-bench [PATH] [--against BASELINE]>
-//!       [--scale S] [--seed N] [--out DIR] [--json] [--smoke] [--tcp]
+//!       [--scale S] [--seed N] [--out DIR] [--json]
 //! ```
 //!
-//! `repro bench` runs the quick APSS perf smoke (sequential vs parallel
-//! sketching and pair evaluation, shared-cache and bounded-cache probe
-//! sweeps, banded-skew sharding, the streaming-ingest scenario:
-//! batches ingested into a live session with carried-memo probes after
-//! each epoch, the ingest-scaling scenario: fixed-size batches into
-//! a ~10×-growing corpus, recording per-batch ingest nanoseconds and
-//! snapshot-clone bytes from the segmented sketch store, and the
-//! watch-scaling scenario: a ladder of 8 threshold watches evaluated on
-//! every ingest, recording per-epoch delta nanoseconds and delta pair
-//! counts, and the serving scenario: attach/probe/ingest/memory-stats
-//! round trips through the `plasma-serve` wire protocol against an
-//! in-process loopback server, and the recovery scenario: a
-//! snapshotted, WAL-logged corpus recovered warm, recording snapshot
-//! bytes, WAL-replay records/sec, and the warm-restart vs cold-build
-//! ratio); with `--json` it also writes the
-//! snapshot to `BENCH_apss.json` for CI perf tracking.
-//! `repro loadgen [--smoke] [--tcp] [--json]` runs the open-loop load
-//! harness (`plasma_bench::loadgen`): three scenarios — Zipf threshold
-//! probe mix, concurrent ingest+probe+watch against a durable corpus,
-//! and multi-tenant publish/attach/detach churn under registry-capacity
-//! pressure — each swept across offered-rate steps, reporting
-//! p50/p99/p999 latency and the offered-vs-achieved saturation curve;
-//! with `--json` it refreshes the `loadgen` member of `BENCH_apss.json`
-//! in place. `repro bench --json` runs the smoke-sized harness too, so
-//! the written snapshot always carries the `loadgen` member.
+//! `repro bench` runs the quick APSS perf smoke ([`plasma_bench::perf`])
+//! and the serial load harness's counters; with `--json` it writes the
+//! snapshot to `BENCH_apss.json`. `repro loadgen` prints the load
+//! harness's counters alone ([`plasma_bench::loadgen`]).
 //! `repro check-bench [PATH] [--against BASELINE]` validates a written
-//! snapshot against the expected schema (including the bounded-cache
-//! memory, `streaming`, `ingest_scaling`, `watch_scaling`, `serving`,
-//! `recovery`, and `loadgen` fields) and exits non-zero on violations;
-//! with `--against` it additionally compares deterministic counters
-//! exactly and structural ratios within tolerance bands against the
-//! committed baseline snapshot — never absolute throughput — and fails
+//! snapshot's schema and, with `--against`, compares its deterministic
+//! counters exactly and its structural ratios within tolerance bands
+//! against the committed baseline — never absolute throughput — exiting
 //! non-zero on drift. That pair is the CI perf-smoke gate.
 
 use plasma_bench::experiments::registry;
@@ -53,8 +29,6 @@ fn main() {
     let mut snapshot_path: Option<String> = None;
     let mut against: Option<String> = None;
     let mut json = false;
-    let mut smoke = false;
-    let mut tcp = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -80,8 +54,6 @@ fn main() {
                     .unwrap_or_else(|| die("--out needs a directory"));
             }
             "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--tcp" => tcp = true,
             "--against" => {
                 i += 1;
                 against = Some(
@@ -112,7 +84,7 @@ fn main() {
                 "bench"
             );
             println!(
-                "  {:<10} open-loop load harness (--smoke, --tcp; --json refreshes BENCH_apss.json)",
+                "  {:<10} serial load harness: exact serving-stack counters",
                 "loadgen"
             );
             println!(
@@ -129,51 +101,22 @@ fn main() {
                 "bench",
                 "APSS perf smoke: sketching + pair evaluation, seq vs parallel",
             );
-            let snapshot = plasma_bench::perf::measure();
+            let snapshot = plasma_bench::perf::measure(opts.seed);
             print!("{}", snapshot.summary());
             if json {
-                // The written snapshot must satisfy the full schema,
-                // loadgen member included, so the smoke harness rides
-                // along.
-                let mut lopts = plasma_bench::loadgen::LoadgenOpts::smoke(opts.seed);
-                lopts.tcp = tcp;
-                let report = plasma_bench::loadgen::run(&lopts)
-                    .unwrap_or_else(|e| die(&format!("loadgen smoke failed: {e}")));
-                print!("{}", report.summary());
-                let doc = plasma_bench::loadgen::splice_into_snapshot(
-                    &snapshot.to_json(),
-                    &report.to_json(),
-                );
                 let path = "BENCH_apss.json";
-                std::fs::write(path, doc).expect("write perf snapshot");
+                std::fs::write(path, snapshot.to_json()).expect("write perf snapshot");
                 println!("  [artifact] {path}");
             }
         }
         Some("loadgen") => {
             banner(
                 "loadgen",
-                "open-loop load harness: latency percentiles + saturation curves",
+                "serial load harness: exact serving-stack counters",
             );
-            let mut lopts = if smoke {
-                plasma_bench::loadgen::LoadgenOpts::smoke(opts.seed)
-            } else {
-                plasma_bench::loadgen::LoadgenOpts::full(opts.seed)
-            };
-            lopts.tcp = tcp;
-            let report = plasma_bench::loadgen::run(&lopts)
+            let report = plasma_bench::loadgen::run(opts.seed)
                 .unwrap_or_else(|e| die(&format!("loadgen: {e}")));
             print!("{}", report.summary());
-            if json {
-                let path = "BENCH_apss.json";
-                let base = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                    die(&format!(
-                        "cannot read {path} ({e}); run `repro bench --json` first"
-                    ))
-                });
-                let doc = plasma_bench::loadgen::splice_into_snapshot(&base, &report.to_json());
-                std::fs::write(path, doc).expect("write perf snapshot");
-                println!("  [artifact] {path} (loadgen member refreshed)");
-            }
         }
         Some("check-bench") => {
             let path = snapshot_path.as_deref().unwrap_or("BENCH_apss.json");

@@ -25,7 +25,8 @@
 //! a snapshotted, WAL-logged corpus brought back warm via
 //! `plasma_core::durable::recover`, recording snapshot bytes, WAL-replay
 //! records/sec, and the warm-restart vs cold-build time ratio
-//! (`recovery` fields). With `--json`
+//! (`recovery` fields), plus the serial load harness's exact counters
+//! (`loadgen` fields, see [`crate::loadgen`]). With `--json`
 //! the snapshot is also written to `BENCH_apss.json` so CI can track the
 //! perf trajectory across commits (`repro check-bench` validates the
 //! schema). This is a smoke measurement (fractions of a second per
@@ -49,6 +50,8 @@ use plasma_lsh::family::LshFamily;
 use plasma_lsh::sketch::Sketcher;
 use plasma_server::json::{self, Json};
 use plasma_server::{ProbeClient, ProbeServer, ProbeService, PublishCfg, Request};
+
+use crate::loadgen::{self, LoadgenReport};
 
 /// One kernel's sequential-vs-parallel rates (work units per second).
 #[derive(Debug, Clone, Copy)]
@@ -332,6 +335,8 @@ pub struct ApssPerfSnapshot {
     pub serving: ServingRates,
     /// Durability: warm restart (snapshot + WAL replay) vs cold build.
     pub recovery: RecoveryRates,
+    /// The serial load harness's exact counters.
+    pub loadgen: LoadgenReport,
 }
 
 /// Best observed rate of `run` (units/sec) over ~`budget_ms` of wall time.
@@ -351,8 +356,9 @@ fn best_rate<F: FnMut()>(units: u64, budget_ms: u64, mut run: F) -> f64 {
     }
 }
 
-/// Measures the snapshot.
-pub fn measure() -> ApssPerfSnapshot {
+/// Measures the snapshot; `seed` seeds the load harness (every other
+/// scenario uses fixed inputs).
+pub fn measure(seed: u64) -> ApssPerfSnapshot {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let corpus = CorpusSpec::new("bench", 200, 4000, 6).generate(1);
     let n_hashes = 256;
@@ -438,6 +444,7 @@ pub fn measure() -> ApssPerfSnapshot {
     // Durability: snapshot a 160-record corpus, log 3 × 40-record
     // batches to the WAL, then time warm recovery vs a cold rebuild.
     let recovery = measure_recovery_sized(160, 40, 3);
+    let loadgen = loadgen::run(seed).unwrap_or_else(|e| panic!("load harness failed: {e}"));
 
     ApssPerfSnapshot {
         cores,
@@ -452,6 +459,7 @@ pub fn measure() -> ApssPerfSnapshot {
         watch_scaling,
         serving,
         recovery,
+        loadgen,
     }
 }
 
@@ -1030,7 +1038,7 @@ impl ApssPerfSnapshot {
             )
         };
         format!(
-            "{{\n  \"benchmark\": \"apss\",\n  \"cores\": {},\n  \"sketching\": {{\n    \"n_hashes\": 256,\n    \"minhash\": {},\n    \"simhash\": {}\n  }},\n  \"pair_evaluation\": {},\n  \"multi_session\": [\n    {}\n  ],\n  \"bounded_cache\": {},\n  \"banded_skew\": {},\n  \"streaming\": {},\n  \"ingest_scaling\": {},\n  \"watch_scaling\": {},\n  \"serving\": {},\n  \"recovery\": {}\n}}\n",
+            "{{\n  \"benchmark\": \"apss\",\n  \"cores\": {},\n  \"sketching\": {{\n    \"n_hashes\": 256,\n    \"minhash\": {},\n    \"simhash\": {}\n  }},\n  \"pair_evaluation\": {},\n  \"multi_session\": [\n    {}\n  ],\n  \"bounded_cache\": {},\n  \"banded_skew\": {},\n  \"streaming\": {},\n  \"ingest_scaling\": {},\n  \"watch_scaling\": {},\n  \"serving\": {},\n  \"recovery\": {},\n  \"loadgen\": {}\n}}\n",
             self.cores,
             rates(&self.sketch_minhash),
             rates(&self.sketch_simhash),
@@ -1042,7 +1050,8 @@ impl ApssPerfSnapshot {
             ingest_scaling,
             watch_scaling,
             serving,
-            recovery
+            recovery,
+            self.loadgen.to_json()
         )
     }
 
@@ -1147,6 +1156,7 @@ impl ApssPerfSnapshot {
             rc.warm_cold_ratio(),
             rc.wal_replay_records_per_sec
         ));
+        out.push_str(&self.loadgen.summary());
         out
     }
 }
@@ -1155,12 +1165,11 @@ impl ApssPerfSnapshot {
 /// bounded-cache memory fields, the banded-skew bucket-shape fields, the
 /// streaming-ingest fields, the ingest-scaling fields, the
 /// watch-scaling continuous-probe fields, the serving round-trip
-/// fields, the recovery warm-restart fields, and the open-loop
-/// `loadgen` harness fields (per-scenario counters, latency
-/// percentiles, and the offered-vs-achieved saturation curve).
+/// fields, the recovery warm-restart fields, and the `loadgen`
+/// harness's per-scenario counters.
 /// `repro check-bench` (the CI perf-smoke gate) fails when any goes
 /// missing, so snapshot consumers can rely on them across commits.
-const REQUIRED_SNAPSHOT_KEYS: [&str; 101] = [
+const REQUIRED_SNAPSHOT_KEYS: [&str; 83] = [
     "benchmark",
     "cores",
     "sketching",
@@ -1230,8 +1239,6 @@ const REQUIRED_SNAPSHOT_KEYS: [&str; 101] = [
     "warm_cold_ratio",
     "loadgen",
     "seed",
-    "smoke",
-    "transport",
     "scenarios",
     "scenario",
     "watchers",
@@ -1246,22 +1253,6 @@ const REQUIRED_SNAPSHOT_KEYS: [&str; 101] = [
     "wal_syncs",
     "registry_evictions",
     "registry_evictions_expected",
-    "ingest_wakeups",
-    "steps",
-    "offered_per_sec",
-    "achieved_per_sec",
-    "saturation",
-    "planned",
-    "completed",
-    "errors",
-    "clients_started",
-    "clients_spawned",
-    "p50_ms",
-    "p99_ms",
-    "p999_ms",
-    "max_ms",
-    "mean_ms",
-    "samples",
 ];
 
 /// Validates a `BENCH_apss.json` document against the snapshot schema:
@@ -1384,15 +1375,19 @@ const RATIO_GATES: &[(&str, f64)] = &[
     ("multi_session[0].cache_hit_rate", 0.05),
 ];
 
-/// Per-scenario loadgen counters compared exactly (all plan-derived,
-/// so deterministic from the seed).
+/// Per-scenario loadgen counters compared exactly: the harness runs
+/// serially, so planned and observed counters alike are deterministic
+/// from the seed.
 const LOADGEN_SCENARIO_EXACT: &[&str] = &[
     "planned_requests",
     "completed_requests",
     "error_requests",
+    "watch_deltas",
     "watch_deltas_expected",
-    "registry_evictions_expected",
     "wal_acked_appends",
+    "wal_syncs",
+    "registry_evictions",
+    "registry_evictions_expected",
 ];
 
 /// Compares a fresh `BENCH_apss.json` against the committed baseline —
@@ -1403,7 +1398,7 @@ const LOADGEN_SCENARIO_EXACT: &[&str] = &[
 /// seeded inputs, ratio invariants within tolerance bands, and
 /// intra-snapshot invariants of the fresh run (completed == planned,
 /// watch deltas matching their plan-derived expectation, group-commit
-/// syncs never exceeding acked appends, ordered latency percentiles).
+/// syncs never exceeding acked appends).
 /// Geometry-dependent counters (`sealed_segments`) are gated only when
 /// both snapshots were measured under the same segment geometry, since
 /// CI sweeps `PLASMA_SEGMENT_RECORDS` across matrix cells.
@@ -1480,20 +1475,14 @@ fn str_at<'a>(doc: &'a Json, path: &str) -> Option<&'a str> {
 }
 
 fn compare_loadgen(fresh: &Json, committed: &Json, problems: &mut Vec<String>) {
-    // Plan-derived loadgen counters only compare when both runs derive
-    // from the same plan: same seed, sizing, and transport.
-    for path in ["loadgen.seed", "loadgen.smoke"] {
-        let a = lookup(fresh, path).map(Json::encode);
-        let b = lookup(committed, path).map(Json::encode);
-        if a.is_none() || a != b {
-            problems.push(format!(
-                "loadgen baselines not comparable: {path} fresh {a:?} vs committed {b:?}"
-            ));
-            return;
-        }
-    }
-    if str_at(fresh, "loadgen.transport") != str_at(committed, "loadgen.transport") {
-        problems.push("loadgen baselines not comparable: transport differs".to_string());
+    // Loadgen counters only compare when both runs derive from the
+    // same plans, i.e. the same seed.
+    let a = lookup(fresh, "loadgen.seed").map(Json::encode);
+    let b = lookup(committed, "loadgen.seed").map(Json::encode);
+    if a.is_none() || a != b {
+        problems.push(format!(
+            "loadgen baselines not comparable: loadgen.seed fresh {a:?} vs committed {b:?}"
+        ));
         return;
     }
 
@@ -1547,7 +1536,7 @@ fn compare_loadgen(fresh: &Json, committed: &Json, problems: &mut Vec<String>) {
             if let (Some(a), Some(b)) = (a, b) {
                 if (a - b).abs() > 1e-9 {
                     problems.push(format!(
-                        "{prefix}: {got} ({a}) != {want} ({b}) — open-loop invariant broken"
+                        "{prefix}: {got} ({a}) != {want} ({b}) — invariant broken"
                     ));
                 }
             }
@@ -1565,33 +1554,6 @@ fn compare_loadgen(fresh: &Json, committed: &Json, problems: &mut Vec<String>) {
                     "{prefix}: appends were acked without a single sync"
                 ));
             }
-        }
-        if let Some(steps) = lookup(fresh, &format!("{prefix}.steps")).and_then(Json::as_arr) {
-            for (si, _) in steps.iter().enumerate() {
-                let sp = format!("{prefix}.steps[{si}]");
-                let p50 = fresh_num(&format!("{sp}.p50_ms"), problems);
-                let p99 = fresh_num(&format!("{sp}.p99_ms"), problems);
-                let p999 = fresh_num(&format!("{sp}.p999_ms"), problems);
-                let max = fresh_num(&format!("{sp}.max_ms"), problems);
-                if let (Some(p50), Some(p99), Some(p999), Some(max)) = (p50, p99, p999, max) {
-                    if !(p50 <= p99 && p99 <= p999 && p999 <= max + 1e-9) {
-                        problems.push(format!(
-                            "{sp}: percentiles out of order (p50 {p50}, p99 {p99}, p999 {p999}, max {max})"
-                        ));
-                    }
-                }
-                let planned = fresh_num(&format!("{sp}.planned"), problems);
-                let samples = fresh_num(&format!("{sp}.samples"), problems);
-                if let (Some(planned), Some(samples)) = (planned, samples) {
-                    if (planned - samples).abs() > 1e-9 {
-                        problems.push(format!(
-                            "{sp}: {samples} latency samples for {planned} planned requests — open-loop runs sample every request"
-                        ));
-                    }
-                }
-            }
-        } else {
-            problems.push(format!("{prefix}.steps missing"));
         }
     }
 }
@@ -1702,16 +1664,8 @@ mod tests {
                 cold_start_ms: 8.0,
                 warm_restart_ms: 2.0,
             },
+            loadgen: loadgen::fixture_report(),
         }
-    }
-
-    /// The full document CI writes: the snapshot with the loadgen
-    /// member spliced in.
-    fn test_document() -> String {
-        crate::loadgen::splice_into_snapshot(
-            &test_snapshot().to_json(),
-            &crate::loadgen::fixture_report().to_json(),
-        )
     }
 
     #[test]
@@ -1767,17 +1721,14 @@ mod tests {
         // Balanced braces — cheap structural sanity.
         assert_eq!(json.matches('{').count(), json.matches('}').count(),);
         assert!((snap.pair_evaluation.speedup() - 4.2).abs() < 1e-9);
-        // With the loadgen member spliced in, the document is exactly
-        // what the CI schema gate wants.
-        let doc = test_document();
-        assert!(doc.contains("\"loadgen\": {"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        validate_snapshot_json(&doc).expect("rendered snapshot validates");
+        // The rendered snapshot is exactly what the CI schema gate wants.
+        assert!(json.contains("\"loadgen\": {"));
+        validate_snapshot_json(&json).expect("rendered snapshot validates");
     }
 
     #[test]
     fn compare_accepts_a_faithful_rerun_of_the_baseline() {
-        let doc = test_document();
+        let doc = test_snapshot().to_json();
         compare_snapshots(&doc, &doc).expect("a snapshot is never a regression of itself");
     }
 
@@ -1785,7 +1736,7 @@ mod tests {
     fn compare_flags_a_deliberate_counter_regression() {
         // The negative test the gate's wiring is judged by: perturb one
         // deterministic counter and the comparison must fail non-zero.
-        let doc = test_document();
+        let doc = test_snapshot().to_json();
         let tampered = doc.replace("\"total_pairs\": 1600000", "\"total_pairs\": 1599998");
         assert_ne!(tampered, doc, "perturbation must hit the document");
         let problems = compare_snapshots(&tampered, &doc).expect_err("drift must be flagged");
@@ -1801,11 +1752,21 @@ mod tests {
             problems.iter().any(|p| p.contains("wal_acked_appends")),
             "{problems:?}"
         );
+
+        // So are the observed ones: one sync fewer than the baseline is
+        // drift even though it still covers every acked append.
+        let tampered = doc.replace("\"wal_syncs\": 19,", "\"wal_syncs\": 18,");
+        assert_ne!(tampered, doc, "perturbation must hit the document");
+        let problems = compare_snapshots(&tampered, &doc).expect_err("sync drift flagged");
+        assert!(
+            problems.iter().any(|p| p.contains("wal_syncs")),
+            "{problems:?}"
+        );
     }
 
     #[test]
     fn compare_tolerates_ratio_jitter_inside_the_band_only() {
-        let doc = test_document();
+        let doc = test_snapshot().to_json();
         let nudged = doc.replace(
             "\"carried_hit_rate\": 0.7300",
             "\"carried_hit_rate\": 0.7150",
@@ -1825,7 +1786,7 @@ mod tests {
 
     #[test]
     fn compare_enforces_intra_snapshot_invariants_of_the_fresh_run() {
-        let doc = test_document();
+        let doc = test_snapshot().to_json();
         // A fresh run whose watch deltas miss their plan-derived
         // expectation is broken even if the committed baseline agrees.
         let short = doc.replace("\"watch_deltas\": 42,", "\"watch_deltas\": 40,");
@@ -1835,7 +1796,7 @@ mod tests {
             "{problems:?}"
         );
         // Group commit can never sync more often than it acks.
-        let oversync = doc.replace("\"wal_syncs\": 11,", "\"wal_syncs\": 25,");
+        let oversync = doc.replace("\"wal_syncs\": 19,", "\"wal_syncs\": 25,");
         let problems = compare_snapshots(&oversync, &oversync).expect_err("syncs > acks");
         assert!(
             problems.iter().any(|p| p.contains("wal_syncs")),
@@ -1845,7 +1806,7 @@ mod tests {
 
     #[test]
     fn compare_refuses_baselines_from_a_different_plan() {
-        let doc = test_document();
+        let doc = test_snapshot().to_json();
         let reseeded = doc.replace("\"seed\": 42,", "\"seed\": 43,");
         let problems =
             compare_snapshots(&reseeded, &doc).expect_err("different seeds are not comparable");
@@ -1857,7 +1818,7 @@ mod tests {
 
     #[test]
     fn compare_ignores_segment_geometry_drift_across_matrix_cells() {
-        let doc = test_document();
+        let doc = test_snapshot().to_json();
         // A different PLASMA_SEGMENT_RECORDS cell: sealing counts differ
         // legitimately, so the gate must stay quiet about them.
         let other_geometry = doc

@@ -1,154 +1,99 @@
 //! The load harness must itself be reproducible before its counters can
-//! gate regressions: the plan is a pure function of the seed, a serial
-//! replay under the fake clock is bit-identical run to run (histogram
-//! buckets included), and a real open-loop run hits every plan-derived
-//! expectation exactly — watch deltas, WAL acks, registry evictions.
+//! gate regressions: the plans are pure functions of the seed, a whole
+//! serial run renders byte-identically run to run, and every observed
+//! counter meets its plan-derived formula exactly — watch deltas, WAL
+//! appends and syncs, registry evictions.
 
 use plasma_bench::loadgen::{
-    distinct_tenants_in, ingests_in, plan_for, run, run_plan_serial, verb_counts, LoadClock,
-    LoadgenOpts, ScenarioKind, StepHarness,
+    distinct_tenants_in, ingests_in, plan_for, plans, run, run_scenario, verb_counts, ScenarioKind,
+    REGISTRY_CAP,
 };
-
-/// Tiny sizing so the whole suite stays a few seconds on one core.
-fn tiny_opts(seed: u64) -> LoadgenOpts {
-    LoadgenOpts {
-        step_requests: 24,
-        base_rate_hz: 300.0,
-        rate_multipliers: vec![1.0],
-        sessions: 2,
-        watchers: 1,
-        tenants: 4,
-        max_caches: 2,
-        max_clients: 8,
-        initial_records: 48,
-        ingest_batch_records: 3,
-        tenant_records: 16,
-        ..LoadgenOpts::smoke(seed)
-    }
-}
 
 #[test]
 fn plans_and_their_derived_counters_replay_from_the_seed() {
     for kind in ScenarioKind::all() {
-        let a = plan_for(kind, 11, 0, 120, 2_000, 4);
-        let b = plan_for(kind, 11, 0, 120, 2_000, 4);
+        let a = plan_for(kind, 11, 0, 120, 4);
+        let b = plan_for(kind, 11, 0, 120, 4);
         assert_eq!(a, b);
         assert_eq!(verb_counts(&a), verb_counts(&b));
         assert_eq!(ingests_in(&a), ingests_in(&b));
         assert_eq!(distinct_tenants_in(&a), distinct_tenants_in(&b));
-        // Different rate steps draw from different substreams.
-        let c = plan_for(kind, 11, 1, 120, 2_000, 4);
-        assert_ne!(a, c, "{kind:?}: steps must not reuse one substream");
+        // Different plans draw from different substreams.
+        let c = plan_for(kind, 11, 1, 120, 4);
+        assert_ne!(a, c, "{kind:?}: plans must not reuse one substream");
     }
 }
 
 #[test]
-fn serial_replay_under_the_fake_clock_is_bit_identical() {
-    // interval << FAKE_TICK_NS: virtual time outruns the schedule, so
-    // simulated latency grows request over request and the histogram
-    // populates many buckets — a real determinism workout, not a
-    // single-bucket triviality.
-    for kind in ScenarioKind::all() {
-        let opts = tiny_opts(5);
-        let plan = plan_for(kind, opts.seed, 0, 40, 100, opts.tenants);
-        let run_once = || {
-            let harness = StepHarness::build(kind, &opts, &plan).expect("harness builds");
-            let clock = LoadClock::fake();
-            run_plan_serial(&harness, kind, true, &plan, &clock).expect("serial run")
-        };
-        let a = run_once();
-        let b = run_once();
-        assert_eq!(a.completed, b.completed, "{kind:?}");
-        assert_eq!(a.errors, 0, "{kind:?}: {:?}", a.first_error);
-        assert_eq!(b.errors, 0, "{kind:?}");
-        assert_eq!(a.verbs, b.verbs, "{kind:?}");
-        assert_eq!(a.watch_deltas, b.watch_deltas, "{kind:?}");
-        assert_eq!(a.hist.total(), b.hist.total(), "{kind:?}");
-        assert_eq!(a.hist.max(), b.hist.max(), "{kind:?}");
-        assert_eq!(
-            a.hist.counts(),
-            b.hist.counts(),
-            "{kind:?}: bucket-exact replay"
-        );
-        assert_eq!(a.hist.total(), plan.len() as u64, "every request sampled");
-        assert!(
-            a.hist.counts().iter().filter(|&&c| c > 0).count() > 1,
-            "{kind:?}: the workout must spread across buckets"
-        );
-    }
+fn two_fresh_runs_render_byte_identical_reports() {
+    let a = run(42).expect("first run").to_json();
+    let b = run(42).expect("second run").to_json();
+    assert_eq!(a, b);
+}
+
+#[test]
+fn a_different_seed_changes_some_verb_mix() {
+    let a = run(42).expect("seed 42");
+    let b = run(43).expect("seed 43");
+    assert!(
+        a.scenarios
+            .iter()
+            .zip(&b.scenarios)
+            .any(|(x, y)| x.verbs != y.verbs),
+        "the seed must reach the plans"
+    );
 }
 
 #[test]
 fn serial_watcher_receives_registration_plus_one_delta_per_ingest() {
     let kind = ScenarioKind::IngestProbeWatch;
-    let opts = tiny_opts(9);
-    let plan = plan_for(kind, opts.seed, 0, 60, 100, opts.tenants);
-    let ingests = ingests_in(&plan);
-    assert!(ingests > 0, "the mixed plan must carry ingests");
-    let harness = StepHarness::build(kind, &opts, &plan).expect("harness builds");
-    let clock = LoadClock::fake();
-    let out = run_plan_serial(&harness, kind, true, &plan, &clock).expect("serial run");
-    assert_eq!(out.errors, 0, "{:?}", out.first_error);
-    assert_eq!(out.watch_deltas, 1 + ingests);
+    let s = run_scenario(kind, 9).expect("scenario runs");
+    let plans = plans(kind, 9);
+    let ingests: u64 = plans.iter().map(|p| ingests_in(p)).sum();
+    assert!(ingests > 0, "the mixed plans must carry ingests");
+    assert!(s.watchers > 0);
+    assert_eq!(s.error_requests, 0);
+    assert_eq!(
+        s.watch_deltas,
+        s.watchers as u64 * (plans.len() as u64 + ingests),
+        "per plan, every watcher sees its registration plus one delta per ingest"
+    );
 }
 
 #[test]
-fn open_loop_run_hits_every_plan_derived_expectation() {
-    let opts = tiny_opts(3);
-    let report = run(&opts).expect("smoke run");
-    assert_eq!(report.scenarios.len(), 3);
-    for s in &report.scenarios {
+fn every_scenario_meets_its_counter_formulas() {
+    for kind in ScenarioKind::all() {
+        let s = run_scenario(kind, 7).expect("scenario runs");
+        let plans = plans(kind, 7);
+        let name = kind.name();
+        assert_eq!(s.completed_requests, s.planned_requests, "{name}");
+        assert_eq!(s.error_requests, 0, "{name}");
+        assert_eq!(s.verbs.values().sum::<u64>(), s.planned_requests, "{name}");
+        assert_eq!(s.watch_deltas, s.watch_deltas_expected, "{name}");
         assert_eq!(
-            s.completed_requests,
-            s.planned_requests,
-            "{}: open loop completes everything it offers",
-            s.kind.name()
-        );
-        assert_eq!(s.error_requests, 0, "{}", s.kind.name());
-        assert_eq!(
-            s.verbs.values().sum::<u64>(),
-            s.planned_requests,
-            "{}",
-            s.kind.name()
+            s.wal_acked_appends,
+            plans.iter().map(|p| ingests_in(p)).sum::<u64>(),
+            "{name}: every ingest is acked durable"
         );
         assert_eq!(
-            s.watch_deltas,
-            s.watch_deltas_expected,
-            "{}: every watcher sees registration + one delta per ingest",
-            s.kind.name()
+            s.wal_syncs, s.wal_acked_appends,
+            "{name}: a serial run syncs once per append"
+        );
+        let evictions: u64 = if kind == ScenarioKind::TenantChurn {
+            plans
+                .iter()
+                .map(|p| distinct_tenants_in(p).saturating_sub(REGISTRY_CAP as u64))
+                .sum()
+        } else {
+            0
+        };
+        assert_eq!(
+            s.registry_evictions, evictions,
+            "{name}: evictions are distinct tenants minus the cap"
         );
         assert_eq!(
-            s.registry_evictions,
-            s.registry_evictions_expected,
-            "{}: evictions are distinct-tenants minus the cap",
-            s.kind.name()
+            s.registry_evictions, s.registry_evictions_expected,
+            "{name}"
         );
-        assert!(
-            s.wal_syncs <= s.wal_acked_appends,
-            "{}: group commit can only coalesce",
-            s.kind.name()
-        );
-        for step in &s.steps {
-            assert_eq!(step.samples, step.planned, "{}", s.kind.name());
-            assert!(step.p50_ms <= step.p99_ms && step.p99_ms <= step.p999_ms);
-            assert!(step.saturation > 0.0);
-        }
-    }
-    let b = &report.scenarios[1];
-    assert_eq!(b.kind, ScenarioKind::IngestProbeWatch);
-    assert_eq!(
-        b.wal_acked_appends, b.verbs["ingest"],
-        "every executed ingest must be acked durable"
-    );
-    assert!(b.wal_syncs >= 1, "acked appends imply at least one fsync");
-
-    // The deterministic half of the report replays exactly.
-    let again = run(&opts).expect("second smoke run");
-    for (x, y) in report.scenarios.iter().zip(&again.scenarios) {
-        assert_eq!(x.planned_requests, y.planned_requests);
-        assert_eq!(x.verbs, y.verbs);
-        assert_eq!(x.watch_deltas, y.watch_deltas);
-        assert_eq!(x.wal_acked_appends, y.wal_acked_appends);
-        assert_eq!(x.registry_evictions, y.registry_evictions);
     }
 }

@@ -116,8 +116,8 @@ impl Histogram {
 /// Number of buckets in a [`Log2Histogram`]; covers the full `u64` range.
 pub const LOG2_BUCKETS: usize = 64;
 
-/// Fixed-bucket base-2 histogram over `u64` observations (latency
-/// nanoseconds in the load harness).
+/// Fixed-bucket base-2 histogram over `u64` observations (such as
+/// latency nanoseconds).
 ///
 /// Bucket `0` covers `{0, 1}`; bucket `i ≥ 1` covers `[2^i, 2^(i+1))`.
 /// Recording is a single increment — no allocation, no sort — so one

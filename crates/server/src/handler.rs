@@ -261,15 +261,6 @@ impl ProbeService {
             .collect()
     }
 
-    /// Signalled (non-timeout) pusher wakeups summed across corpora.
-    pub fn ingest_wakeups(&self) -> u64 {
-        let corpora = self.corpora.read().expect("corpora lock");
-        corpora
-            .values()
-            .map(|c| c.signal.wakeups.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// A durable service over `dir`: every corpus directory found there
     /// is recovered warm (snapshot + WAL replay through the normal
     /// ingest path) and re-served under its original fingerprint, and

@@ -5,13 +5,9 @@
 //! The transport-agnostic split ([`Connection::handle`] returns an
 //! [`Interaction`], never touches I/O) means a client can drive the real
 //! serving stack — session lifecycle, watch registries, WAL appends,
-//! registry eviction — as a plain method call. The load harness uses
-//! this for its default transport: latency samples then measure the
-//! serving stack itself (locks, fsyncs, evaluation) without conflating
-//! socket and framing cost, and deterministic replays (fixed seed, fake
-//! clock) stay deterministic because no kernel scheduling is involved.
-//! Pass `--tcp` to the harness to measure the full loopback path with
-//! [`crate::client::ProbeClient`] instead.
+//! registry eviction — as a plain method call. With no socket and no
+//! pusher thread, a serial caller sees every frame in a fixed order,
+//! which is what lets the load harness gate its counters exactly.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
