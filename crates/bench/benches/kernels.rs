@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the hot kernels every figure's wall-clock
-//! claims rest on: sketching, BayesLSH pair evaluation, triangle counting,
-//! LAM localization + mining, crossing counting, and the energy iteration.
+//! claims rest on: sketching, BayesLSH pair evaluation, the skewed banded
+//! join, triangle counting, LAM localization + mining, crossing counting,
+//! and the energy iteration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -93,6 +94,26 @@ fn bench_parallel_pair_evaluation(c: &mut Criterion) {
             },
         );
     }
+    g.finish();
+}
+
+/// The one banded join (`banded_join`, cold) against the sequential
+/// reference on the 1 000-record Zipf corpus `repro bench` counts as
+/// `banded_skew`, whose hottest bucket holds most records.
+fn bench_banded_join_skewed(c: &mut Criterion) {
+    use plasma_bench::perf::{zipf_skewed_records, SKEW_BANDS, SKEW_WIDTH};
+    use plasma_lsh::candidates::{banded_bucket_stats, banded_join, banded_sequential};
+    let records = zipf_skewed_records(1000, 9);
+    let sketches = Sketcher::new(LshFamily::MinHash, 64, 7).sketch_all(&records);
+    let stats = banded_bucket_stats(&sketches, SKEW_BANDS, SKEW_WIDTH);
+    let mut g = c.benchmark_group("banded_join_skewed");
+    g.throughput(Throughput::Elements(stats.total_pairs));
+    g.bench_function("sequential", |b| {
+        b.iter(|| banded_sequential(&sketches, SKEW_BANDS, SKEW_WIDTH).len())
+    });
+    g.bench_function("banded_join", |b| {
+        b.iter(|| banded_join(&sketches, SKEW_BANDS, SKEW_WIDTH, 0).len())
+    });
     g.finish();
 }
 
@@ -209,6 +230,6 @@ fn bench_energy(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_sketching, bench_parallel_sketching, bench_bayeslsh, bench_parallel_pair_evaluation, bench_triangles, bench_lam, bench_crossings, bench_energy
+    targets = bench_sketching, bench_parallel_sketching, bench_bayeslsh, bench_parallel_pair_evaluation, bench_banded_join_skewed, bench_triangles, bench_lam, bench_crossings, bench_energy
 }
 criterion_main!(kernels);

@@ -32,8 +32,11 @@ use plasma_data::rng::substream;
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
 use plasma_data::zipf::Zipf;
+use plasma_server::json::{self, Json};
 use plasma_server::{InProcClient, ProbeService, PublishCfg, Request, Response};
 use rand::Rng;
+
+use crate::perf::count;
 
 /// The probe-threshold ladder verbs draw from (rank 0 most popular).
 pub const THRESHOLD_LADDER: [f64; 9] = [0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6, 0.55, 0.5];
@@ -509,69 +512,47 @@ pub fn run(seed: u64) -> Result<LoadgenReport, String> {
     Ok(LoadgenReport { seed, scenarios })
 }
 
-impl LoadgenReport {
-    /// Renders the `loadgen` JSON member (hand-rolled; no serde in the
-    /// offline container).
-    pub fn to_json(&self) -> String {
-        let scenarios: Vec<String> = self
-            .scenarios
+impl ScenarioReport {
+    fn to_json(&self) -> Json {
+        let verbs = self
+            .verbs
             .iter()
-            .map(|s| {
-                let verbs: Vec<String> = s
-                    .verbs
-                    .iter()
-                    .map(|(verb, n)| format!("\"{verb}\": {n}"))
-                    .collect();
-                format!(
-                    "{{\n      \"scenario\": \"{}\", \"sessions\": {}, \"watchers\": {}, \"tenants\": {},\n      \"planned_requests\": {}, \"completed_requests\": {}, \"error_requests\": {},\n      \"verbs\": {{{}}},\n      \"watch_deltas\": {}, \"watch_deltas_expected\": {},\n      \"wal_acked_appends\": {}, \"wal_syncs\": {},\n      \"registry_evictions\": {}, \"registry_evictions_expected\": {}\n    }}",
-                    s.kind.name(),
-                    s.sessions,
-                    s.watchers,
-                    s.tenants,
-                    s.planned_requests,
-                    s.completed_requests,
-                    s.error_requests,
-                    verbs.join(", "),
-                    s.watch_deltas,
-                    s.watch_deltas_expected,
-                    s.wal_acked_appends,
-                    s.wal_syncs,
-                    s.registry_evictions,
-                    s.registry_evictions_expected
-                )
-            })
-            .collect();
-        format!(
-            "{{\n    \"seed\": {},\n    \"scenarios\": [{}\n    ]\n  }}",
-            self.seed,
-            scenarios.join(",")
-        )
+            .map(|(verb, &n)| (verb.to_string(), count(n)));
+        json::obj(vec![
+            ("scenario", Json::Str(self.kind.name().into())),
+            ("sessions", count(self.sessions as u64)),
+            ("watchers", count(self.watchers as u64)),
+            ("tenants", count(self.tenants as u64)),
+            ("planned_requests", count(self.planned_requests)),
+            ("completed_requests", count(self.completed_requests)),
+            ("error_requests", count(self.error_requests)),
+            ("verbs", Json::Obj(verbs.collect())),
+            ("watch_deltas", count(self.watch_deltas)),
+            ("watch_deltas_expected", count(self.watch_deltas_expected)),
+            ("wal_acked_appends", count(self.wal_acked_appends)),
+            ("wal_syncs", count(self.wal_syncs)),
+            ("registry_evictions", count(self.registry_evictions)),
+            (
+                "registry_evictions_expected",
+                count(self.registry_evictions_expected),
+            ),
+        ])
+    }
+}
+
+impl LoadgenReport {
+    /// The `loadgen` member of `BENCH_apss.json`.
+    pub fn to_json(&self) -> Json {
+        let scenarios = self.scenarios.iter().map(ScenarioReport::to_json);
+        json::obj(vec![
+            ("seed", count(self.seed)),
+            ("scenarios", Json::Arr(scenarios.collect())),
+        ])
     }
 
-    /// Human-readable summary.
+    /// Human-readable summary: `path = value` per counter.
     pub fn summary(&self) -> String {
-        let mut out = format!("loadgen (seed {})\n", self.seed);
-        for s in &self.scenarios {
-            out.push_str(&format!(
-                "  {:<18} {} planned, {} completed, {} errors",
-                s.kind.name(),
-                s.planned_requests,
-                s.completed_requests,
-                s.error_requests
-            ));
-            match s.kind {
-                ScenarioKind::IngestProbeWatch => out.push_str(&format!(
-                    ", {} watch deltas (expect {}), {} wal syncs / {} acks\n",
-                    s.watch_deltas, s.watch_deltas_expected, s.wal_syncs, s.wal_acked_appends
-                )),
-                ScenarioKind::TenantChurn => out.push_str(&format!(
-                    ", {} evictions (expect {})\n",
-                    s.registry_evictions, s.registry_evictions_expected
-                )),
-                ScenarioKind::ProbeMix => out.push('\n'),
-            }
-        }
-        out
+        crate::perf::summary(&json::obj(vec![("loadgen", self.to_json())]))
     }
 }
 
@@ -649,18 +630,20 @@ mod tests {
     #[test]
     fn fixture_report_renders_balanced_consistent_json() {
         let report = fixture_report();
-        let json = report.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"scenario\": \"probe_mix\""));
-        assert!(json.contains("\"scenario\": \"ingest_probe_watch\""));
-        assert!(json.contains("\"scenario\": \"tenant_churn\""));
-        assert!(json.contains("\"wal_acked_appends\": 19, \"wal_syncs\": 19"));
-        let parsed = plasma_server::json::parse(&json).expect("fixture json parses");
+        let parsed = json::parse(&report.to_json().encode()).expect("fixture json parses");
+        assert_eq!(parsed, report.to_json());
         let scenarios = parsed
             .get("scenarios")
             .and_then(|s| s.as_arr())
             .expect("scenarios array");
-        assert_eq!(scenarios.len(), 3);
+        let names: Vec<_> = scenarios
+            .iter()
+            .filter_map(|s| s.get("scenario").and_then(Json::as_str))
+            .collect();
+        assert_eq!(names, ["probe_mix", "ingest_probe_watch", "tenant_churn"]);
+        let durable = &scenarios[1];
+        assert_eq!(durable.get("wal_acked_appends"), Some(&count(19)));
+        assert_eq!(durable.get("wal_syncs"), Some(&count(19)));
         assert!(!report.summary().is_empty());
     }
 }

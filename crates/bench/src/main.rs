@@ -9,15 +9,13 @@
 //!       [--scale S] [--seed N] [--out DIR] [--json]
 //! ```
 //!
-//! `repro bench` runs the quick APSS perf smoke ([`plasma_bench::perf`])
-//! and the serial load harness's counters; with `--json` it writes the
-//! snapshot to `BENCH_apss.json`. `repro loadgen` prints the load
-//! harness's counters alone ([`plasma_bench::loadgen`]).
-//! `repro check-bench [PATH] [--against BASELINE]` validates a written
-//! snapshot's schema and, with `--against`, compares its deterministic
-//! counters exactly and its structural ratios within tolerance bands
-//! against the committed baseline — never absolute throughput — exiting
-//! non-zero on drift. That pair is the CI perf-smoke gate.
+//! `repro bench` runs the counter snapshot ([`plasma_bench::perf`]), with
+//! `--json` also written to `BENCH_apss.json`; `repro loadgen` prints the
+//! load harness's counters alone ([`plasma_bench::loadgen`]).
+//! `repro check-bench [PATH] [--against BASELINE]` checks a snapshot
+//! against the schema and, with `--against`, gates it against the
+//! committed baseline, exiting non-zero on drift. `bench` and `loadgen`
+//! keep no clock: `benchmark/` times the served stack.
 
 use plasma_bench::experiments::registry;
 use plasma_bench::Opts;
@@ -80,7 +78,7 @@ fn main() {
             }
             println!("  {:<10} run every experiment in order", "all");
             println!(
-                "  {:<10} quick APSS perf smoke (add --json for BENCH_apss.json)",
+                "  {:<10} counter snapshot (add --json for BENCH_apss.json)",
                 "bench"
             );
             println!(
@@ -97,15 +95,13 @@ fn main() {
             );
         }
         Some("bench") => {
-            banner(
-                "bench",
-                "APSS perf smoke: sketching + pair evaluation, seq vs parallel",
-            );
+            banner("bench", "counter snapshot: every scenario's exact counters");
             let snapshot = plasma_bench::perf::measure(opts.seed);
-            print!("{}", snapshot.summary());
+            print!("{}", plasma_bench::perf::summary(&snapshot));
             if json {
                 let path = "BENCH_apss.json";
-                std::fs::write(path, snapshot.to_json()).expect("write perf snapshot");
+                let text = plasma_bench::perf::render(&snapshot);
+                std::fs::write(path, text).expect("write counter snapshot");
                 println!("  [artifact] {path}");
             }
         }

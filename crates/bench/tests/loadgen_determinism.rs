@@ -26,8 +26,8 @@ fn plans_and_their_derived_counters_replay_from_the_seed() {
 
 #[test]
 fn two_fresh_runs_render_byte_identical_reports() {
-    let a = run(42).expect("first run").to_json();
-    let b = run(42).expect("second run").to_json();
+    let a = run(42).expect("first run").to_json().encode();
+    let b = run(42).expect("second run").to_json().encode();
     assert_eq!(a, b);
 }
 
