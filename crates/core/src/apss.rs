@@ -8,14 +8,14 @@
 //!
 //! # Pair evaluation
 //!
-//! Cold APSS, cached probes, and watch deltas all go through one loop:
-//! `evaluate` chunks the candidate list across
-//! [`ApssConfig::parallelism`] workers, each stepping a private
-//! `PairEvaluator` whose memo source is an `Option<&SharedKnowledgeCache>`
-//! (`None` = cold); incremental runs step the same evaluator record by
-//! record. Pairs, estimates, and counters are bit-identical at every
-//! thread count and cache warmth: per-pair evaluation is independent, and
-//! chunk outputs concatenate back into candidate order.
+//! Cold APSS, cached probes, watch deltas, and incremental runs (one call
+//! per block of joined pairs) all go through one loop: `evaluate` chunks
+//! the candidate list across [`ApssConfig::parallelism`] workers, each
+//! stepping a private `PairEvaluator` whose memo source is an
+//! `Option<&SharedKnowledgeCache>` (`None` = cold). Pairs, estimates, and
+//! counters are bit-identical at every thread count and cache warmth:
+//! per-pair evaluation is independent, and chunk outputs concatenate back
+//! into candidate order.
 
 use std::time::Instant;
 
@@ -217,7 +217,7 @@ pub fn apss_with_sketches(
 
 /// One worker's pair evaluator: a private `ProbeTable` plus the memo
 /// source its walks read and publish through (`None` = cold).
-pub(crate) struct PairEvaluator<'a> {
+struct PairEvaluator<'a> {
     table: ProbeTable<'a>,
     sketches: &'a SketchSet,
     memos: Option<&'a SharedKnowledgeCache>,
@@ -228,16 +228,16 @@ pub(crate) struct PairEvaluator<'a> {
 }
 
 /// What one pair evaluation produced.
-pub(crate) struct PairOutcome {
-    pub(crate) estimate: PairEstimate,
+struct PairOutcome {
+    estimate: PairEstimate,
     /// Hash positions newly compared (0 = answered entirely from memos).
-    pub(crate) new_hashes: u32,
+    new_hashes: u32,
     /// The similarity to report, `None` for a pruned pair.
-    pub(crate) similarity: Option<f64>,
+    similarity: Option<f64>,
 }
 
 impl<'a> PairEvaluator<'a> {
-    pub(crate) fn new(
+    fn new(
         engine: &'a BayesLsh,
         sketches: &'a SketchSet,
         threshold: f64,
@@ -258,7 +258,7 @@ impl<'a> PairEvaluator<'a> {
     // `#[inline]` here and on `load`/`publish`: out-of-line per-candidate
     // calls cost ~5 % of a contended warm probe.
     #[inline]
-    pub(crate) fn step(
+    fn step(
         &mut self,
         i: u32,
         j: u32,
@@ -304,12 +304,13 @@ impl<'a> PairEvaluator<'a> {
     }
 }
 
-/// The one evaluation loop behind every probe: cold APSS (`memos: None`),
-/// cached probes and watch deltas (`Some`). Chunks `cands` across
-/// [`eval_threads`] workers, each with a private [`PairEvaluator`] and
-/// stats partial, and concatenates chunk outputs back into candidate
-/// order — so pairs, estimates, and decision counters are bit-identical
-/// at every thread count and cache warmth. The caller owns the timings.
+/// The one evaluation loop behind every probe: cold APSS and incremental
+/// blocks (`memos: None`), cached probes and watch deltas (`Some`).
+/// Chunks `cands` across [`eval_threads`] workers, each with a private
+/// [`PairEvaluator`] and stats partial, and concatenates chunk outputs
+/// back into candidate order — so pairs, estimates, and decision counters
+/// are bit-identical at every thread count and cache warmth. The caller
+/// owns the timings.
 pub(crate) fn evaluate(
     records: &[SparseVector],
     measure: Similarity,

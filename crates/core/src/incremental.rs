@@ -1,50 +1,23 @@
 //! Incremental (streaming) pair-count estimates — Figs. 2.6–2.8.
 //!
-//! PLASMA-HD presents partial results while the probe runs: records are
-//! processed one at a time, each joined against all previously seen
-//! records, and after every reporting step the pair counts observed so far
-//! are extrapolated to the full dataset. The figures show these running
-//! estimates converging to within a few percent of the final value after
-//! only 10–20% of the data — the "five- to ten-fold reduction in processing
-//! time to deliver a good estimate".
+//! PLASMA-HD presents partial results while the probe runs: each record is
+//! joined against every earlier one, and at each reporting step the pair
+//! counts seen so far are extrapolated to the full dataset. The figures
+//! show these running estimates settling within a few percent of the final
+//! value after only 10–20% of the data. The joined pairs go through
+//! `apss::evaluate` a block at a time, and their estimates fold into the
+//! running sums in candidate order.
 
+use plasma_data::hash::FxHashMap;
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
 use plasma_lsh::bayes::BayesLsh;
-use plasma_lsh::family::LshFamily;
-use plasma_lsh::sketch::SketchSet;
-use rayon::prelude::*;
 
-use crate::apss::{build_sketches, ApssConfig, PairEvaluator};
+use crate::apss::{build_sketches, evaluate, ApssConfig};
 
-/// Frontier width from which the per-record join shards across workers;
-/// below it, thread spawn overhead (and the per-worker `ProbeTable`
-/// rebuild) dominates the `k` pair evaluations.
-const PAR_JOIN_MIN: usize = 4096;
-
-/// `Pr(S ≥ t2)` for every report threshold, from the `(matches, hashes)`
-/// cell one evaluation stopped at.
-fn tail_masses(
-    engine: &BayesLsh,
-    grid: &[f64],
-    report_thresholds: &[f64],
-    matches: u32,
-    hashes: u32,
-) -> Vec<f64> {
-    let post = engine.posterior(matches, hashes);
-    report_thresholds
-        .iter()
-        .map(|&t2| {
-            let mut tail = 0.0;
-            for (gi, &w) in post.iter().enumerate() {
-                if grid[gi] >= t2 {
-                    tail += w;
-                }
-            }
-            tail
-        })
-        .collect()
-}
+/// Most pending pairs handed to `evaluate` at once; bounds the memory a
+/// run holds beyond its sketches.
+const BLOCK_PAIRS: usize = 1 << 14;
 
 /// One reporting step of an incremental run.
 #[derive(Debug, Clone)]
@@ -76,8 +49,11 @@ pub struct IncrementalRun {
 /// Extrapolation: after `k` records, `C(k,2)` of `C(n,2)` pairs have been
 /// evaluated; the running expected count at `t2` scales by the inverse of
 /// that coverage. Record order is the dataset order, so callers wanting an
-/// unbiased stream should shuffle first (the synthetic generators already
-/// emit records in random order).
+/// unbiased stream should shuffle first. The synthetic generators do not
+/// emit one: each near-duplicate copies a uniformly drawn *earlier* record,
+/// so a `k`-record prefix holds about `k/n` of the near-duplicate pairs but
+/// only `(k/n)²` of all pairs, and early high-threshold estimates over-count
+/// by about `n/k`.
 pub fn incremental_apss(
     records: &[SparseVector],
     measure: Similarity,
@@ -86,112 +62,51 @@ pub fn incremental_apss(
     report_points: &[f64],
     cfg: &ApssConfig,
 ) -> IncrementalRun {
-    incremental_apss_gated(
-        records,
-        measure,
-        t1,
-        report_thresholds,
-        report_points,
-        cfg,
-        PAR_JOIN_MIN,
-    )
-}
-
-/// Test hook: [`incremental_apss`] with an explicit wide-frontier gate
-/// (the frontier width from which the per-record join shards across
-/// workers), so integration tests can exercise the parallel join on
-/// datasets small enough for CI. Results are bit-identical at every gate.
-#[doc(hidden)]
-pub fn incremental_apss_gated(
-    records: &[SparseVector],
-    measure: Similarity,
-    t1: f64,
-    report_thresholds: &[f64],
-    report_points: &[f64],
-    cfg: &ApssConfig,
-    par_join_min: usize,
-) -> IncrementalRun {
-    let (sketches, _) = build_sketches(records, measure, cfg);
-    run_incremental(
-        records,
-        measure,
-        &sketches,
-        t1,
-        report_thresholds,
-        report_points,
-        cfg,
-        par_join_min,
-    )
-}
-
-/// The driver behind [`incremental_apss`].
-#[allow(clippy::too_many_arguments)]
-fn run_incremental(
-    records: &[SparseVector],
-    measure: Similarity,
-    sketches: &SketchSet,
-    t1: f64,
-    report_thresholds: &[f64],
-    report_points: &[f64],
-    cfg: &ApssConfig,
-    par_join_min: usize,
-) -> IncrementalRun {
     let n = records.len();
-    let engine = BayesLsh::new(LshFamily::for_measure(measure), cfg.bayes);
-    let mut eval = PairEvaluator::new(&engine, sketches, t1, None);
-    let grid = engine.grid_points().to_vec();
-    let threads = crate::apss::eval_threads(cfg, n);
-
+    let (sketches, _) = build_sketches(records, measure, cfg);
+    // The figures read only each pair's `(matches, hashes)` stopping cell.
+    let cfg = ApssConfig {
+        exact_on_accept: false,
+        ..*cfg
+    };
+    let engine = BayesLsh::new(sketches.family(), cfg.bayes);
     // Tail masses per report threshold, memoized by the (m, n) cell the
     // pair evaluation stopped at (only ~1k distinct cells occur).
-    let mut tail_memo: plasma_data::hash::FxHashMap<(u32, u32), Vec<f64>> =
-        plasma_data::hash::FxHashMap::default();
+    let mut tail_memo: FxHashMap<(u32, u32), Vec<f64>> = FxHashMap::default();
+    // Evaluates the pending pairs and adds each one's Pr(S ≥ t2) into the
+    // running sums, in candidate order.
+    let mut fold = |pending: &mut Vec<(u32, u32)>, running: &mut [f64]| {
+        let block = evaluate(records, measure, &sketches, t1, &cfg, pending, None);
+        for (_, _, est) in &block.estimates {
+            let (m, h) = (est.matches, est.hashes);
+            let tails = tail_memo.entry((m, h)).or_insert_with(|| {
+                report_thresholds
+                    .iter()
+                    .map(|&t2| engine.prob_at_least(m, h, t2))
+                    .collect()
+            });
+            for (r, tail) in running.iter_mut().zip(tails.iter()) {
+                *r += tail;
+            }
+        }
+        pending.clear();
+    };
 
-    // Running sums of Pr(S ≥ t2) per report threshold.
     let mut running = vec![0.0f64; report_thresholds.len()];
     let mut steps = Vec::with_capacity(report_points.len());
     let mut next_report = 0usize;
-
+    let mut pending = Vec::new();
     for k in 1..n {
-        // Folds one evaluation's (m, n) stopping cell into the running sums.
-        let mut fold = |m: u32, h: u32| {
-            let tails = tail_memo
-                .entry((m, h))
-                .or_insert_with(|| tail_masses(&engine, &grid, report_thresholds, m, h));
-            for (ti, tail) in tails.iter().enumerate() {
-                running[ti] += tail;
-            }
-        };
-        if threads > 1 && k >= par_join_min.max(1) {
-            // Wide frontier: shard the join of record k against 0..k.
-            // Workers only evaluate pairs, writing each evaluation's
-            // (m, n) stopping cell into a j-indexed buffer; the fold
-            // below walks that buffer in j order against the shared
-            // cross-k tail memo. Additions therefore happen in exactly
-            // the sequential order — results are bit-identical at every
-            // thread count — and tail masses stay memoized across the
-            // whole run instead of per worker.
-            let shard = k.div_ceil(threads);
-            let mut cells: Vec<(u32, u32)> = vec![(0, 0); k];
-            cells.par_chunks_mut(shard).enumerate_for_each(|c, slice| {
-                let mut eval = PairEvaluator::new(&engine, sketches, t1, None);
-                let lo = c * shard;
-                for (off, cell) in slice.iter_mut().enumerate() {
-                    let est = eval.step((lo + off) as u32, k as u32, None).estimate;
-                    *cell = (est.matches, est.hashes);
-                }
-            });
-            for &(m, h) in &cells {
-                fold(m, h);
-            }
-        } else {
-            // Join record k against records 0..k.
-            for j in 0..k {
-                let est = eval.step(j as u32, k as u32, None).estimate;
-                fold(est.matches, est.hashes);
+        for j in 0..k {
+            pending.push((j as u32, k as u32));
+            if pending.len() == BLOCK_PAIRS {
+                fold(&mut pending, &mut running);
             }
         }
         let frac = (k + 1) as f64 / n as f64;
+        if k + 1 == n || report_points.get(next_report).is_some_and(|&p| frac >= p) {
+            fold(&mut pending, &mut running);
+        }
         while next_report < report_points.len() && frac >= report_points[next_report] {
             let pairs_done = (k + 1) * k / 2;
             let pairs_total = n * (n - 1) / 2;
@@ -298,5 +213,122 @@ mod tests {
         let frac = run.convergence_fraction(0.25);
         assert!(frac <= 1.0);
         assert!(frac > 0.0);
+    }
+
+    /// The running sums [`incremental_apss`] must reproduce, written out
+    /// longhand: entry `k` holds `Σ Pr(S ≥ t2)` over every pair `(j, i)`,
+    /// `j < i ≤ k`, each walked with the un-tabled `BayesLsh::evaluate_pair`
+    /// and added in that order. A record's sketch does not depend on the
+    /// others, so the first `n` entries serve every `n`-record prefix.
+    fn reference_sums(records: &[SparseVector], t1: f64, report_t: &[f64]) -> Vec<Vec<f64>> {
+        let cfg = ApssConfig::default();
+        let (sketches, _) = build_sketches(records, Similarity::Cosine, &cfg);
+        let engine = BayesLsh::new(sketches.family(), cfg.bayes);
+        let mut running = vec![0.0f64; report_t.len()];
+        let mut sums = vec![running.clone()];
+        for k in 1..records.len() {
+            for j in 0..k {
+                let est = engine.evaluate_pair(&sketches, j, k, t1);
+                for (r, &t2) in running.iter_mut().zip(report_t) {
+                    *r += engine.prob_at_least(est.matches, est.hashes, t2);
+                }
+            }
+            sums.push(running.clone());
+        }
+        sums
+    }
+
+    /// The report rule applied to [`reference_sums`] of an `n`-record run.
+    fn reference_steps(sums: &[Vec<f64>], report_points: &[f64]) -> Vec<IncrementalStep> {
+        let n = sums.len();
+        let mut steps = Vec::new();
+        let mut next_report = 0;
+        for (k, running) in sums.iter().enumerate().skip(1) {
+            let frac = (k + 1) as f64 / n as f64;
+            while next_report < report_points.len() && frac >= report_points[next_report] {
+                let scale = (n * (n - 1) / 2) as f64 / ((k + 1) * k / 2) as f64;
+                steps.push(IncrementalStep {
+                    fraction: frac,
+                    estimates: running.iter().map(|&r| r * scale).collect(),
+                });
+                next_report += 1;
+            }
+        }
+        steps
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn runs_match_a_longhand_walk_bit_for_bit() {
+        let records = dataset(300);
+        let report_t = [0.75, 0.85];
+        let sums = reference_sums(&records, 0.5, &report_t);
+        // 300 records reporting only at 1.0: one 44 850-pair segment spans
+        // three evaluation blocks. Reporting only at 0.5 leaves the last
+        // record's flush to fill `final_estimates`.
+        for n in [0, 1, 2, 300] {
+            for report_at in [&[1.0][..], &[0.0, 0.5, 0.5, 1.0, 1.5], &[0.5]] {
+                let want = reference_steps(&sums[..n], report_at);
+                for parallelism in [1, 4] {
+                    let cfg = ApssConfig {
+                        parallelism: Some(parallelism),
+                        ..ApssConfig::default()
+                    };
+                    let got = incremental_apss(
+                        &records[..n],
+                        Similarity::Cosine,
+                        0.5,
+                        &report_t,
+                        report_at,
+                        &cfg,
+                    );
+                    let ctx = format!("n={n} points={report_at:?} parallelism={parallelism}");
+                    assert_eq!(got.steps.len(), want.len(), "{ctx}");
+                    for (a, b) in got.steps.iter().zip(&want) {
+                        assert_eq!(a.fraction.to_bits(), b.fraction.to_bits(), "{ctx}");
+                        assert_eq!(bits(&a.estimates), bits(&b.estimates), "{ctx}");
+                    }
+                    let fin = &sums[n.saturating_sub(1)];
+                    assert_eq!(bits(&got.final_estimates), bits(fin), "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// A one-threshold run with final value 100 and the given series at
+    /// fractions 1/8, 1/4, 1/2, 3/4 and 1.
+    fn hand_run(series: [f64; 5]) -> IncrementalRun {
+        let fractions = [0.125, 0.25, 0.5, 0.75, 1.0];
+        IncrementalRun {
+            t1: 0.5,
+            report_thresholds: vec![0.75],
+            steps: fractions
+                .iter()
+                .zip(series)
+                .map(|(&fraction, e)| IncrementalStep {
+                    fraction,
+                    estimates: vec![e],
+                })
+                .collect(),
+            final_estimates: vec![100.0],
+        }
+    }
+
+    #[test]
+    fn convergence_fraction_reads_the_first_step_that_stays_in_band() {
+        // Enters the 10 % band at step 2 and stays.
+        let settled = hand_run([300.0, 105.0, 98.0, 101.0, 100.0]);
+        assert_eq!(settled.convergence_fraction(0.10), 0.25);
+        // Enters at step 2, leaves at step 3, stays from step 4.
+        let wobbly = hand_run([300.0, 105.0, 150.0, 95.0, 100.0]);
+        assert_eq!(wobbly.convergence_fraction(0.10), 0.75);
+        let empty = IncrementalRun {
+            steps: Vec::new(),
+            ..settled
+        };
+        assert_eq!(empty.convergence_fraction(0.10), 1.0);
     }
 }

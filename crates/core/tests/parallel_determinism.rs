@@ -9,8 +9,9 @@
 //!   re-probe at an already-probed threshold compares zero new hashes;
 //! * banded probe outputs — estimates, stats, and work counters, cold and
 //!   through the knowledge cache — are bit-identical at every thread count
-//!   on a hot-bucket corpus, and so are `incremental_apss` wide-frontier
-//!   runs;
+//!   on a hot-bucket corpus;
+//! * `incremental_apss` reports bit-identical estimates at 1 and 4
+//!   workers, over enough pairs to span several evaluation blocks;
 //! * every entry into the shared evaluation loop (cold APSS, cold / warm /
 //!   batch-mismatched cached probes, 4-worker runs) equals an oracle that
 //!   walks the reference candidates (`exhaustive` / `banded_sequential`)
@@ -416,40 +417,29 @@ fn banded_shared_cache_workload_invariant_across_threads_and_sessions() {
     }
 }
 
-/// `incremental_apss` wide frontiers: the parallel per-record join (gate
-/// lowered to frontier width 8 so it engages on a CI-sized dataset, and
-/// enough records that the run resolves to 4 workers) reports estimates
-/// bit-identical to the plain sequential run.
+/// `incremental_apss`: 256 records (32 640 pairs) engage 4 evaluation
+/// workers and span several blocks, and the run reports estimates
+/// bit-identical to the sequential one.
 #[test]
-fn incremental_wide_frontier_invariant_across_threads() {
+fn incremental_apss_invariant_across_threads() {
     let records = gaussian_records(256, 23);
     let report_t = [0.75, 0.85];
     let report_at = [0.25, 0.5, 1.0];
-    let sequential_cfg = ApssConfig {
-        parallelism: Some(1),
-        ..ApssConfig::default()
+    let run = |parallelism| {
+        let cfg = ApssConfig {
+            parallelism: Some(parallelism),
+            ..ApssConfig::default()
+        };
+        plasma_core::incremental::incremental_apss(
+            &records,
+            Similarity::Cosine,
+            0.5,
+            &report_t,
+            &report_at,
+            &cfg,
+        )
     };
-    let plain = plasma_core::incremental::incremental_apss(
-        &records,
-        Similarity::Cosine,
-        0.5,
-        &report_t,
-        &report_at,
-        &sequential_cfg,
-    );
-    let wide_cfg = ApssConfig {
-        parallelism: Some(4),
-        ..ApssConfig::default()
-    };
-    let wide = plasma_core::incremental::incremental_apss_gated(
-        &records,
-        Similarity::Cosine,
-        0.5,
-        &report_t,
-        &report_at,
-        &wide_cfg,
-        8,
-    );
+    let (plain, wide) = (run(1), run(4));
     assert_eq!(plain.steps.len(), wide.steps.len());
     for (a, b) in plain.steps.iter().zip(&wide.steps) {
         assert_eq!(a.fraction.to_bits(), b.fraction.to_bits());
