@@ -118,15 +118,6 @@ impl CumulativeCurve {
         }
         best
     }
-
-    /// Mean relative error against ground-truth counts on the same grid.
-    pub fn relative_error(&self, truth: &[u64]) -> f64 {
-        assert_eq!(truth.len(), self.expected.len());
-        plasma_data::stats::mean_relative_error(
-            &self.expected,
-            &truth.iter().map(|&c| c as f64).collect::<Vec<_>>(),
-        )
-    }
 }
 
 /// The default threshold grid used by sessions: 0.05 steps from `lo`

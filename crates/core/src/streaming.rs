@@ -522,10 +522,12 @@ impl StreamingSession {
         self.corpus.measure
     }
 
-    /// An owned snapshot of the records ingested so far, taken under the
-    /// corpus lock (so it is one consistent epoch).
-    pub fn records_snapshot(&self) -> Vec<SparseVector> {
-        self.corpus.records.read().expect("corpus lock").clone()
+    /// `(len, epoch)` read under one corpus read guard, so both describe
+    /// the same epoch: [`ingest`](Self::ingest) grows records and cache
+    /// under the write guard, which two separate reads could straddle.
+    pub fn len_and_epoch(&self) -> (usize, u64) {
+        let records = self.corpus.records.read().expect("corpus lock");
+        (records.len(), self.epoch())
     }
 
     /// One consistent `(records, sketches, epoch)` view for persistence,

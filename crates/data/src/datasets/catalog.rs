@@ -16,7 +16,6 @@ use crate::datasets::social::SocialSpec;
 use crate::datasets::transactions::{CategoricalSpec, QuestSpec, Transactions};
 use crate::datasets::webgraph::WebGraphSpec;
 use crate::datasets::Dataset;
-use crate::vector::SparseVector;
 
 /// Applies a scale factor with a floor so tiny scales stay meaningful.
 pub fn scaled(paper_n: usize, scale: f64) -> usize {
@@ -545,24 +544,6 @@ pub fn parcoords_catalog() -> Vec<ParcoordsEntry> {
         entry("wine", 178, 13, 4, 2.5),
         entry("eighthr", 2534, 72, 2, 1.8),
     ]
-}
-
-/// LFR-style vectors for the §2.3.4 interaction experiment: spectral-like
-/// embedding of a planted-partition graph, built directly as separated
-/// Gaussian blobs in k dimensions (the construction's end state).
-pub fn lfr_embedding(n: usize, k: usize, seed: u64) -> Dataset {
-    GaussianSpec {
-        separation: 5.0,
-        spread: 0.8,
-        ..GaussianSpec::new("lfr-embedding", n, k, k)
-    }
-    .generate(seed)
-}
-
-/// Converts any dataset's records into transactions over discretized
-/// dimensions (used to feed similarity graphs to LAM).
-pub fn records_as_sets(records: &[SparseVector]) -> Transactions {
-    records.iter().map(|r| r.dims().to_vec()).collect()
 }
 
 #[cfg(test)]

@@ -218,12 +218,6 @@ pub fn read_transactions<R: Read>(reader: R) -> Result<Vec<Vec<u32>>, LoadError>
     Ok(out)
 }
 
-/// Loads FIMI-style transactions from a file.
-pub fn load_transactions<P: AsRef<Path>>(path: P) -> Result<Vec<Vec<u32>>, LoadError> {
-    let file = std::fs::File::open(path)?;
-    read_transactions(file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,11 +35,6 @@ pub fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Samples `N(mean, std^2)`.
-pub fn gaussian_with<R: Rng>(rng: &mut R, mean: f64, std: f64) -> f64 {
-    mean + std * gaussian(rng)
-}
-
 /// Fisher–Yates shuffle of indices `0..n`, returned as a permutation vector.
 pub fn permutation<R: Rng>(rng: &mut R, n: usize) -> Vec<u32> {
     let mut p: Vec<u32> = (0..n as u32).collect();

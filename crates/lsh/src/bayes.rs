@@ -405,11 +405,6 @@ impl ProbeTable<'_> {
         self.threshold
     }
 
-    /// Number of memoized `(m, n)` cells.
-    pub fn cells_memoized(&self) -> usize {
-        self.cells.len()
-    }
-
     fn cell(&mut self, m: u32, n: u32) -> Cell {
         let engine = self.engine;
         let t = self.threshold;

@@ -564,24 +564,6 @@ impl SketchSet {
         )
     }
 
-    /// An empty appendable set with an explicit records-per-segment
-    /// (rounded up to a power of two) — the test hook for exercising
-    /// many-segment layouts without the `PLASMA_SEGMENT_RECORDS`
-    /// override. Layout only; sketch bytes are identical at any capacity.
-    pub fn empty_with_segment_records(
-        family: LshFamily,
-        n_hashes: usize,
-        seed: u64,
-        segment_records: usize,
-    ) -> Self {
-        Self::with_segments(
-            family,
-            n_hashes,
-            seed,
-            resolve_segment_records(Some(segment_records)).trailing_zeros(),
-        )
-    }
-
     /// Words per segment (`segment_records · stride`).
     #[inline]
     fn seg_words(&self) -> usize {

@@ -13,15 +13,11 @@
 //!
 //! # Panic → error boundary
 //!
-//! The engine guards invariants with panics: probing a grown cache from
-//! a stale pinned snapshot, attaching across hash families, seed
-//! mismatches. A server must outlive all of them, so every engine call
-//! sits behind the crate-private `catch_engine`: the panic is caught at the handler
-//! boundary, its message is mapped to a structured [`ErrorCode`]
-//! (`stale_session` for the stale-prefix guard, `engine_panic`
-//! otherwise), and the connection keeps serving. A thread-local shield
-//! suppresses the default panic hook's stderr spew for these *expected*
-//! panics while leaving genuine bugs loud.
+//! Every refusal the handler gives is decided before the engine runs,
+//! so an engine panic is a genuine bug. A server must still outlive
+//! one: every engine call sits behind the crate-private `catch_engine`,
+//! which turns the panic into an `engine_panic` error frame and keeps
+//! the connection serving.
 //!
 //! # Determinism
 //!
@@ -36,13 +32,13 @@ use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
 
 use plasma_core::durable::{self, CorpusStore};
 use plasma_core::{
-    ApssConfig, CacheCapacity, CacheRegistry, RegistryCapacity, SharedKnowledgeCache,
-    StreamingSession, WalSyncStats,
+    CacheCapacity, CacheRegistry, RegistryCapacity, SharedKnowledgeCache, StreamingSession,
+    WalSyncStats,
 };
 use plasma_data::similarity::Similarity;
 
@@ -137,7 +133,6 @@ impl IngestSignal {
 struct ServedCorpus {
     name: String,
     measure: Similarity,
-    cfg: ApssConfig,
     /// Forked per attach; also the corpus-wide watch/epoch vantage
     /// point. The mutex guards only fork/inspect — probes and ingests
     /// run on the forks, serialized by the corpus's own record lock.
@@ -158,14 +153,12 @@ impl ServedCorpus {
     fn new(
         name: String,
         measure: Similarity,
-        cfg: ApssConfig,
         master: StreamingSession,
         store: Option<CorpusStore>,
     ) -> Self {
         ServedCorpus {
             name,
             measure,
-            cfg,
             master: Mutex::new(master),
             signal: IngestSignal::new(),
             store,
@@ -328,7 +321,6 @@ impl ProbeService {
             Arc::new(ServedCorpus::new(
                 meta.name,
                 meta.measure,
-                cfg,
                 recovered.session,
                 Some(store),
             )),
@@ -427,10 +419,13 @@ enum SessionKind {
         session: StreamingSession,
         corpus: Arc<ServedCorpus>,
     },
-    /// A probe-only session over its own snapshot of the corpus records
-    /// at attach time, sharing the corpus cache; goes stale (structured
-    /// `stale_session` error) once the corpus grows.
-    Pinned { session: StreamingSession },
+    /// A probe-only fork of the corpus master that remembers the epoch
+    /// it attached at. Once the corpus grows past that epoch its probes
+    /// answer `stale_session` rather than an answer at a newer epoch.
+    Pinned {
+        session: StreamingSession,
+        epoch: u64,
+    },
 }
 
 struct ConnState {
@@ -583,7 +578,7 @@ impl Connection {
                 };
                 corpora.insert(
                     fp,
-                    Arc::new(ServedCorpus::new(name, measure, cfg, master, store)),
+                    Arc::new(ServedCorpus::new(name, measure, master, store)),
                 );
                 Interaction::reply(response)
             }
@@ -652,86 +647,74 @@ impl Connection {
                 format!("no published corpus has fingerprint {fingerprint}"),
             );
         };
-        if !pinned {
-            if let Some(declared) = declared_measure {
-                if declared != corpus.measure {
-                    return Interaction::error(
-                        ErrorCode::BadRequest,
-                        format!(
-                            "corpus '{}' was published with a different measure",
-                            corpus.name
-                        ),
-                    );
-                }
-            }
-            let master = corpus.master.lock().expect("master lock");
-            let session = master.fork();
-            let (records, epoch) = (master.len(), master.epoch());
-            drop(master);
-            state.session = Some(SessionKind::Stream {
-                session,
-                corpus: corpus.clone(),
-            });
-            self.service.active_sessions.fetch_add(1, Ordering::SeqCst);
-            return Interaction::reply(Response::Attached {
-                fingerprint: fingerprint.to_string(),
-                pinned: false,
-                records,
-                epoch,
-            });
+        if let Some(declared) = declared_measure.filter(|&m| m != corpus.measure) {
+            // Pinned clients already handle this refusal as
+            // `engine_panic` naming the hash family; unifying the two
+            // codes is a wire change.
+            return if pinned {
+                Interaction::error(
+                    ErrorCode::EnginePanic,
+                    format!(
+                        "corpus '{}' is sketched for {}; the shared cache hash family \
+                         does not serve {}",
+                        corpus.name,
+                        corpus.measure.name(),
+                        declared.name()
+                    ),
+                )
+            } else {
+                Interaction::error(
+                    ErrorCode::BadRequest,
+                    format!(
+                        "corpus '{}' was published with a different measure",
+                        corpus.name
+                    ),
+                )
+            };
         }
-        // Pinned: snapshot the corpus records and open a session over them
-        // and the shared cache. The declared measure (defaulting to the corpus's)
-        // flows into the session so the engine's hash-family guard fires
-        // on a mismatch — surfaced as a structured error, not a crash.
-        let measure = declared_measure.unwrap_or(corpus.measure);
-        let mut last_err = String::new();
-        // A concurrent ingest can land between the snapshot and the
-        // cache-length assertion; retry against the fresh epoch.
-        for _ in 0..3 {
-            let master = corpus.master.lock().expect("master lock");
-            let snapshot = master.records_snapshot();
-            let cache = master.shared_cache().expect("published corpus has a cache");
-            let epoch = master.epoch();
-            drop(master);
-            let records = snapshot.len();
-            let built = catch_engine(|| {
-                StreamingSession::from_records(snapshot, measure, corpus.cfg)
-                    .with_shared_cache(cache)
-            });
-            match built {
-                Ok(session) => {
-                    state.session = Some(SessionKind::Pinned { session });
-                    self.service.active_sessions.fetch_add(1, Ordering::SeqCst);
-                    return Interaction::reply(Response::Attached {
-                        fingerprint: fingerprint.to_string(),
-                        pinned: true,
-                        records,
-                        epoch,
-                    });
-                }
-                Err(msg) => {
-                    let raced = msg.contains("shared cache sketches") && measure == corpus.measure;
-                    last_err = msg;
-                    if !raced {
-                        break;
-                    }
-                }
-            }
-        }
-        Interaction::error(ErrorCode::EnginePanic, last_err)
+        let session = corpus.master.lock().expect("master lock").fork();
+        let (records, epoch) = session.len_and_epoch();
+        state.session = Some(if pinned {
+            SessionKind::Pinned { session, epoch }
+        } else {
+            SessionKind::Stream { session, corpus }
+        });
+        self.service.active_sessions.fetch_add(1, Ordering::SeqCst);
+        Interaction::reply(Response::Attached {
+            fingerprint: fingerprint.to_string(),
+            pinned,
+            records,
+            epoch,
+        })
     }
 
     fn handle_probe(&self, threshold: f64) -> Interaction {
         let mut state = self.state.lock().expect("connection state lock");
-        let Some(SessionKind::Stream { session, .. } | SessionKind::Pinned { session }) =
-            state.session.as_mut()
-        else {
-            return Interaction::error(ErrorCode::NoSession, "attach to a corpus first");
+        let (session, pinned_at) = match state.session.as_mut() {
+            None => return Interaction::error(ErrorCode::NoSession, "attach to a corpus first"),
+            Some(SessionKind::Stream { session, .. }) => (session, None),
+            Some(SessionKind::Pinned { session, epoch }) => (session, Some(*epoch)),
         };
-        match catch_engine(AssertUnwindSafe(|| session.probe(threshold))) {
-            Ok(report) => Interaction::reply(Response::from_probe(&report, report.epoch)),
-            Err(msg) => Interaction::error(classify_panic(&msg), msg),
+        // A pinned session answers only at its attach epoch. The check
+        // before the probe saves its work; the one after catches an
+        // ingest that landed in between (`report.epoch` is exact).
+        let stale = |now: u64| match pinned_at {
+            Some(at) if at != now => Some(Interaction::error(
+                ErrorCode::StaleSession,
+                format!(
+                    "pinned session attached at epoch {at} but the corpus is at epoch \
+                     {now}; detach and re-attach to re-sync"
+                ),
+            )),
+            _ => None,
+        };
+        if let Some(refusal) = stale(session.epoch()) {
+            return refusal;
+        }
+        match catch_engine(|| session.probe(threshold)) {
+            Ok(report) => stale(report.epoch)
+                .unwrap_or_else(|| Interaction::reply(Response::from_probe(&report, report.epoch))),
+            Err(msg) => Interaction::error(ErrorCode::EnginePanic, msg),
         }
     }
 
@@ -750,9 +733,9 @@ impl Connection {
                 // snapshot can never capture the in-memory half of an
                 // ingest whose log entry hasn't landed.
                 let persist = corpus.persist.lock().expect("persist lock");
-                let report = match catch_engine(AssertUnwindSafe(|| session.ingest(records))) {
+                let report = match catch_engine(|| session.ingest(records)) {
                     Ok(report) => report,
-                    Err(msg) => return Interaction::error(classify_panic(&msg), msg),
+                    Err(msg) => return Interaction::error(ErrorCode::EnginePanic, msg),
                 };
                 let mut mark = None;
                 if report.records_added > 0 {
@@ -823,7 +806,7 @@ impl Connection {
                 "pinned sessions are probe-only; attach with pinned=false to watch",
             ),
             Some(SessionKind::Stream { session, .. }) => {
-                match catch_engine(AssertUnwindSafe(|| session.watch(threshold))) {
+                match catch_engine(|| session.watch(threshold)) {
                     Ok(handle) => {
                         let watch_id = state.next_watch_id;
                         state.next_watch_id += 1;
@@ -840,7 +823,7 @@ impl Connection {
                             events,
                         }
                     }
-                    Err(msg) => Interaction::error(classify_panic(&msg), msg),
+                    Err(msg) => Interaction::error(ErrorCode::EnginePanic, msg),
                 }
             }
         }
@@ -868,7 +851,7 @@ impl Connection {
     fn handle_memory_stats(&self) -> Interaction {
         let state = self.state.lock().expect("connection state lock");
         let (scope, stats) = match &state.session {
-            Some(SessionKind::Stream { session, .. } | SessionKind::Pinned { session }) => {
+            Some(SessionKind::Stream { session, .. } | SessionKind::Pinned { session, .. }) => {
                 ("corpus", session.shared_cache().into_iter().collect())
             }
             None => {
@@ -1019,43 +1002,12 @@ fn drain_watches(state: &mut ConnState) -> Vec<Response> {
     events
 }
 
-/// Maps an engine panic message to the protocol error code.
-fn classify_panic(message: &str) -> ErrorCode {
-    if message.contains("re-sync the corpus") {
-        ErrorCode::StaleSession
-    } else {
-        ErrorCode::EnginePanic
-    }
-}
-
-thread_local! {
-    /// True while this thread runs an engine call under [`catch_engine`];
-    /// the shield hook swallows panic output for exactly that window.
-    static CAPTURING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-static SHIELD: Once = Once::new();
-
-fn install_shield() {
-    SHIELD.call_once(|| {
-        let previous = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if !CAPTURING.with(|c| c.get()) {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// Runs an engine call, converting a panic into its message. Guards
+/// Runs an engine call, converting a panic (a genuine bug: every
+/// refusal is decided before the engine runs) into its message. Guards
 /// (mutexes) must be acquired *outside* the closure so an unwinding
 /// engine call cannot poison them.
 fn catch_engine<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    install_shield();
-    CAPTURING.with(|c| c.set(true));
-    let result = panic::catch_unwind(AssertUnwindSafe(f));
-    CAPTURING.with(|c| c.set(false));
-    result.map_err(|payload| {
+    panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         payload
             .downcast_ref::<&str>()
             .map(|s| (*s).to_string())
@@ -1181,6 +1133,120 @@ mod tests {
             }
             other => panic!("expected engine_panic, got {}", other.encode()),
         }
+    }
+
+    fn attach(conn: &Connection, fingerprint: &str, pinned: bool) -> (usize, u64) {
+        let attached = conn.handle(Request::Attach {
+            fingerprint: fingerprint.to_string(),
+            pinned,
+            declared_measure: None,
+        });
+        match attached.response {
+            Response::Attached { records, epoch, .. } => (records, epoch),
+            other => panic!("attach failed: {}", other.encode()),
+        }
+    }
+
+    #[test]
+    fn pinned_attach_and_probe_race_an_ingest() {
+        const INITIAL: usize = 12;
+        const BATCH: usize = 2;
+        const ROUNDS: usize = 30;
+        let service = Arc::new(ProbeService::new());
+        let writer = Connection::new(service.clone());
+        let fp = publish(&writer, INITIAL);
+        attach(&writer, &fp, false);
+        let reader = Connection::new(service);
+        // Each attach releases one ingest, which races that round's
+        // probe (staggered so either may win) and the next round's
+        // attach. Nothing asserts inside the scope, so a failure cannot
+        // strand the other thread at the barrier.
+        let barrier = std::sync::Barrier::new(2);
+        let (ingests, rounds) = std::thread::scope(|scope| {
+            let ingests = scope.spawn(|| {
+                (0..ROUNDS)
+                    .map(|_| {
+                        barrier.wait();
+                        writer
+                            .handle(Request::Ingest {
+                                records: corpus(BATCH),
+                            })
+                            .response
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let rounds: Vec<_> = (0..ROUNDS)
+                .map(|round| {
+                    let attached = reader.handle(Request::Attach {
+                        fingerprint: fp.clone(),
+                        pinned: true,
+                        declared_measure: None,
+                    });
+                    barrier.wait();
+                    std::thread::sleep(Duration::from_micros(200 * (round % 3) as u64));
+                    let probed = reader.handle(Request::Probe { threshold: 0.5 });
+                    reader.handle(Request::Detach);
+                    (attached.response, probed.response)
+                })
+                .collect();
+            (ingests.join().expect("writer thread"), rounds)
+        });
+        for ingested in ingests {
+            assert!(matches!(ingested, Response::Ingested { .. }));
+        }
+        for (attached, probed) in rounds {
+            let Response::Attached { records, epoch, .. } = attached else {
+                panic!("attach failed: {}", attached.encode());
+            };
+            assert_eq!(
+                records,
+                INITIAL + BATCH * epoch as usize,
+                "the attached frame mixes two epochs"
+            );
+            match probed {
+                Response::ProbeResult { epoch: at, .. } => assert_eq!(at, epoch),
+                Response::Error {
+                    code: ErrorCode::StaleSession,
+                    ..
+                } => {}
+                other => panic!(
+                    "expected probe_result or stale_session, got {}",
+                    other.encode()
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_probe_does_the_work_of_an_unpinned_one() {
+        let probe_frames = |pinned: bool| {
+            let conn = Connection::new(Arc::new(ProbeService::new()));
+            let fp = publish(&conn, 20);
+            attach(&conn, &fp, pinned);
+            [0.5, 0.4].map(|threshold| conn.handle(Request::Probe { threshold }).response.encode())
+        };
+        assert_eq!(probe_frames(true), probe_frames(false));
+
+        // A stale pinned probe is refused before the engine runs: the
+        // shared cache gains no memo and counts no hit.
+        let service = Arc::new(ProbeService::new());
+        let writer = Connection::new(service.clone());
+        let fp = publish(&writer, 20);
+        attach(&writer, &fp, false);
+        let reader = Connection::new(service);
+        attach(&reader, &fp, true);
+        writer.handle(Request::Ingest { records: corpus(4) });
+        let stats = || reader.handle(Request::MemoryStats).response.encode();
+        let before = stats();
+        let outcome = reader.handle(Request::Probe { threshold: 0.5 });
+        assert!(matches!(
+            outcome.response,
+            Response::Error {
+                code: ErrorCode::StaleSession,
+                ..
+            }
+        ));
+        assert_eq!(stats(), before, "a stale pinned probe touched the cache");
     }
 
     #[test]

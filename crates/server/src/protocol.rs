@@ -48,15 +48,15 @@ pub enum ErrorCode {
     NoSession,
     /// `attach` on a connection that already holds a session.
     AlreadyAttached,
-    /// A pinned session probed a corpus that has since grown — the
-    /// engine's stale-prefix guard fired.
+    /// A pinned session probed a corpus that has grown past its attach
+    /// epoch; detach and re-attach to probe the grown corpus.
     StaleSession,
     /// `unwatch` named a watch id this connection never registered (or
     /// already cancelled).
     UnknownWatch,
-    /// The engine panicked for any other reason (e.g. seed or measure
-    /// mismatch against the shared cache); the message carries the
-    /// panic text.
+    /// The engine panicked (a bug; the message carries the panic text),
+    /// or a pinned attach declared a measure other than the corpus's —
+    /// the code that refusal has always had on the wire.
     EnginePanic,
     /// The server is draining and accepts no new work.
     Draining,
@@ -144,13 +144,13 @@ pub enum Request {
         /// The corpus fingerprint, 32 hex digits, as reported by
         /// `publish`.
         fingerprint: String,
-        /// Pinned sessions are probe-only snapshots of the corpus at
-        /// attach time; streaming sessions (the default) may ingest and
-        /// watch.
+        /// Pinned sessions are probe-only and answer only at their
+        /// attach epoch (`stale_session` once the corpus grows);
+        /// streaming sessions (the default) may ingest and watch.
         pinned: bool,
-        /// When set, the session asserts this family against the shared
-        /// cache — a mismatch surfaces the engine's guard as a
-        /// structured error.
+        /// When set, the attach is refused unless the corpus was
+        /// published with this measure: `engine_panic` for a pinned
+        /// attach, `bad_request` otherwise.
         declared_measure: Option<Similarity>,
     },
     /// Probes the attached corpus at a threshold.
