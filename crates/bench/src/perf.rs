@@ -2,8 +2,9 @@
 //!
 //! Runs the scenarios the interactive-speed promise rests on — N sessions
 //! sweeping thresholds over one `SharedKnowledgeCache`, the same sweep
-//! under a byte cap, the banded join over a Zipf-skewed corpus whose
-//! hottest bucket holds most records, streaming ingest with carried memos,
+//! under a byte cap, the posterior work of first and repeated probes,
+//! the banded join over a Zipf-skewed corpus whose hottest bucket holds
+//! most records, streaming ingest with carried memos,
 //! fixed batches into a ~10×-growing corpus, a ladder of threshold
 //! watches, a warm restart from snapshot + WAL, and the serial load
 //! harness ([`crate::loadgen`]) — on fixed inputs, and records what each
@@ -109,6 +110,8 @@ pub const SNAPSHOT: &[(&str, Kind, Gate)] = &[
     ("bounded_cache.hit_rate_unbounded", Ratio, Recorded),
     ("bounded_cache.hit_rate", Ratio, Recorded),
     ("bounded_cache.evicted_entries", Count, Recorded),
+    ("posterior_evals.first_probe", CountList, Exact),
+    ("posterior_evals.second_probe", CountList, Exact),
     ("banded_skew.records", Count, Exact),
     ("banded_skew.hot_bucket_share", Ratio, Recorded),
     ("banded_skew.hot_bucket_pairs", Count, Exact),
@@ -200,6 +203,10 @@ pub fn measure(seed: u64) -> Json {
         (
             "bounded_cache",
             measure_bounded_cache(&ds.records, ds.measure, &base_rung, base_stats),
+        ),
+        (
+            "posterior_evals",
+            measure_posterior_evals(&ds.records, ds.measure),
         ),
         ("banded_skew", measure_banded_skew_sized(1000)),
         ("streaming", measure_streaming_sized(100, 40, 3)),
@@ -539,6 +546,30 @@ fn measure_bounded_cache(
     ])
 }
 
+/// Thresholds the posterior-work shape probes, each twice in a row.
+const POSTERIOR_SWEEP: [f64; 3] = [0.5, 0.7, 0.9];
+
+/// The posterior-work shape: one fresh cache over the fixed corpus,
+/// probed twice at each threshold of [`POSTERIOR_SWEEP`]. Records each
+/// probe's `posterior_evals` — the decision cells it filled. The first
+/// probe fills its threshold's table; the second finds every cell filled
+/// and evaluates no posterior. The count is the same at every thread
+/// count, because all workers fill one table.
+fn measure_posterior_evals(records: &[SparseVector], measure: Similarity) -> Json {
+    let cfg = ApssConfig::default();
+    let (sketches, _) = build_sketches(records, measure, &cfg);
+    let cache = SharedKnowledgeCache::new(sketches);
+    let probe = |t| count(cache.probe(records, measure, t, &cfg).stats.posterior_evals);
+    let (first, second) = POSTERIOR_SWEEP
+        .iter()
+        .map(|&t| (probe(t), probe(t)))
+        .unzip();
+    json::obj(vec![
+        ("first_probe", Json::Arr(first)),
+        ("second_probe", Json::Arr(second)),
+    ])
+}
+
 /// Renders a snapshot as JSON, one top-level member per line so baseline
 /// diffs stay readable.
 pub fn render(snapshot: &Json) -> String {
@@ -795,6 +826,7 @@ mod tests {
       "bounded_cache": {"cap_bytes": 65536, "peak_memo_bytes_unbounded": 262144,
         "peak_memo_bytes": 65536, "hit_rate_unbounded": 0.81, "hit_rate": 0.55,
         "evicted_entries": 1234},
+      "posterior_evals": {"first_probe": [610, 540, 420], "second_probe": [0, 0, 0]},
       "banded_skew": {"records": 1000, "hot_bucket_share": 0.61, "hot_bucket_pairs": 185745,
         "total_pairs": 1600000, "candidates": 250000},
       "streaming": {"batches": 3, "batch_records": 40, "final_records": 220,
@@ -875,7 +907,7 @@ mod tests {
         // One top-level member per line, the benchmark id first.
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[1], "  \"benchmark\": \"apss\",");
-        assert_eq!(lines.len(), 2 + 9, "{text}");
+        assert_eq!(lines.len(), 2 + 10, "{text}");
         let doc = json::parse(&text).expect("rendered snapshot parses");
         assert_eq!(doc, fixture());
         validate_snapshot_json(&text).expect("every table path resolves");
@@ -938,6 +970,41 @@ mod tests {
             let leaf = path.strip_suffix("[1]").unwrap_or(path);
             assert!(flagged(&problems, leaf), "{path}: {problems:?}");
         }
+    }
+
+    #[test]
+    fn compare_flags_a_regressed_posterior_eval_count() {
+        // A re-probe that evaluates a posterior again, or a first probe
+        // that evaluates one more than the baseline, fails the gate.
+        let doc = fixture().encode();
+        for (path, value) in [
+            ("posterior_evals.second_probe[1]", 1),
+            ("posterior_evals.first_probe[1]", 541),
+        ] {
+            let problems = compare_snapshots(&with(path, count(value)), &doc)
+                .expect_err("posterior work drifted");
+            let list = path.strip_suffix("[1]").expect("a list element");
+            assert!(flagged(&problems, list), "{path}: {problems:?}");
+        }
+    }
+
+    #[test]
+    fn posterior_measurement_re_probes_for_free() {
+        let ds = GaussianSpec::new("bench", 60, 10, 4).generate(3);
+        let tree = measure_posterior_evals(&ds.records, ds.measure);
+        let doc = json::obj(vec![("posterior_evals", tree.clone())]);
+        let list = |path: &str| -> Vec<u64> {
+            let items = lookup(&doc, path).and_then(Json::as_arr).expect(path);
+            items.iter().map(|v| v.as_u64().expect("count")).collect()
+        };
+        let first = list("posterior_evals.first_probe");
+        assert_eq!(first.len(), POSTERIOR_SWEEP.len());
+        assert!(first.iter().all(|&n| n > 0), "{first:?}");
+        assert_eq!(list("posterior_evals.second_probe"), [0, 0, 0]);
+        assert_eq!(
+            schema_problems("posterior_evals", tree),
+            Vec::<String>::new()
+        );
     }
 
     #[test]

@@ -12,16 +12,19 @@
 //! per block of joined pairs) all go through one loop: `evaluate` chunks
 //! the candidate list across [`ApssConfig::parallelism`] workers, each
 //! stepping a private `PairEvaluator` whose memo source is an
-//! `Option<&SharedKnowledgeCache>` (`None` = cold). Pairs, estimates, and
-//! counters are bit-identical at every thread count and cache warmth:
-//! per-pair evaluation is independent, and chunk outputs concatenate back
-//! into candidate order.
+//! `Option<&SharedKnowledgeCache>` (`None` = cold). All workers decide
+//! from one [`DecisionCells`] table: the cache's table for the threshold
+//! when there is a cache, a table local to the call when cold. Pairs,
+//! estimates, and counters are bit-identical at every thread count and
+//! cache warmth: per-pair evaluation is independent, chunk outputs
+//! concatenate back into candidate order, and each decision cell is
+//! filled once whichever worker reaches it first.
 
 use std::time::Instant;
 
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
-use plasma_lsh::bayes::{BayesLsh, PairDecision, PairEstimate, ProbeTable};
+use plasma_lsh::bayes::{BayesLsh, DecisionCells, PairDecision, PairEstimate, ProbeTable};
 use plasma_lsh::candidates;
 use plasma_lsh::family::LshFamily;
 use plasma_lsh::resolve_parallelism;
@@ -138,6 +141,11 @@ pub struct ApssStats {
     /// covered pairs (profile resumed, then deepened) count toward
     /// `hashes_compared` only. Always 0 for cache-less probes.
     pub cache_hits: u64,
+    /// Posterior evaluations: decision cells this probe filled. A probe
+    /// at a threshold its cache has already decided at fills none of the
+    /// cells the earlier probes filled, so a re-probe counts 0. The same
+    /// at every thread count.
+    pub posterior_evals: u64,
 }
 
 impl ApssStats {
@@ -150,6 +158,7 @@ impl ApssStats {
         self.exhausted += other.exhausted;
         self.hashes_compared += other.hashes_compared;
         self.cache_hits += other.cache_hits;
+        self.posterior_evals += other.posterior_evals;
     }
 }
 
@@ -215,8 +224,9 @@ pub fn apss_with_sketches(
     result
 }
 
-/// One worker's pair evaluator: a private `ProbeTable` plus the memo
-/// source its walks read and publish through (`None` = cold).
+/// One worker's pair evaluator: a `ProbeTable` over the call's shared
+/// decision cells plus the memo source its walks read and publish
+/// through (`None` = cold).
 struct PairEvaluator<'a> {
     table: ProbeTable<'a>,
     sketches: &'a SketchSet,
@@ -239,12 +249,12 @@ struct PairOutcome {
 impl<'a> PairEvaluator<'a> {
     fn new(
         engine: &'a BayesLsh,
+        cells: &'a DecisionCells,
         sketches: &'a SketchSet,
-        threshold: f64,
         memos: Option<&'a SharedKnowledgeCache>,
     ) -> Self {
         Self {
-            table: engine.probe_table(threshold),
+            table: engine.table_over(cells),
             sketches,
             memos,
             profiled: memos.is_some_and(|c| c.schedule_accepts(engine.params().batch)),
@@ -252,9 +262,11 @@ impl<'a> PairEvaluator<'a> {
     }
 
     /// Evaluates one pair: memo read → decision walk → similarity →
-    /// publish. `exact` carries the records and measure when accepted
-    /// pairs get their similarity recomputed exactly. The estimate is
-    /// bit-identical whatever the memos hold; only `new_hashes` varies.
+    /// publish. The walk runs on a copy of the pair's profile, outside
+    /// the stripe guard. `exact` carries the records and measure when
+    /// accepted pairs get their similarity recomputed exactly. The
+    /// estimate is bit-identical whatever the memos hold; only
+    /// `new_hashes` varies.
     // `#[inline]` here and on `load`/`publish`: out-of-line per-candidate
     // calls cost ~5 % of a contended warm probe.
     #[inline]
@@ -307,10 +319,10 @@ impl<'a> PairEvaluator<'a> {
 /// The one evaluation loop behind every probe: cold APSS and incremental
 /// blocks (`memos: None`), cached probes and watch deltas (`Some`).
 /// Chunks `cands` across [`eval_threads`] workers, each with a private
-/// [`PairEvaluator`] and stats partial, and concatenates chunk outputs
-/// back into candidate order — so pairs, estimates, and decision counters
-/// are bit-identical at every thread count and cache warmth. The caller
-/// owns the timings.
+/// [`PairEvaluator`] and stats partial over one shared decision table,
+/// and concatenates chunk outputs back into candidate order — so pairs,
+/// estimates, and decision counters are bit-identical at every thread
+/// count and cache warmth. The caller owns the timings.
 pub(crate) fn evaluate(
     records: &[SparseVector],
     measure: Similarity,
@@ -321,9 +333,13 @@ pub(crate) fn evaluate(
     memos: Option<&SharedKnowledgeCache>,
 ) -> ApssResult {
     let engine = BayesLsh::new(sketches.family(), cfg.bayes);
+    let cells = match memos {
+        Some(cache) => cache.decision_table(&engine, threshold, sketches.n_hashes()),
+        None => std::sync::Arc::new(engine.decision_cells(threshold, sketches.n_hashes())),
+    };
     let exact = cfg.exact_on_accept.then_some((records, measure));
     let eval_chunk = |chunk: &[(u32, u32)]| {
-        let mut eval = PairEvaluator::new(&engine, sketches, threshold, memos);
+        let mut eval = PairEvaluator::new(&engine, &cells, sketches, memos);
         let mut out = ApssResult::with_capacity(threshold, chunk.len());
         out.stats.candidates = chunk.len() as u64;
         for &(i, j) in chunk {
@@ -342,6 +358,7 @@ pub(crate) fn evaluate(
             }
             out.estimates.push((i, j, pair.estimate));
         }
+        out.stats.posterior_evals = eval.table.cells_filled();
         out
     };
     let threads = eval_threads(cfg, cands.len());
@@ -436,6 +453,23 @@ mod tests {
             },
         );
         assert!(banded.stats.candidates < exh.stats.candidates);
+    }
+
+    #[test]
+    fn posterior_evals_do_not_depend_on_the_thread_count() {
+        let records = small_dataset();
+        let run = |parallelism| {
+            let cfg = ApssConfig {
+                parallelism: Some(parallelism),
+                ..ApssConfig::default()
+            };
+            apss(&records, Similarity::Cosine, 0.7, &cfg).stats
+        };
+        let (one, four) = (run(1), run(4));
+        // Workers share one table, so each visited cell is filled once.
+        assert!(one.posterior_evals > 0);
+        assert_eq!(one.posterior_evals, four.posterior_evals);
+        assert_eq!(one.hashes_compared, four.hashes_compared);
     }
 
     #[test]

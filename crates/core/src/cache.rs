@@ -2,8 +2,8 @@
 //!
 //! §2.2.1: "The memoization can also be viewed as a knowledge cache,
 //! enabling one to speed up subsequent iterations of the algorithm by
-//! re-using previously computed and memoized information." Two layers are
-//! cached:
+//! re-using previously computed and memoized information." Four layers
+//! are cached:
 //!
 //! 1. **Sketches** — built once per dataset; §2.3.3 shows initial sketch
 //!    generation dominates perceived latency, so skipping it on re-probes
@@ -22,6 +22,11 @@
 //!    is pure recomputable acceleration — the candidate set it yields is
 //!    bit-identical to a cold rebuild, and dropping it (capacity
 //!    pressure, strategy-shape change) only costs a cold rebuild.
+//! 4. **Decision tables** — the Eq. 2.1/2.2 stopping-rule cells of each
+//!    probed threshold ([`DecisionCells`]), at most [`DECISION_TABLES`]
+//!    of them, least recently used dropped first. Every probe and watch
+//!    evaluation at a threshold decides from the same table, so each
+//!    posterior is evaluated once per corpus; a dropped table refills.
 //!
 //! # Sharing and determinism
 //!
@@ -83,7 +88,7 @@ use std::time::Instant;
 use plasma_data::hash::{FxHashMap, FxHasher};
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
-use plasma_lsh::bayes::{MatchProfile, PairEstimate};
+use plasma_lsh::bayes::{BayesLsh, DecisionCells, MatchProfile, PairEstimate};
 use plasma_lsh::candidates::BandBuckets;
 use plasma_lsh::sketch::SketchSet;
 
@@ -93,6 +98,16 @@ use crate::apss::{build_sketches, evaluate, ApssConfig, ApssResult};
 /// two well above typical core counts keeps contention negligible without
 /// making `len()`/snapshot walks expensive.
 pub const STRIPES: usize = 64;
+
+/// Decision tables a [`SharedKnowledgeCache`] keeps, one per probed
+/// threshold (and parameter set), least recently used dropped first. At
+/// ≈ 28 KB a table, a corpus holds at most ≈ 450 KB of them.
+pub const DECISION_TABLES: usize = 16;
+
+/// What identifies one decision table on a corpus: the threshold's bits,
+/// the stopping parameters' bits (`ε`, `δ`, `γ`, batch) and the hash
+/// count. The family is the corpus's own.
+type DecisionKey = (u64, [u64; 4], usize);
 
 /// Which memo a bounded cache sacrifices first when it must evict.
 ///
@@ -378,6 +393,12 @@ pub struct SharedKnowledgeCache {
     /// watches on one corpus share one slice per epoch instead of
     /// re-deriving it K times.
     delta_builds: AtomicU64,
+    /// The corpus's decision tables, most recently used last, at most
+    /// [`DECISION_TABLES`]. Every probe and watch evaluation at a
+    /// threshold shares its table, so each Eq. 2.1/2.2 cell is computed
+    /// once per corpus, not once per worker per probe. Not counted in
+    /// [`total_bytes`](Self::total_bytes).
+    decision_tables: Mutex<Vec<(DecisionKey, Arc<DecisionCells>)>>,
 }
 
 impl SharedKnowledgeCache {
@@ -432,6 +453,7 @@ impl SharedKnowledgeCache {
             bucket_bytes: AtomicUsize::new(0),
             bucket_build_records: AtomicU64::new(0),
             delta_builds: AtomicU64::new(0),
+            decision_tables: Mutex::new(Vec::new()),
         }
     }
 
@@ -644,9 +666,46 @@ impl SharedKnowledgeCache {
         *self.schedule_batch.get_or_init(|| batch) == batch
     }
 
+    /// The decision table `engine` probes this corpus with at
+    /// `threshold` over `n_hashes` hashes, shared with every other probe
+    /// at that threshold: found and refreshed, or created in place of the
+    /// least recently used one when [`DECISION_TABLES`] are resident.
+    pub(crate) fn decision_table(
+        &self,
+        engine: &BayesLsh,
+        threshold: f64,
+        n_hashes: usize,
+    ) -> Arc<DecisionCells> {
+        let p = engine.params();
+        let key = (
+            threshold.to_bits(),
+            [
+                p.epsilon.to_bits(),
+                p.delta.to_bits(),
+                p.gamma.to_bits(),
+                p.batch as u64,
+            ],
+            n_hashes,
+        );
+        let mut tables = self.decision_tables.lock().expect("decision table lock");
+        let entry = match tables.iter().position(|(k, _)| *k == key) {
+            Some(at) => tables.remove(at),
+            None => {
+                if tables.len() == DECISION_TABLES {
+                    tables.remove(0);
+                }
+                (key, Arc::new(engine.decision_cells(threshold, n_hashes)))
+            }
+        };
+        let cells = entry.1.clone();
+        tables.push(entry);
+        cells
+    }
+
     /// Snapshot of a pair's memoized profile and exact similarity (empty
     /// and `None` when unknown), refreshing the pair's recency so LRU
-    /// eviction sees the read.
+    /// eviction sees the read. The caller walks the copy outside the
+    /// stripe guard.
     #[inline]
     pub(crate) fn load(&self, key: (u32, u32)) -> (MatchProfile, Option<f64>) {
         let mut g = self.stripe(key).lock().expect("stripe lock");
@@ -1574,6 +1633,56 @@ mod tests {
         // And the pinned schedule still works afterwards.
         let again = cache.probe(&records, Similarity::Cosine, 0.9, &cfg);
         assert_eq!(again.stats.hashes_compared, 0);
+    }
+
+    #[test]
+    fn a_corpus_decides_each_threshold_once() {
+        let records = dataset();
+        let cfg = ApssConfig::default();
+        let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
+        let cache = SharedKnowledgeCache::new(sketches.clone());
+        for t in [0.9, 0.7, 0.5] {
+            let first = cache.probe(&records, Similarity::Cosine, t, &cfg);
+            let cold = apss_with_sketches(&records, Similarity::Cosine, &sketches, t, &cfg);
+            // A warm cache computes no decision the cold table did not.
+            assert!(first.stats.posterior_evals > 0, "t = {t}");
+            assert!(first.stats.posterior_evals <= cold.stats.posterior_evals);
+            let again = cache.probe(&records, Similarity::Cosine, t, &cfg);
+            assert_eq!(again.stats.posterior_evals, 0, "t = {t}: re-probe");
+            assert_same_output(&again, &cold, "re-probe vs fresh");
+        }
+        // One table per threshold, and past the cap the least recently
+        // used goes first.
+        let table = |t: f64| {
+            let engine = BayesLsh::new(sketches.family(), cfg.bayes);
+            cache.decision_table(&engine, t, sketches.n_hashes())
+        };
+        let at_half = table(0.5);
+        assert!(Arc::ptr_eq(&at_half, &table(0.5)));
+        for k in 0..DECISION_TABLES {
+            table(0.01 * k as f64);
+        }
+        assert_eq!(cache.decision_tables.lock().unwrap().len(), DECISION_TABLES);
+        assert!(!Arc::ptr_eq(&at_half, &table(0.5)), "0.5 was evicted");
+        let refill = cache.probe(&records, Similarity::Cosine, 0.5, &cfg);
+        assert!(refill.stats.posterior_evals > 0, "an evicted table refills");
+    }
+
+    #[test]
+    fn a_full_hit_stamps_recency_once_and_publishes_nothing() {
+        let records = dataset();
+        let cfg = ApssConfig::default();
+        let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
+        let cache = SharedKnowledgeCache::new(sketches);
+        cache.probe(&records, Similarity::Cosine, 0.6, &cfg);
+        let clock = cache.clock.load(Ordering::Relaxed);
+        let again = cache.probe(&records, Similarity::Cosine, 0.6, &cfg);
+        assert_eq!(again.stats.cache_hits, again.stats.candidates);
+        // One stamp per candidate (the read) and no publication.
+        assert_eq!(
+            cache.clock.load(Ordering::Relaxed) - clock,
+            again.stats.candidates
+        );
     }
 
     #[test]

@@ -42,6 +42,8 @@ impl KnnGraph {
         let n = records.len();
         let (sketches, _) = build_sketches(records, measure, cfg);
         let engine = BayesLsh::new(LshFamily::for_measure(measure), cfg.bayes);
+        // Every shard decides from one table, filling each cell once.
+        let cells = engine.decision_cells(floor, sketches.n_hashes());
         let total_pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
         let threads = crate::apss::eval_threads(cfg, total_pairs);
         // One shard streams each surviving pair of its rows straight
@@ -57,7 +59,7 @@ impl KnnGraph {
         // global order — so it could never enter the global top-K either.
         // Peak memory is O(threads · n · k) instead of the pair count.
         let eval_rows = |rows: std::ops::Range<usize>| -> Vec<Vec<(u32, f64)>> {
-            let mut table = engine.probe_table(floor);
+            let mut table = engine.table_over(&cells);
             let mut local: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
             for i in rows {
                 for j in (i + 1)..n {

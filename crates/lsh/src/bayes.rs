@@ -16,6 +16,8 @@
 //! are precomputed once per `(family, grid)` so each pair evaluation is a
 //! few hundred fused multiply-adds.
 
+use std::sync::OnceLock;
+
 use crate::family::LshFamily;
 use crate::sketch::SketchSet;
 
@@ -90,6 +92,9 @@ pub struct BayesLsh {
 /// Number of posterior grid points. 256 keeps tail probabilities accurate
 /// to well under the ε/γ values in use while staying cache-resident.
 const GRID: usize = 256;
+
+// A decision cell names its MAP grid point with a `u8`.
+const _: () = assert!(GRID <= 1 << 8);
 
 impl BayesLsh {
     /// Creates an engine for the family with the given stopping parameters.
@@ -184,6 +189,12 @@ impl BayesLsh {
 
     /// Posterior summary: (MAP, mean, variance).
     pub fn summarize(&self, post: &[f64]) -> (f64, f64, f64) {
+        let (map_i, mean, var) = self.summary(post);
+        (self.grid[map_i], mean, var)
+    }
+
+    /// [`summarize`](Self::summarize) with the MAP as its grid index.
+    fn summary(&self, post: &[f64]) -> (usize, f64, f64) {
         let mut map_i = 0;
         let mut best = -1.0;
         let mut mean = 0.0;
@@ -199,7 +210,7 @@ impl BayesLsh {
             let d = self.grid[i] - mean;
             var += w * d * d;
         }
-        (self.grid[map_i], mean, var)
+        (map_i, mean, var)
     }
 
     /// Evaluates one candidate pair from its sketches at threshold `t`,
@@ -212,24 +223,46 @@ impl BayesLsh {
             n = (n + self.params.batch).min(max_n);
             let m = sketches.matches(i, j, n);
             let cell = self.decide_with(m, n as u32, t, &mut scratch);
-            if let Some(est) = cell.settle(m, n, max_n) {
+            if let Some(est) = self.settle(cell, m, n, max_n) {
                 return est;
             }
         }
     }
 
-    /// Builds a lazily-filled decision table for probing at threshold `t`.
+    /// Builds a decision table for probing at threshold `t` that owns its
+    /// [`DecisionCells`], sized on first use from the sketches' hash
+    /// count.
     ///
     /// Per probe there are only `Σ_k n_k ≈ 1.2k` distinct `(m, n)` cells
     /// (batch schedule × match counts), so memoizing the stopping-rule
     /// decisions turns per-pair inference into table lookups — the
     /// precomputation BayesLSH relies on for its throughput.
     pub fn probe_table(&self, t: f64) -> ProbeTable<'_> {
+        self.table(t, Cells::Own(None))
+    }
+
+    /// An empty cell table for threshold `t` over this engine's batch
+    /// schedule and `n_hashes` hashes, for several [`ProbeTable`]s to
+    /// share ([`table_over`](Self::table_over)).
+    pub fn decision_cells(&self, t: f64, n_hashes: usize) -> DecisionCells {
+        DecisionCells::new(t, self.params.batch, n_hashes)
+    }
+
+    /// A decision table that reads and fills the shared `cells`. Every
+    /// table over one `DecisionCells` must come from an engine with the
+    /// same family and parameters, and evaluate sketches of the hash
+    /// count the cells were sized for.
+    pub fn table_over<'a>(&'a self, cells: &'a DecisionCells) -> ProbeTable<'a> {
+        self.table(cells.threshold, Cells::Shared(cells))
+    }
+
+    fn table<'a>(&'a self, threshold: f64, cells: Cells<'a>) -> ProbeTable<'a> {
         ProbeTable {
             engine: self,
-            threshold: t,
-            cells: plasma_data::hash::FxHashMap::default(),
+            threshold,
+            cells,
             scratch: Vec::new(),
+            filled: 0,
         }
     }
 
@@ -239,7 +272,8 @@ impl BayesLsh {
     /// every evaluation path applies them identically.
     fn decide_with(&self, m: u32, n: u32, t: f64, scratch: &mut Vec<f64>) -> Cell {
         self.posterior_into(m, n, scratch);
-        let (map, _mean, var) = self.summarize(scratch);
+        let (map_i, _mean, var) = self.summary(scratch);
+        let map = self.grid[map_i];
         let prune = self.tail_mass(scratch, t) < self.params.epsilon;
         let mut inside = 0.0;
         for (gi, &w) in scratch.iter().enumerate() {
@@ -249,49 +283,102 @@ impl BayesLsh {
         }
         let accept = 1.0 - inside < self.params.gamma;
         Cell {
+            var,
+            map_i: map_i as u8,
             prune,
             accept,
-            map,
-            var,
-        }
-    }
-}
-
-/// One memoized stopping-rule decision.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    prune: bool,
-    accept: bool,
-    map: f64,
-    var: f64,
-}
-
-impl Cell {
-    /// Estimate with this cell's posterior summary and the given decision.
-    fn as_estimate(self, decision: PairDecision, m: u32, n: u32) -> PairEstimate {
-        PairEstimate {
-            decision,
-            matches: m,
-            hashes: n,
-            map_similarity: self.map,
-            variance: self.var,
         }
     }
 
     /// Terminal estimate for a batch step at `(m, n)` of `max_n` hashes,
     /// or `None` when evaluation must continue. Pruning outranks
     /// acceptance, matching the rule order of Eqs. 2.1 and 2.2.
-    fn settle(self, m: u32, n: usize, max_n: usize) -> Option<PairEstimate> {
-        let decision = if self.prune {
+    fn settle(&self, cell: Cell, m: u32, n: usize, max_n: usize) -> Option<PairEstimate> {
+        let decision = if cell.prune {
             PairDecision::Pruned
-        } else if self.accept {
+        } else if cell.accept {
             PairDecision::Accepted
         } else if n == max_n {
             PairDecision::Exhausted
         } else {
             return None;
         };
-        Some(self.as_estimate(decision, m, n as u32))
+        Some(PairEstimate {
+            decision,
+            matches: m,
+            hashes: n as u32,
+            map_similarity: self.grid[cell.map_i as usize],
+            variance: cell.var,
+        })
+    }
+}
+
+/// One memoized stopping-rule decision: 16 bytes, so a whole threshold's
+/// table stays near 28 KB.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// Posterior variance.
+    var: f64,
+    /// Grid index of the posterior mode.
+    map_i: u8,
+    prune: bool,
+    accept: bool,
+}
+
+/// The stopping-rule decisions of one threshold, dense and race-safe.
+///
+/// A decision cell is a pure function of `(family, BayesParams, m, n, t)`,
+/// and the canonical schedule visits only `n_k = min(k·batch, n_hashes)`,
+/// so the cells form a triangle: step `k` holds `n_k + 1` cells, one per
+/// match count — 1 160 cells (≈ 28 KB) at the default 256 hashes in
+/// batches of 32. Each cell is a [`OnceLock`], filled at most once by
+/// whichever [`ProbeTable`] reaches it first, so any number of threads
+/// (and any number of probes at one threshold) share one table and the
+/// cells filled are exactly the distinct cells visited, at every thread
+/// count.
+pub struct DecisionCells {
+    threshold: f64,
+    /// Hash count the schedule was sized for.
+    n_hashes: usize,
+    /// Index of each step's `m = 0` cell.
+    offsets: Vec<usize>,
+    cells: Box<[OnceLock<Cell>]>,
+}
+
+impl DecisionCells {
+    fn new(threshold: f64, batch: usize, n_hashes: usize) -> Self {
+        let mut offsets = Vec::new();
+        let mut len = 0;
+        let mut n = 0;
+        while n < n_hashes {
+            n = (n + batch).min(n_hashes);
+            offsets.push(len);
+            len += n + 1;
+        }
+        Self {
+            threshold,
+            n_hashes,
+            offsets,
+            cells: (0..len).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The cell of batch step `step` at `m` matches, filling it from
+    /// `engine` on first use; `filled` counts the fills this caller ran.
+    fn get(
+        &self,
+        engine: &BayesLsh,
+        step: usize,
+        m: u32,
+        n: usize,
+        scratch: &mut Vec<f64>,
+        filled: &mut u64,
+    ) -> Cell {
+        debug_assert!(m as usize <= n && n <= self.n_hashes);
+        *self.cells[self.offsets[step] + m as usize].get_or_init(|| {
+            *filled += 1;
+            engine.decide_with(m, n as u32, self.threshold, scratch)
+        })
     }
 }
 
@@ -387,16 +474,28 @@ pub struct ProfiledEval {
 
 /// Lazily-filled `(m, n) → decision` table for one probe threshold.
 ///
-/// Tables are intentionally cheap to construct (an empty map plus a
-/// scratch buffer), so parallel pair evaluation hands each worker its own
-/// table instead of sharing one behind a lock; per-worker cells repopulate
-/// in a few hundred posterior evaluations.
+/// A table either owns its cells ([`BayesLsh::probe_table`]) or borrows
+/// a [`DecisionCells`] many tables share ([`BayesLsh::table_over`]):
+/// parallel workers, and successive probes at one threshold, then fill
+/// each cell once between them. Either way the table keeps its own
+/// posterior scratch buffer and counts the cells it filled
+/// ([`cells_filled`](Self::cells_filled)).
 pub struct ProbeTable<'a> {
     engine: &'a BayesLsh,
     threshold: f64,
-    cells: plasma_data::hash::FxHashMap<(u32, u32), Cell>,
+    cells: Cells<'a>,
     /// Reused posterior buffer: cell misses compute without allocating.
     scratch: Vec<f64>,
+    /// Cells this table filled.
+    filled: u64,
+}
+
+/// Where a [`ProbeTable`]'s cells live.
+enum Cells<'a> {
+    /// Borrowed from a table shared with other evaluators.
+    Shared(&'a DecisionCells),
+    /// Owned, sized from the first evaluation's hash count.
+    Own(Option<DecisionCells>),
 }
 
 impl ProbeTable<'_> {
@@ -405,14 +504,27 @@ impl ProbeTable<'_> {
         self.threshold
     }
 
-    fn cell(&mut self, m: u32, n: u32) -> Cell {
+    /// Posterior evaluations this table ran: the decision cells it filled
+    /// (cells another table already filled cost nothing).
+    pub fn cells_filled(&self) -> u64 {
+        self.filled
+    }
+
+    /// The decision at batch step `step` (`m` matches in `n` of `max_n`
+    /// hashes): a terminal estimate, or `None` to keep walking.
+    #[inline]
+    fn decide(&mut self, step: usize, m: u32, n: usize, max_n: usize) -> Option<PairEstimate> {
         let engine = self.engine;
-        let t = self.threshold;
-        let scratch = &mut self.scratch;
-        *self
-            .cells
-            .entry((m, n))
-            .or_insert_with(|| engine.decide_with(m, n, t, scratch))
+        let cells = match &mut self.cells {
+            Cells::Shared(cells) => *cells,
+            Cells::Own(slot) => match slot {
+                Some(cells) if cells.n_hashes == max_n => cells,
+                _ => slot.insert(engine.decision_cells(self.threshold, max_n)),
+            },
+        };
+        debug_assert_eq!(cells.n_hashes, max_n, "cells sized for other sketches");
+        let cell = cells.get(engine, step, m, n, &mut self.scratch, &mut self.filled);
+        engine.settle(cell, m, n, max_n)
     }
 
     /// Table-driven equivalent of [`BayesLsh::evaluate_pair`].
@@ -420,13 +532,26 @@ impl ProbeTable<'_> {
         let max_n = sketches.n_hashes();
         let batch = self.engine.params.batch;
         let mut n = 0usize;
+        let mut step = 0usize;
         loop {
             n = (n + batch).min(max_n);
             let m = sketches.matches(i, j, n);
-            if let Some(est) = self.cell(m, n as u32).settle(m, n, max_n) {
+            if let Some(est) = self.decide(step, m, n, max_n) {
                 return est;
             }
+            step += 1;
         }
+    }
+
+    /// Walks the canonical schedule over `profile`'s memoized match
+    /// counts alone, reading no sketch and changing nothing: the estimate
+    /// [`evaluate_profiled`](Self::evaluate_profiled) would return when a
+    /// covered step decides (a full cache hit), `None` when the walk
+    /// outruns the profile. `max_n` is the sketches' hash count.
+    pub fn replay(&mut self, profile: &MatchProfile, max_n: usize) -> Option<PairEstimate> {
+        let batch = self.engine.params.batch;
+        (profile.counts.iter().enumerate())
+            .find_map(|(step, &m)| self.decide(step, m, ((step + 1) * batch).min(max_n), max_n))
     }
 
     /// Evaluates a pair through its [`MatchProfile`], extending the
@@ -434,12 +559,12 @@ impl ProbeTable<'_> {
     ///
     /// The walk is the canonical fresh schedule (`n = batch, 2·batch, …`,
     /// stop at the first decisive cell), with each step's match count
-    /// either read from the profile (free) or computed incrementally via
-    /// [`SketchSet::matches_range`] and appended to the profile. The
-    /// returned estimate is therefore bit-identical to
-    /// [`evaluate_pair`](Self::evaluate_pair) regardless of how much of
-    /// the profile was already populated — the property the shared
-    /// knowledge cache's determinism guarantee rests on. Only
+    /// either read from the profile (free, [`replay`](Self::replay)) or
+    /// computed incrementally via [`SketchSet::matches_range`] and
+    /// appended to the profile. The returned estimate is therefore
+    /// bit-identical to [`evaluate_pair`](Self::evaluate_pair) regardless
+    /// of how much of the profile was already populated — the property
+    /// the shared knowledge cache's determinism guarantee rests on. Only
     /// [`ProfiledEval::new_hashes`] varies with cache warmth.
     pub fn evaluate_profiled(
         &mut self,
@@ -449,25 +574,25 @@ impl ProbeTable<'_> {
         profile: &mut MatchProfile,
     ) -> ProfiledEval {
         let max_n = sketches.n_hashes();
+        if let Some(estimate) = self.replay(profile, max_n) {
+            return ProfiledEval {
+                estimate,
+                new_hashes: 0,
+            };
+        }
         let batch = self.engine.params.batch;
         let mut new_hashes = 0u32;
-        let mut n_prev = 0usize;
-        let mut m_prev = 0u32;
-        let mut step = 0usize;
+        let mut step = profile.counts.len();
+        let mut n_prev = (step * batch).min(max_n);
+        let mut m_prev = profile.counts.last().copied().unwrap_or(0);
         loop {
             let n = ((step + 1) * batch).min(max_n);
-            let m = match profile.counts.get(step) {
-                Some(&m) => m,
-                None => {
-                    let m = m_prev + sketches.matches_range(i, j, n_prev, n);
-                    new_hashes += (n - n_prev) as u32;
-                    profile.counts.push(m);
-                    m
-                }
-            };
-            if let Some(est) = self.cell(m, n as u32).settle(m, n, max_n) {
+            let m = m_prev + sketches.matches_range(i, j, n_prev, n);
+            new_hashes += (n - n_prev) as u32;
+            profile.counts.push(m);
+            if let Some(estimate) = self.decide(step, m, n, max_n) {
                 return ProfiledEval {
-                    estimate: est,
+                    estimate,
                     new_hashes,
                 };
             }
@@ -486,6 +611,12 @@ mod tests {
 
     fn engine(fam: LshFamily) -> BayesLsh {
         BayesLsh::new(fam, BayesParams::default())
+    }
+
+    impl DecisionCells {
+        fn filled(&self) -> usize {
+            self.cells.iter().filter(|c| c.get().is_some()).count()
+        }
     }
 
     #[test]
@@ -579,14 +710,100 @@ mod tests {
         let c = SparseVector::from_set((500..650).collect());
         let sk = Sketcher::new(LshFamily::MinHash, 256, 4).sketch_all(&[a, b, c]);
         let e = engine(LshFamily::MinHash);
-        let mut table = e.probe_table(0.6);
+        let shared_cells = e.decision_cells(0.6, sk.n_hashes());
+        let mut owned = e.probe_table(0.6);
+        let mut shared = e.table_over(&shared_cells);
         for &(i, j) in &[(0usize, 1usize), (0, 2), (1, 2)] {
             let direct = e.evaluate_pair(&sk, i, j, 0.6);
-            let tabled = table.evaluate_pair(&sk, i, j);
-            assert_eq!(direct.decision, tabled.decision, "pair ({i},{j})");
-            assert_eq!(direct.matches, tabled.matches);
-            assert_eq!(direct.hashes, tabled.hashes);
-            assert!((direct.map_similarity - tabled.map_similarity).abs() < 1e-12);
+            for tabled in [
+                owned.evaluate_pair(&sk, i, j),
+                shared.evaluate_pair(&sk, i, j),
+            ] {
+                assert_eq!(direct.decision, tabled.decision, "pair ({i},{j})");
+                assert_eq!(direct.matches, tabled.matches);
+                assert_eq!(direct.hashes, tabled.hashes);
+                assert_eq!(
+                    direct.map_similarity.to_bits(),
+                    tabled.map_similarity.to_bits()
+                );
+                assert_eq!(direct.variance.to_bits(), tabled.variance.to_bits());
+            }
+        }
+        // A second table over the filled cells decides without evaluating
+        // a single posterior.
+        let mut again = e.table_over(&shared_cells);
+        for &(i, j) in &[(0usize, 1usize), (0, 2), (1, 2)] {
+            again.evaluate_pair(&sk, i, j);
+        }
+        assert_eq!(again.cells_filled(), 0);
+        assert_eq!(shared.cells_filled() as usize, shared_cells.filled());
+    }
+
+    #[test]
+    fn decision_cells_are_a_triangle_over_the_schedule() {
+        let e = engine(LshFamily::MinHash);
+        // Steps n = 32, 64, …, 256: Σ (n + 1) = 1 160 cells.
+        let cells = e.decision_cells(0.5, 256);
+        assert_eq!(cells.cells.len(), 1_160);
+        let bytes = std::mem::size_of_val(&*cells.cells);
+        assert!(bytes < 28 << 10, "{bytes} bytes");
+        // A ragged last step: n = 32, 64, 96, 100.
+        let ragged = e.decision_cells(0.5, 100);
+        assert_eq!(ragged.offsets, [0, 33, 33 + 65, 33 + 65 + 97]);
+        assert_eq!(ragged.cells.len(), 33 + 65 + 97 + 101);
+        assert_eq!(cells.filled(), 0);
+    }
+
+    #[test]
+    fn racing_threads_fill_each_shared_cell_once() {
+        let records: Vec<SparseVector> = (0..24u32)
+            .map(|r| SparseVector::from_set((r * 7..r * 7 + 40 + r % 5 * 9).collect()))
+            .collect();
+        let sk = Sketcher::new(LshFamily::MinHash, 256, 11).sketch_all(&records);
+        let pairs: Vec<(usize, usize)> = (0..records.len())
+            .flat_map(|i| (i + 1..records.len()).map(move |j| (i, j)))
+            .collect();
+        for t in [0.3, 0.7] {
+            let e = engine(LshFamily::MinHash);
+            let cells = e.decision_cells(t, sk.n_hashes());
+            let barrier = std::sync::Barrier::new(4);
+            let fills: u64 = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..4)
+                    .map(|w| {
+                        let (e, cells, sk, pairs, barrier) = (&e, &cells, &sk, &pairs, &barrier);
+                        scope.spawn(move || {
+                            let mut table = e.table_over(cells);
+                            barrier.wait();
+                            // Each racer walks every pair, from its own start.
+                            for k in 0..pairs.len() {
+                                let (i, j) = pairs[(k + w * 17) % pairs.len()];
+                                table.evaluate_pair(sk, i, j);
+                            }
+                            table.cells_filled()
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().expect("racer")).sum()
+            });
+            let mut reference = e.probe_table(t);
+            for &(i, j) in &pairs {
+                reference.evaluate_pair(&sk, i, j);
+            }
+            let Cells::Own(Some(own)) = &reference.cells else {
+                panic!("an evaluated owned table holds its cells")
+            };
+            assert_eq!(fills, reference.cells_filled(), "each cell filled once");
+            assert_eq!(fills as usize, cells.filled());
+            for (k, (raced, alone)) in cells.cells.iter().zip(own.cells.iter()).enumerate() {
+                match (raced.get(), alone.get()) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        assert_eq!(a.var.to_bits(), b.var.to_bits(), "cell {k}");
+                        assert_eq!((a.map_i, a.prune, a.accept), (b.map_i, b.prune, b.accept));
+                    }
+                    other => panic!("cell {k} filled on one side only: {other:?}"),
+                }
+            }
         }
     }
 

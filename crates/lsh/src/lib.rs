@@ -25,8 +25,9 @@
 //!   [`candidates::BandBuckets`] is the one banded join, serving cold,
 //!   incremental (new records only) and warm (`Arc` clone) candidates.
 //! * [`bayes`] — posterior inference and the memoized per-`(m, n)`
-//!   decision table ([`bayes::ProbeTable`]); tables are cheap to build, so
-//!   parallel callers give each worker its own.
+//!   decision table ([`bayes::ProbeTable`]); its cells
+//!   ([`bayes::DecisionCells`]) are race-safe, so parallel workers — and
+//!   every probe of one threshold on one corpus — fill each cell once.
 //!
 //! Thread counts everywhere follow one convention, resolved by
 //! [`resolve_parallelism`]: `None` means "all cores", `Some(k)` pins `k`

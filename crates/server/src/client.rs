@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 
 use crate::json::{self, Json};
 use crate::protocol::Request;
+use crate::server::LineBuffer;
 
 /// One received frame: the exact bytes off the wire plus their parse.
 #[derive(Debug, Clone)]
@@ -49,7 +50,7 @@ impl Frame {
 /// A blocking client over one connection.
 pub struct ProbeClient {
     stream: TcpStream,
-    buf: Vec<u8>,
+    inbound: LineBuffer,
     events: VecDeque<Frame>,
 }
 
@@ -60,7 +61,8 @@ impl ProbeClient {
         stream.set_nodelay(true)?;
         Ok(ProbeClient {
             stream,
-            buf: Vec::new(),
+            // The client trusts its server's frame lengths.
+            inbound: LineBuffer::new(usize::MAX),
             events: VecDeque::new(),
         })
     }
@@ -138,9 +140,7 @@ impl ProbeClient {
         let started = Instant::now();
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            if let Some(idx) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=idx).collect();
-                let raw = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+            if let Some(raw) = self.inbound.take_line() {
                 let json = json::parse(&raw).map_err(|e| {
                     std::io::Error::new(
                         ErrorKind::InvalidData,
@@ -160,7 +160,9 @@ impl ProbeClient {
                 .set_read_timeout(remaining.map(|r| r.min(Duration::from_millis(50))))?;
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Ok(None),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    self.inbound.push(&chunk[..n]);
+                }
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     if timeout.is_none() {
                         continue;

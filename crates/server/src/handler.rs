@@ -712,8 +712,13 @@ impl Connection {
             return refusal;
         }
         match catch_engine(|| session.probe(threshold)) {
-            Ok(report) => stale(report.epoch)
-                .unwrap_or_else(|| Interaction::reply(Response::from_probe(&report, report.epoch))),
+            Ok(report) => match stale(report.epoch) {
+                Some(refusal) => refusal,
+                None => {
+                    let epoch = report.epoch;
+                    Interaction::reply(Response::from_probe(report, epoch))
+                }
+            },
             Err(msg) => Interaction::error(ErrorCode::EnginePanic, msg),
         }
     }

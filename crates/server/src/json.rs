@@ -18,6 +18,8 @@
 //! a float accept either ([`Json::as_f64`]), so `1.0` surviving a trip as
 //! `1` still decodes exactly.
 
+use std::fmt::Write as _;
+
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -101,21 +103,13 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends [`encode`](Self::encode)'s bytes to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Float(f) => {
-                if f.is_finite() {
-                    // `{}` is Rust's shortest exact round-trip form; it may
-                    // drop the fraction ("1"), which decodes as Int — readers
-                    // accept both, so the value survives unchanged.
-                    out.push_str(&format!("{f}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Int(i) => write_int(*i, out),
+            Json::Float(f) => write_float(*f, out),
             Json::Str(s) => write_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -143,6 +137,23 @@ impl Json {
     }
 }
 
+/// Appends an integer token, formatting straight into `out`.
+pub(crate) fn write_int(i: i64, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{i}");
+}
+
+/// Appends a float token: `{}` is Rust's shortest exact round-trip form;
+/// it may drop the fraction ("1"), which decodes as Int — readers accept
+/// both, so the value survives unchanged. Non-finite floats write `null`.
+pub(crate) fn write_float(f: f64, out: &mut String) {
+    if f.is_finite() {
+        let _ = write!(out, "{f}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -152,7 +163,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

@@ -614,7 +614,61 @@ impl Response {
     /// newline). Canonical means: fixed field order, exact
     /// shortest-round-trip floats — equal frames iff equal values.
     pub fn encode(&self) -> String {
-        let value = match self {
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`encode`](Self::encode)'s bytes to `out`, so a
+    /// connection can reuse one buffer for every frame. A `probe_result`
+    /// — the frame that grows with the answer — is written straight into
+    /// `out` with no `Json` tree and no per-pair allocation; its bytes
+    /// equal the tree form's (pinned by a test).
+    pub fn encode_into(&self, out: &mut String) {
+        let Response::ProbeResult {
+            threshold,
+            epoch,
+            pairs,
+            candidates,
+            pruned,
+            cache_hits,
+            hashes_compared,
+        } = self
+        else {
+            return self.to_json().write(out);
+        };
+        out.push_str("{\"type\":\"probe_result\",\"threshold\":");
+        json::write_float(*threshold, out);
+        out.push_str(",\"epoch\":");
+        json::write_int(*epoch as i64, out);
+        out.push_str(",\"pairs\":[");
+        for (n, p) in pairs.iter().enumerate() {
+            out.push_str(if n == 0 { "[" } else { ",[" });
+            json::write_int(i64::from(p.i), out);
+            out.push(',');
+            json::write_int(i64::from(p.j), out);
+            out.push(',');
+            json::write_float(p.similarity, out);
+            out.push(']');
+        }
+        for (key, value) in [
+            ("],\"candidates\":", candidates),
+            (",\"pruned\":", pruned),
+            (",\"cache_hits\":", cache_hits),
+            (",\"hashes_compared\":", hashes_compared),
+        ] {
+            out.push_str(key);
+            json::write_int(*value as i64, out);
+        }
+        out.push('}');
+    }
+
+    /// The response as a `Json` tree. [`encode_into`](Self::encode_into)
+    /// writes every variant but `probe_result` through it; the
+    /// `probe_result` arm is the reference its direct writer is pinned
+    /// against.
+    fn to_json(&self) -> Json {
+        match self {
             Response::Published {
                 fingerprint,
                 records,
@@ -755,17 +809,16 @@ impl Response {
                 ("code", Json::Str(code.as_str().into())),
                 ("message", Json::Str(message.clone())),
             ]),
-        };
-        value.encode()
+        }
     }
 
-    /// Builds a `ProbeResult` from an engine report (dropping the
-    /// nondeterministic timing fields).
-    pub fn from_probe(report: &ProbeReport, epoch: u64) -> Response {
+    /// Builds a `ProbeResult` from an engine report, moving its pairs
+    /// (and dropping the nondeterministic timing fields).
+    pub fn from_probe(report: ProbeReport, epoch: u64) -> Response {
         Response::ProbeResult {
             threshold: report.threshold,
             epoch,
-            pairs: report.pairs.clone(),
+            pairs: report.pairs,
             candidates: report.candidates,
             pruned: report.pruned,
             cache_hits: report.cache_hits,
@@ -909,5 +962,57 @@ mod tests {
             .as_f64()
             .unwrap();
         assert_eq!(sim.to_bits(), (1.0f64 / 3.0).to_bits());
+    }
+
+    #[test]
+    fn direct_probe_result_writer_matches_the_json_tree() {
+        use rand::Rng;
+        let edges = [0.0, 1.0, -0.0, 5e-324, 0.1 + 0.2, 1e-7];
+        let mut rng = plasma_data::rng::seeded(37);
+        let mut frames = Vec::new();
+        for round in 0..40 {
+            // Round 0 answers with no pair at all.
+            let mut pairs: Vec<SimilarPair> = (0..rng.gen_range(0..200))
+                .map(|_| SimilarPair {
+                    i: rng.gen(),
+                    j: rng.gen(),
+                    similarity: rng.gen(),
+                })
+                .collect();
+            pairs.extend(edges.map(|similarity| SimilarPair {
+                i: 0,
+                j: u32::MAX,
+                similarity,
+            }));
+            if round == 0 {
+                pairs.clear();
+            }
+            frames.push(Response::ProbeResult {
+                threshold: if round < edges.len() {
+                    edges[round]
+                } else {
+                    rng.gen()
+                },
+                epoch: rng.gen_range(0..1 << 40),
+                pairs,
+                candidates: rng.gen(),
+                pruned: rng.gen(),
+                cache_hits: rng.gen_range(0..1 << 20),
+                hashes_compared: u64::MAX - round as u64,
+            });
+        }
+        let mut reused = String::new();
+        for frame in frames {
+            let tree = frame.to_json().encode();
+            assert_eq!(frame.encode(), tree);
+            reused.clear();
+            frame.encode_into(&mut reused);
+            assert_eq!(reused, tree);
+        }
+        // Every other frame appends its tree form to what is there.
+        let health = Response::Ready { ready: true };
+        let mut out = String::from("x");
+        health.encode_into(&mut out);
+        assert_eq!(out, format!("x{}", health.to_json().encode()));
     }
 }

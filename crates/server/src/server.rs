@@ -46,6 +46,11 @@ const POLL: Duration = Duration::from_millis(50);
 /// before the server closes it.
 const DRAIN_GRACE_TICKS: u32 = 4;
 
+/// Reply-buffer capacity a connection keeps between frames; a frame
+/// larger than this releases its buffer once written, so an idle
+/// connection does not hold its largest reply forever.
+const RETAINED_REPLY_BYTES: usize = 4 << 20;
+
 /// POLL ticks between background snapshot sweeps (durable servers only).
 const SNAPSHOT_TICKS: u32 = 20;
 
@@ -178,7 +183,10 @@ fn serve_connection(service: Arc<ProbeService>, stream: TcpStream) {
         return;
     };
     let conn = Arc::new(Connection::new(service.clone()));
-    let writer = Arc::new(Mutex::new(write_half));
+    let writer = Arc::new(Mutex::new(FrameSink {
+        stream: write_half,
+        buf: String::new(),
+    }));
     let closed = Arc::new(AtomicBool::new(false));
 
     let pusher = {
@@ -197,7 +205,7 @@ fn serve_connection(service: Arc<ProbeService>, stream: TcpStream) {
                 // reader's handle-then-write path.
                 let mut sink = writer.lock().expect("writer lock");
                 for frame in conn.drain_watch_frames() {
-                    if write_frame(&mut sink, &frame).is_err() {
+                    if sink.write(&frame).is_err() {
                         return;
                     }
                 }
@@ -217,20 +225,19 @@ fn read_loop(
     service: &Arc<ProbeService>,
     conn: &Arc<Connection>,
     mut stream: TcpStream,
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Arc<Mutex<FrameSink>>,
 ) {
-    let mut buf: Vec<u8> = Vec::new();
+    let mut inbound = LineBuffer::new(MAX_FRAME_BYTES);
     let mut chunk = [0u8; 16 * 1024];
     let mut drain_ticks = 0u32;
     loop {
         // Serve every complete frame already buffered.
-        while let Some(line) = take_line(&mut buf) {
+        while let Some(line) = inbound.take_line() {
             let interaction = match Request::decode(&line) {
                 Ok(request) => conn.handle_locked(writer, request),
                 Err((code, message)) => {
                     let mut sink = writer.lock().expect("writer lock");
-                    let frame = Response::Error { code, message };
-                    if write_frame(&mut sink, &frame).is_err() {
+                    if sink.write(&Response::Error { code, message }).is_err() {
                         return;
                     }
                     continue;
@@ -240,23 +247,19 @@ fn read_loop(
                 return;
             }
         }
-        if buf.len() > MAX_FRAME_BYTES {
-            // A peer streaming an endless line: answer once, hang up.
-            let mut sink = writer.lock().expect("writer lock");
-            let _ = write_frame(
-                &mut sink,
-                &Response::Error {
-                    code: crate::protocol::ErrorCode::MalformedFrame,
-                    message: format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
-                },
-            );
-            return;
-        }
         match stream.read(&mut chunk) {
             Ok(0) => return,
             Ok(n) => {
                 drain_ticks = 0;
-                buf.extend_from_slice(&chunk[..n]);
+                if !inbound.push(&chunk[..n]) {
+                    // A peer streaming an endless line: answer once, hang up.
+                    let mut sink = writer.lock().expect("writer lock");
+                    let _ = sink.write(&Response::Error {
+                        code: crate::protocol::ErrorCode::MalformedFrame,
+                        message: format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
+                    });
+                    return;
+                }
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if service.draining() {
@@ -272,20 +275,82 @@ fn read_loop(
     }
 }
 
-/// Splits the oldest complete line out of `buf`, if any.
-fn take_line(buf: &mut Vec<u8>) -> Option<String> {
-    let idx = buf.iter().position(|&b| b == b'\n')?;
-    let line: Vec<u8> = buf.drain(..=idx).collect();
-    // Invalid UTF-8 degrades lossily; the JSON decode then reports a
-    // structured malformed_frame rather than the connection dying.
-    Some(String::from_utf8_lossy(&line[..line.len() - 1]).into_owned())
+/// Inbound bytes not yet split into newline-delimited frames. A scan
+/// cursor means each byte is searched for a newline once, however many
+/// reads a frame spans, and a frame longer than the limit is refused
+/// before its bytes are buffered.
+pub(crate) struct LineBuffer {
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` known to hold no newline.
+    scanned: usize,
+    /// Longest frame accepted, newline excluded.
+    limit: usize,
 }
 
-fn write_frame(sink: &mut TcpStream, frame: &Response) -> std::io::Result<()> {
-    let mut bytes = frame.encode().into_bytes();
-    bytes.push(b'\n');
-    sink.write_all(&bytes)?;
-    sink.flush()
+impl LineBuffer {
+    /// An empty buffer refusing frames longer than `limit` bytes.
+    pub(crate) fn new(limit: usize) -> Self {
+        Self {
+            buf: Vec::new(),
+            scanned: 0,
+            limit,
+        }
+    }
+
+    /// Splits the oldest complete line out of the buffer, if any.
+    pub(crate) fn take_line(&mut self) -> Option<String> {
+        let Some(at) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+            self.scanned = self.buf.len();
+            return None;
+        };
+        let mut line: Vec<u8> = self.buf.drain(..=self.scanned + at).collect();
+        self.scanned = 0;
+        line.pop();
+        // Invalid UTF-8 degrades lossily; the JSON decode then reports a
+        // structured malformed_frame rather than the connection dying.
+        Some(
+            String::from_utf8(line)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+        )
+    }
+
+    /// Appends one read's bytes. Call it once every complete line is
+    /// taken; returns false, buffering nothing, when the frame the bytes
+    /// continue would exceed the limit.
+    pub(crate) fn push(&mut self, bytes: &[u8]) -> bool {
+        debug_assert_eq!(self.scanned, self.buf.len(), "take every line first");
+        let frame = bytes
+            .iter()
+            .position(|&b| b == b'\n')
+            .unwrap_or(bytes.len());
+        if self.buf.len() + frame > self.limit {
+            return false;
+        }
+        self.buf.extend_from_slice(bytes);
+        true
+    }
+}
+
+/// One connection's write half and the reply buffer it reuses for every
+/// frame.
+struct FrameSink {
+    stream: TcpStream,
+    buf: String,
+}
+
+impl FrameSink {
+    /// Encodes `frame` and a newline into the reused buffer and sends it.
+    fn write(&mut self, frame: &Response) -> std::io::Result<()> {
+        self.buf.clear();
+        frame.encode_into(&mut self.buf);
+        self.buf.push('\n');
+        let sent = self.stream.write_all(self.buf.as_bytes());
+        if self.buf.capacity() > RETAINED_REPLY_BYTES {
+            self.buf = String::new();
+        }
+        sent?;
+        self.stream.flush()
+    }
 }
 
 impl Connection {
@@ -294,15 +359,116 @@ impl Connection {
     /// response+events sequence. Returns `Err(())` when the peer is gone.
     fn handle_locked(
         self: &Arc<Self>,
-        writer: &Arc<Mutex<TcpStream>>,
+        writer: &Arc<Mutex<FrameSink>>,
         request: Request,
     ) -> Result<(), ()> {
         let mut sink = writer.lock().expect("writer lock");
         let Interaction { response, events } = self.handle(request);
-        write_frame(&mut sink, &response).map_err(|_| ())?;
+        sink.write(&response).map_err(|_| ())?;
         for event in &events {
-            write_frame(&mut sink, event).map_err(|_| ())?;
+            sink.write(event).map_err(|_| ())?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Feeds `bytes` to `inbound` in reads of `chunk` bytes, taking every
+    /// complete line after each read as the read loop does.
+    fn feed(inbound: &mut LineBuffer, bytes: &[u8], chunk: usize) -> Vec<String> {
+        let mut lines = Vec::new();
+        for read in bytes.chunks(chunk) {
+            assert!(inbound.push(read), "within the limit");
+            while let Some(line) = inbound.take_line() {
+                lines.push(line);
+            }
+        }
+        lines
+    }
+
+    #[test]
+    fn a_frame_split_across_many_reads_is_scanned_once() {
+        let frame = "{\"verb\":\"health\"}".repeat(500);
+        let mut inbound = LineBuffer::new(MAX_FRAME_BYTES);
+        let lines = feed(&mut inbound, format!("{frame}\n").as_bytes(), 7);
+        assert_eq!(lines, std::slice::from_ref(&frame));
+        assert_eq!(inbound.buf.len(), 0);
+        // Mid-frame, the cursor sits at the end of what is buffered.
+        assert!(inbound.push(&frame.as_bytes()[..100]));
+        assert_eq!(inbound.take_line(), None);
+        assert_eq!(inbound.scanned, 100);
+    }
+
+    #[test]
+    fn two_frames_in_one_read_are_both_taken() {
+        let mut inbound = LineBuffer::new(MAX_FRAME_BYTES);
+        let lines = feed(&mut inbound, b"{\"a\":1}\n{\"b\":2}\n{\"c\"", 1 << 10);
+        assert_eq!(lines, ["{\"a\":1}", "{\"b\":2}"]);
+        assert_eq!(
+            inbound.buf.len(),
+            "{\"c\"".len(),
+            "the partial third frame waits"
+        );
+        assert!(inbound.push(b":3}\n"));
+        assert_eq!(inbound.take_line().as_deref(), Some("{\"c\":3}"));
+        // Invalid UTF-8 degrades to a line the decoder refuses.
+        assert!(inbound.push(b"\xff\n"));
+        assert_eq!(inbound.take_line().as_deref(), Some("\u{fffd}"));
+    }
+
+    #[test]
+    fn an_oversize_frame_is_refused_before_it_is_buffered() {
+        let (limit, chunk) = (1_000, 64);
+        let mut inbound = LineBuffer::new(limit);
+        // A frame of exactly the limit passes.
+        let exact = "x".repeat(limit);
+        assert_eq!(
+            feed(&mut inbound, format!("{exact}\n").as_bytes(), chunk),
+            [exact]
+        );
+        // One byte more is refused at the read that would cross the
+        // limit, with the buffer still under it.
+        let endless = vec![b'y'; 10 * limit];
+        let mut refused = false;
+        for read in endless.chunks(chunk) {
+            if !inbound.push(read) {
+                refused = true;
+                break;
+            }
+            assert_eq!(inbound.take_line(), None);
+        }
+        assert!(refused, "an endless line is refused");
+        assert!(inbound.buf.len() <= limit && inbound.buf.len() + chunk > limit);
+    }
+
+    #[test]
+    fn the_server_answers_an_oversize_frame_with_malformed_frame() {
+        let service = Arc::new(ProbeService::new());
+        let server = ProbeServer::start(service, "127.0.0.1:0").expect("bind");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut reader = stream.try_clone().expect("clone");
+        let sender = thread::spawn(move || {
+            let block = vec![b'z'; 1 << 20];
+            for _ in 0..=MAX_FRAME_BYTES >> 20 {
+                if stream.write_all(&block).is_err() {
+                    return;
+                }
+            }
+        });
+        // The server hangs up on unread bytes, so the reply may be
+        // followed by a reset rather than EOF.
+        let mut reply = Vec::new();
+        let mut buf = [0u8; 4096];
+        while let Ok(n @ 1..) = reader.read(&mut buf) {
+            reply.extend_from_slice(&buf[..n]);
+        }
+        let reply = String::from_utf8(reply).expect("UTF-8 reply");
+        assert!(reply.starts_with("{\"type\":\"error\",\"code\":\"malformed_frame\""));
+        assert!(reply.ends_with("bytes\"}\n"), "{reply}");
+        sender.join().expect("sender");
+        server.stop();
     }
 }

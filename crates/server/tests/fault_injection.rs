@@ -104,7 +104,7 @@ fn disconnect_mid_watch_stream_cancels_watch_and_spares_survivors() {
     let expect_2 = survivor_watch.drain();
     let expect_probe = {
         let report = session.probe(0.6);
-        Response::from_probe(&report, session.epoch()).encode()
+        Response::from_probe(report, session.epoch()).encode()
     };
     let encode_delta = |deltas: Vec<plasma_core::WatchDelta>| {
         let mut frames = deltas

@@ -106,7 +106,7 @@ fn recorded_frames_equal_direct_library_calls() {
     let probe_frame = |session: &mut StreamingSession, threshold: f64| {
         let report = session.probe(threshold);
         let epoch = session.epoch();
-        Response::from_probe(&report, epoch).encode()
+        Response::from_probe(report, epoch).encode()
     };
     assert_eq!(trace.entries[3].response, probe_frame(&mut session, 0.5));
 
