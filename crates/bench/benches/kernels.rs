@@ -34,6 +34,20 @@ fn bench_sketching(c: &mut Criterion) {
             b.iter(|| sk.sketch_all(&corpus.records));
         });
     }
+    // A cosine-corpus ingest: three records appended to a 1 000-record
+    // set, so the batch reuses almost no dimension.
+    let ingest = CorpusSpec::new("bench", 1003, 4000, 6).generate(2);
+    let (base, batch) = ingest.records.split_at(1000);
+    let sk = Sketcher::new(LshFamily::SimHash, 256, 7);
+    let set = sk.sketch_all(base);
+    g.throughput(Throughput::Elements(batch.len() as u64));
+    g.bench_function(BenchmarkId::new("simhash_extend_batch_3", 256), |b| {
+        b.iter(|| {
+            let mut grown = set.clone();
+            sk.extend_batch(batch, &mut grown);
+            grown
+        })
+    });
     g.finish();
 }
 

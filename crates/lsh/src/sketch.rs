@@ -26,23 +26,32 @@
 //!
 //! # Kernel shape
 //!
-//! Both families run **dim-outer, lane-inner**: each record's dimensions
-//! are streamed once, and every hash lane is updated in the inner loop.
-//! The item-dependent half of the keyed hash ([`spread_item`]) is computed
-//! once per dimension instead of once per `(dimension, lane)` pair, and
-//! the per-lane state (`n_hashes` running minima, or `n_hashes` running
-//! dot products) stays cache-resident across the whole record. The values
-//! produced are bit-identical to the textbook lane-outer formulation —
-//! minima are order-free and each lane's dot product still accumulates
-//! dimensions in record order.
+//! **MinHash** runs dim-outer, lane-inner: each record's dimensions are
+//! streamed once, the item-dependent half of the keyed hash
+//! ([`spread_item`]) is computed once per dimension, and blocks of eight
+//! running minima stay in registers. Minima are order-free, so the values
+//! equal the textbook lane-outer formulation.
+//!
+//! **SimHash** tabulates hyperplanes once per shard. A hyperplane
+//! component costs a keyed hash and a Box–Muller transform (`ln`, `sqrt`,
+//! `cos`), and a text corpus repeats each dimension across many records.
+//! So the kernel collects the shard's distinct dimensions and fills a
+//! tile of their components eight lanes at a time: 64 B per distinct
+//! dimension, plus one `u32` row index per non-zero. Every record then
+//! accumulates its weighted tile rows in record order. Each lane adds the
+//! same `f64` values in the same order from `+0.0` as the lane-outer
+//! formulation, so the sign bits are identical to it. The saving is the
+//! shard's dimension reuse (non-zeros per distinct dimension); with no
+//! reuse the kernel costs one component per (non-zero, lane), as the
+//! lane-outer formulation does, plus a sort of the shard's dimensions.
 //!
 //! # Parallelism
 //!
-//! [`Sketcher::sketch_all`], [`Sketcher::extend_sketches`], and
-//! [`Sketcher::extend_batch`] shard the record range across threads: the
-//! flat output buffer is pre-sized and split into disjoint per-shard
-//! slices (`par_chunks_mut`), so workers write without synchronization
-//! and the result is bit-identical for every thread count.
+//! [`Sketcher::sketch_all`] and [`Sketcher::extend_batch`] shard the
+//! record range across threads: the flat output buffer is pre-sized and
+//! split into disjoint per-shard slices (`par_chunks_mut`), so workers
+//! write without synchronization and the result is bit-identical for
+//! every thread count. Each SimHash shard builds its own tile.
 //! [`Sketcher::with_parallelism`] pins the thread count (`Some(1)` =
 //! sequential, `None` = all cores).
 //!
@@ -50,9 +59,10 @@
 //!
 //! A corpus that grows while sessions probe it appends records with
 //! [`Sketcher::extend_batch`]: the new records are sketched into the
-//! existing flat buffer (in parallel, bit-identical to one-at-a-time
-//! [`Sketcher::sketch_into`] appends), the old sketches stay byte-for-byte
-//! untouched, and the set's [`SketchSet::epoch`] counter advances by one.
+//! segmented store (in parallel, bit-identical to sketching the whole
+//! corpus at once, however it is split into batches), the old sketches
+//! stay byte-for-byte untouched, and the set's [`SketchSet::epoch`]
+//! counter advances by one.
 //! The epoch is what lets a knowledge cache distinguish "the same corpus,
 //! grown" (old pair memos remain valid — see
 //! `plasma_core::cache::SharedKnowledgeCache::grow`) from "a different
@@ -100,14 +110,14 @@ impl Sketcher {
             family,
             n_hashes,
             seed,
-            lane_keys: lane_keys(family, seed, 0, n_hashes),
+            lane_keys: lane_keys(family, seed, n_hashes),
             parallelism: None,
             segment_records: None,
         }
     }
 
     /// Pins the thread count used by [`sketch_all`](Self::sketch_all) and
-    /// [`extend_sketches`](Self::extend_sketches). `Some(1)` forces the
+    /// [`extend_batch`](Self::extend_batch). `Some(1)` forces the
     /// sequential path; `None` (the default) uses all cores. Output is
     /// bit-identical either way.
     pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
@@ -141,9 +151,10 @@ impl Sketcher {
         self.family
     }
 
-    /// Sketches every record, sharding across threads. Runtime is
-    /// `O(records · nnz · n_hashes / threads)` with one streaming pass
-    /// over each record's dimensions.
+    /// Sketches every record, sharding across threads. MinHash costs
+    /// `O(nnz · n_hashes / threads)` keyed hashes; SimHash costs one
+    /// hyperplane component per (distinct dimension of a shard, lane) and
+    /// one multiply-add per (non-zero, lane).
     pub fn sketch_all(&self, records: &[SparseVector]) -> SketchSet {
         let mut set =
             SketchSet::with_segments(self.family, self.n_hashes, self.seed, self.seg_shift());
@@ -182,47 +193,18 @@ impl Sketcher {
         buf
     }
 
-    /// Appends one record's sketch to `set`. The per-dim hash scratch
-    /// (spread/dot buffers) is hoisted into a thread-local and reused
-    /// across calls, the same way the bulk kernels hoist it across a
-    /// shard's records — a record-at-a-time ingest loop allocates once
-    /// per thread, not once per record. Does not touch
-    /// [`SketchSet::epoch`]; versioned growth goes through
-    /// [`extend_batch`](Self::extend_batch).
-    pub fn sketch_into(&self, record: &SparseVector, set: &mut SketchSet) {
-        debug_assert_eq!(set.family, self.family);
-        debug_assert_eq!(set.n_hashes, self.n_hashes);
-        debug_assert_eq!(set.seed, self.seed, "hash seed mismatch in sketch_into");
-        APPEND_SCRATCH.with(|scratch| {
-            let s = &mut *scratch.borrow_mut();
-            s.words.clear();
-            s.words.resize(set.stride, 0);
-            match self.family {
-                LshFamily::MinHash => {
-                    minhash_lanes(record, &self.lane_keys, &mut s.words, &mut s.spreads);
-                }
-                LshFamily::SimHash => {
-                    simhash_lanes(record, &self.lane_keys, 0, &mut s.words, &mut s.dots);
-                }
-            }
-            set.append_words(&s.words, 1);
-        });
-    }
-
-    /// Appends a batch of records to an existing set — the amortized
-    /// streaming-ingest form of [`sketch_into`](Self::sketch_into). New
-    /// records are sketched in parallel into pre-sized disjoint slices of
-    /// the flat buffer (same dim-outer kernels and sharding as
+    /// Appends a batch of records to an existing set — the streaming
+    /// ingest path. New records are sketched in parallel into pre-sized
+    /// disjoint slices of a flat buffer (same kernels and sharding as
     /// [`sketch_all`](Self::sketch_all)); existing sketches are untouched
     /// byte for byte, so the grown set is an exact prefix-extension of
     /// the old one and every memo over old pairs stays valid. Each
     /// non-empty batch advances [`SketchSet::epoch`] by one; an empty
     /// batch is a no-op that leaves the epoch alone.
     ///
-    /// The appended sketches are bit-identical to both one-at-a-time
-    /// `sketch_into` appends and a from-scratch
-    /// [`sketch_all`](Self::sketch_all) over the full corpus, at every
-    /// thread count.
+    /// The appended sketches are bit-identical to a from-scratch
+    /// [`sketch_all`](Self::sketch_all) over the full corpus, however the
+    /// records are split into batches and at every thread count.
     ///
     /// ```
     /// use plasma_data::vector::SparseVector;
@@ -272,96 +254,18 @@ impl Sketcher {
     }
 
     /// Sequentially sketches a contiguous shard of records into its
-    /// pre-sized slice of the flat buffer.
+    /// pre-sized, zeroed slice of the flat buffer.
     fn sketch_shard(&self, records: &[SparseVector], out: &mut [u64]) {
         let stride = SketchSet::stride_for(self.family, self.n_hashes);
-        let mut scratch = Scratch::default();
-        for (k, record) in records.iter().enumerate() {
-            self.sketch_record(record, &mut out[k * stride..(k + 1) * stride], &mut scratch);
-        }
-    }
-
-    /// Sketches one record into its (zeroed) output slice. `scratch`
-    /// holds the reusable spread/dot buffers so a shard allocates once,
-    /// not once per record.
-    fn sketch_record(&self, record: &SparseVector, out: &mut [u64], scratch: &mut Scratch) {
         match self.family {
-            LshFamily::MinHash => minhash_lanes(record, &self.lane_keys, out, &mut scratch.spreads),
-            LshFamily::SimHash => simhash_lanes(record, &self.lane_keys, 0, out, &mut scratch.dots),
-        }
-    }
-
-    /// Extends an existing sketch set to `new_n` hashes per record,
-    /// recomputing only the added hashes. Because every hash position is
-    /// keyed independently, the extended set's prefix is bit-identical to
-    /// the original — so cached `(m, n)` pair memos remain valid and the
-    /// knowledge cache can grow its resolution instead of rebuilding
-    /// (§2.2.1's re-use across iterations, applied to sketches).
-    pub fn extend_sketches(
-        &self,
-        records: &[SparseVector],
-        existing: &SketchSet,
-        new_n: usize,
-    ) -> SketchSet {
-        assert_eq!(existing.family, self.family);
-        assert_eq!(existing.seed, self.seed, "hash seed mismatch");
-        assert_eq!(
-            existing.len(),
-            records.len(),
-            "record/sketch count mismatch"
-        );
-        assert!(
-            new_n >= existing.n_hashes,
-            "extension cannot shrink a sketch ({new_n} < {})",
-            existing.n_hashes
-        );
-        let n = records.len();
-        let old_n = existing.n_hashes;
-        let tail_keys = lane_keys(self.family, self.seed, old_n, new_n);
-        let mut out = SketchSet::with_segments(self.family, new_n, self.seed, self.seg_shift());
-        // Same corpus, higher resolution: the growth lineage carries over.
-        out.epoch = existing.epoch;
-        if n == 0 {
-            return out;
-        }
-        let new_stride = out.stride;
-        let mut buf = vec![0u64; n * new_stride];
-        let threads = self.threads_for(n).min(n);
-        let extend_shard = |lo: usize, records: &[SparseVector], slice: &mut [u64]| {
-            let mut scratch = Scratch::default();
-            for (k, record) in records.iter().enumerate() {
-                let dst = &mut slice[k * new_stride..(k + 1) * new_stride];
-                let old = existing.sketch(lo + k);
-                dst[..old.len()].copy_from_slice(old);
-                match self.family {
-                    LshFamily::MinHash => {
-                        minhash_lanes(record, &tail_keys, &mut dst[old_n..], &mut scratch.spreads);
-                    }
-                    LshFamily::SimHash => {
-                        // Clear stale bits the old final word may carry
-                        // past `old_n`, then pack the new lanes at their
-                        // absolute positions.
-                        if !old_n.is_multiple_of(64) {
-                            dst[old_n / 64] &= (1u64 << (old_n % 64)) - 1;
-                        }
-                        simhash_lanes(record, &tail_keys, old_n, dst, &mut scratch.dots);
-                    }
+            LshFamily::MinHash => {
+                let mut spreads = Vec::new();
+                for (record, words) in records.iter().zip(out.chunks_exact_mut(stride)) {
+                    minhash_lanes(record, &self.lane_keys, words, &mut spreads);
                 }
             }
-        };
-        if threads <= 1 {
-            extend_shard(0, records, &mut buf);
-        } else {
-            let shard_records = n.div_ceil(threads);
-            buf.par_chunks_mut(shard_records * new_stride)
-                .enumerate_for_each(|shard, slice| {
-                    let lo = shard * shard_records;
-                    let hi = (lo + shard_records).min(n);
-                    extend_shard(lo, &records[lo..hi], slice);
-                });
+            LshFamily::SimHash => simhash_shard(records, &self.lane_keys, stride, out),
         }
-        out.append_words(&buf, n);
-        out
     }
 
     /// Thread count for a whole-dataset pass over `records` records.
@@ -373,39 +277,15 @@ impl Sketcher {
     }
 }
 
-/// The per-lane key schedule: `seed ^ h·MUL` for `h` in `[from, to)`.
-fn lane_keys(family: LshFamily, seed: u64, from: usize, to: usize) -> Vec<u64> {
+/// The per-lane key schedule: `seed ^ h·MUL` for lane `h` in `0..n_hashes`.
+fn lane_keys(family: LshFamily, seed: u64, n_hashes: usize) -> Vec<u64> {
     let mul = match family {
         LshFamily::MinHash => MINHASH_LANE_MUL,
         LshFamily::SimHash => SIMHASH_LANE_MUL,
     };
-    (from..to)
+    (0..n_hashes)
         .map(|h| seed ^ (h as u64).wrapping_mul(mul))
         .collect()
-}
-
-/// Reusable per-shard scratch buffers (dim spreads for MinHash, lane dot
-/// products for SimHash, plus a one-record word staging buffer for the
-/// append path).
-#[derive(Default)]
-struct Scratch {
-    spreads: Vec<u64>,
-    dots: Vec<f64>,
-    words: Vec<u64>,
-}
-
-thread_local! {
-    /// The append path's scratch, hoisted across [`Sketcher::sketch_into`]
-    /// calls: a record-at-a-time ingest loop reuses one spread/dot/word
-    /// buffer per thread instead of reallocating per record, mirroring the
-    /// per-shard hoist of the bulk kernels.
-    static APPEND_SCRATCH: std::cell::RefCell<Scratch> = const {
-        std::cell::RefCell::new(Scratch {
-            spreads: Vec::new(),
-            dots: Vec::new(),
-            words: Vec::new(),
-        })
-    };
 }
 
 /// Lanes per register block of the MinHash kernel: eight independent
@@ -453,37 +333,57 @@ fn minhash_lanes(record: &SparseVector, keys: &[u64], out: &mut [u64], spreads: 
     }
 }
 
-/// Dim-outer SimHash: one [`spread_item`] per dimension, all lanes' dot
-/// products accumulated in the inner loop, then signs packed into `words`
-/// starting at absolute bit position `first_lane`. Each lane's sum visits
-/// dimensions in record order, so results match the lane-outer
-/// formulation bit for bit.
-fn simhash_lanes(
-    record: &SparseVector,
-    keys: &[u64],
-    first_lane: usize,
-    words: &mut [u64],
-    dots: &mut Vec<f64>,
-) {
-    dots.clear();
-    dots.resize(keys.len(), 0.0);
-    for (d, w) in record.iter() {
-        let spread = spread_item(d);
-        for (acc, &key) in dots.iter_mut().zip(keys) {
-            *acc += w * gaussian_from_hash(keyed_hash_spread(key, spread));
+/// Lanes per hyperplane tile of the SimHash kernel. A tile row is eight
+/// `f64` components, one 64-byte cache line, and eight lanes always share
+/// one sign word.
+const PLANE_TILE: usize = 8;
+
+/// Tiled SimHash over one shard (see "Kernel shape" in the module docs):
+/// one tile of [`PLANE_TILE`] lanes per distinct dimension at a time, then
+/// every record's sign bits for those lanes.
+fn simhash_shard(records: &[SparseVector], keys: &[u64], stride: usize, out: &mut [u64]) {
+    let mut dims: Vec<u32> = records.iter().flat_map(|r| r.dims()).copied().collect();
+    dims.sort_unstable();
+    dims.dedup();
+    let rows: Vec<u32> = records
+        .iter()
+        .flat_map(|r| r.dims())
+        .map(|d| dims.binary_search(d).expect("every dim was collected") as u32)
+        .collect();
+    let spreads: Vec<u64> = dims.iter().map(|&d| spread_item(d)).collect();
+    let mut tile = vec![[0.0f64; PLANE_TILE]; dims.len()];
+    for (t, tile_keys) in keys.chunks(PLANE_TILE).enumerate() {
+        for (row, &spread) in tile.iter_mut().zip(&spreads) {
+            for (c, &key) in row.iter_mut().zip(tile_keys) {
+                *c = gaussian_from_hash(keyed_hash_spread(key, spread));
+            }
         }
-    }
-    for (k, &dot) in dots.iter().enumerate() {
-        if dot >= 0.0 {
-            let h = first_lane + k;
-            words[h / 64] |= 1u64 << (h % 64);
+        // A short last tile leaves stale components past `tile_keys.len()`;
+        // their sums are computed and never read.
+        let first = t * PLANE_TILE;
+        let mut nz = rows.as_slice();
+        for (record, words) in records.iter().zip(out.chunks_exact_mut(stride)) {
+            let (record_rows, rest) = nz.split_at(record.nnz());
+            nz = rest;
+            let mut acc = [0.0f64; PLANE_TILE];
+            for (&r, &w) in record_rows.iter().zip(record.weights()) {
+                let row = &tile[r as usize];
+                for l in 0..PLANE_TILE {
+                    acc[l] += w * row[l];
+                }
+            }
+            let mut bits = 0u64;
+            for (l, &dot) in acc[..tile_keys.len()].iter().enumerate() {
+                bits |= u64::from(dot >= 0.0) << l;
+            }
+            words[first / 64] |= bits << (first % 64);
         }
     }
 }
 
 /// Pseudo-random standard-normal component of a hyperplane at one
-/// dimension, derived from the already-keyed hash `h` so planes never
-/// need materializing (two 32-bit halves → Box–Muller).
+/// dimension, derived from the already-keyed hash `h` (two 32-bit halves
+/// → Box–Muller).
 #[inline]
 fn gaussian_from_hash(h: u64) -> f64 {
     let u1 = (((h >> 32) as u32 as f64) + 1.0) / (u32::MAX as f64 + 2.0);
@@ -666,8 +566,7 @@ impl SketchSet {
     }
 
     /// The growth epoch: 0 for a freshly built set, advanced by one for
-    /// every non-empty [`Sketcher::extend_batch`]. Single-record
-    /// [`Sketcher::sketch_into`] appends do not version the set.
+    /// every non-empty [`Sketcher::extend_batch`].
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -1036,19 +935,54 @@ mod tests {
                 assert_eq!(sk.minhash_value(i, h), expect, "record {i} lane {h}");
             }
         }
-        let dense: Vec<SparseVector> = (0..4)
-            .map(|k| SparseVector::from_dense(&[0.5 + k as f64, -1.0, 2.5, 0.1 * k as f64]))
+        // SimHash: sparse records sharing dims across records, an empty
+        // record, a zero weight (a cancelled duplicate survives
+        // `from_pairs`), negative and 1e-300 weights; every tile width,
+        // and four threads, so that from 59 lanes up (`MIN_PARALLEL_WORK`)
+        // shards build separate tiles.
+        let mut sparse: Vec<SparseVector> = (0..140)
+            .map(|_| {
+                let pairs = (0..12)
+                    .map(|_| (rng.gen_range(0..90u32), rng.gen_range(-2.0..2.0)))
+                    .collect();
+                SparseVector::from_pairs(pairs)
+            })
             .collect();
-        let sh = Sketcher::new(LshFamily::SimHash, 70, seed).sketch_all(&dense);
-        for (i, r) in dense.iter().enumerate() {
-            for h in 0..70usize {
-                let key = seed ^ (h as u64).wrapping_mul(SIMHASH_LANE_MUL);
-                let mut dot = 0.0f64;
-                for (d, w) in r.iter() {
-                    dot += w * gaussian_from_hash(keyed_hash(key, d));
+        sparse[3] = SparseVector::new();
+        sparse[40] = SparseVector::from_pairs(vec![(3, 1.0), (3, -1.0), (7, -2.5)]);
+        sparse[41] = SparseVector::from_pairs(vec![(5, 1e-300), (11, -1e-300), (60, 1e-300)]);
+        sparse[100] = SparseVector::from_pairs(vec![(5, 1e-300)]);
+        sparse[139] = SparseVector::from_pairs(vec![(7, -0.5), (89, -1.0)]);
+        assert_eq!(sparse[40].weights(), &[0.0, -2.5]);
+        for n_hashes in [1usize, 7, 8, 9, 63, 64, 65, 256] {
+            let expect: Vec<Vec<u64>> = sparse
+                .iter()
+                .map(|r| {
+                    let mut words = vec![0u64; n_hashes.div_ceil(64)];
+                    for h in 0..n_hashes {
+                        let key = seed ^ (h as u64).wrapping_mul(SIMHASH_LANE_MUL);
+                        let mut dot = 0.0f64;
+                        for (d, w) in r.iter() {
+                            dot += w * gaussian_from_hash(keyed_hash(key, d));
+                        }
+                        if dot >= 0.0 {
+                            words[h / 64] |= 1 << (h % 64);
+                        }
+                    }
+                    words
+                })
+                .collect();
+            for threads in [1, 4] {
+                let sh = Sketcher::new(LshFamily::SimHash, n_hashes, seed)
+                    .with_parallelism(Some(threads))
+                    .sketch_all(&sparse);
+                for (i, words) in expect.iter().enumerate() {
+                    assert_eq!(
+                        sh.sketch(i),
+                        &words[..],
+                        "{n_hashes} lanes, {threads} threads, record {i}"
+                    );
                 }
-                let bit = (sh.sketch(i)[h / 64] >> (h % 64)) & 1;
-                assert_eq!(bit == 1, dot >= 0.0, "record {i} lane {h}");
             }
         }
     }
@@ -1077,24 +1011,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_extension_is_bit_identical() {
-        let mut rng = seeded(321);
-        let records: Vec<SparseVector> = (0..48).map(|_| random_set(&mut rng, 900, 64)).collect();
-        for fam in [LshFamily::MinHash, LshFamily::SimHash] {
-            let base = Sketcher::new(fam, 96, 9).sketch_all(&records);
-            let serial = Sketcher::new(fam, 96, 9)
-                .with_parallelism(Some(1))
-                .extend_sketches(&records, &base, 256);
-            let par = Sketcher::new(fam, 96, 9)
-                .with_parallelism(Some(4))
-                .extend_sketches(&records, &base, 256);
-            for i in 0..records.len() {
-                assert_eq!(par.sketch(i), serial.sketch(i), "{fam:?} record {i}");
-            }
-        }
-    }
-
-    #[test]
     fn sketch_into_append_matches_bulk() {
         let mut rng = seeded(55);
         let records: Vec<SparseVector> = (0..10).map(|_| random_set(&mut rng, 300, 30)).collect();
@@ -1103,39 +1019,11 @@ mod tests {
             let bulk = sketcher.sketch_all(&records);
             let mut appended = SketchSet::empty(fam, 80, 3);
             for r in &records {
-                sketcher.sketch_into(r, &mut appended);
+                sketcher.extend_batch(std::slice::from_ref(r), &mut appended);
             }
             assert_eq!(appended.len(), bulk.len());
             for i in 0..records.len() {
                 assert_eq!(appended.sketch(i), bulk.sketch(i), "{fam:?} record {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn extension_preserves_prefix_and_matches_fresh() {
-        let mut rng = seeded(31);
-        let records: Vec<SparseVector> = (0..8).map(|_| random_set(&mut rng, 800, 60)).collect();
-        for fam in [LshFamily::MinHash, LshFamily::SimHash] {
-            let small = Sketcher::new(fam, 64, 9).sketch_all(&records);
-            let extended = Sketcher::new(fam, 64, 9).extend_sketches(&records, &small, 192);
-            let fresh = Sketcher::new(fam, 192, 9).sketch_all(&records);
-            assert_eq!(extended.n_hashes(), 192);
-            for i in 0..records.len() {
-                for j in (i + 1)..records.len() {
-                    // Prefix identical to the small sketches…
-                    assert_eq!(
-                        extended.matches(i, j, 64),
-                        small.matches(i, j, 64),
-                        "{fam:?} prefix mismatch"
-                    );
-                    // …and the whole thing identical to a fresh sketch.
-                    assert_eq!(
-                        extended.matches(i, j, 192),
-                        fresh.matches(i, j, 192),
-                        "{fam:?} full mismatch"
-                    );
-                }
             }
         }
     }
@@ -1154,10 +1042,10 @@ mod tests {
             sketcher.extend_batch(&records[21..], &mut streamed);
             assert_eq!(streamed.len(), bulk.len());
             assert_eq!(streamed.epoch(), 3, "{fam:?}: one bump per batch");
-            // …and one-at-a-time appends: all three paths byte-equal.
+            // …and one-record batches: all three paths byte-equal.
             let mut appended = SketchSet::empty(fam, 96, 5);
             for r in &records {
-                sketcher.sketch_into(r, &mut appended);
+                sketcher.extend_batch(std::slice::from_ref(r), &mut appended);
             }
             for i in 0..records.len() {
                 assert_eq!(streamed.sketch(i), bulk.sketch(i), "{fam:?} record {i}");
@@ -1197,9 +1085,8 @@ mod tests {
 
     #[test]
     fn append_then_bulk_equals_bulk_then_append() {
-        // The satellite micro-assert: mixing the hoisted-scratch append
-        // path with batch extension in either order produces byte-equal
-        // sketch sets.
+        // Mixing one-record batches with a multi-record batch in either
+        // order produces byte-equal sketch sets.
         let mut rng = seeded(99);
         let records: Vec<SparseVector> = (0..12).map(|_| random_set(&mut rng, 400, 35)).collect();
         for fam in [LshFamily::MinHash, LshFamily::SimHash] {
@@ -1207,14 +1094,14 @@ mod tests {
             // Append records 0..6 one at a time, then batch-extend 6..12.
             let mut append_first = SketchSet::empty(fam, 80, 11);
             for r in &records[..6] {
-                sketcher.sketch_into(r, &mut append_first);
+                sketcher.extend_batch(std::slice::from_ref(r), &mut append_first);
             }
             sketcher.extend_batch(&records[6..], &mut append_first);
             // Batch-extend 0..6 onto an empty set, then append 6..12.
             let mut bulk_first = SketchSet::empty(fam, 80, 11);
             sketcher.extend_batch(&records[..6], &mut bulk_first);
             for r in &records[6..] {
-                sketcher.sketch_into(r, &mut bulk_first);
+                sketcher.extend_batch(std::slice::from_ref(r), &mut bulk_first);
             }
             assert_eq!(append_first.len(), bulk_first.len());
             assert_eq!(append_first.epoch(), bulk_first.epoch());
@@ -1252,15 +1139,6 @@ mod tests {
         let other_family = Sketcher::new(LshFamily::SimHash, 32, 4)
             .sketch_all(&[SparseVector::from_dense(&[1.0, 2.0])]);
         assert!(!other_family.is_prefix_of(&grown_same));
-    }
-
-    #[test]
-    fn extension_to_same_size_is_identity() {
-        let v = SparseVector::from_set(vec![1, 2, 3, 4, 5]);
-        let records = vec![v.clone(), v];
-        let sk = Sketcher::new(LshFamily::MinHash, 32, 2).sketch_all(&records);
-        let ext = Sketcher::new(LshFamily::MinHash, 32, 2).extend_sketches(&records, &sk, 32);
-        assert_eq!(ext.sketch(0), sk.sketch(0));
     }
 
     #[test]
