@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the hot kernels every figure's wall-clock
 //! claims rest on: sketching, BayesLSH pair evaluation, the skewed banded
-//! join, triangle counting, LAM localization + mining, crossing counting,
-//! and the energy iteration.
+//! join, warm knowledge-cache re-probes, triangle counting, LAM
+//! localization + mining, crossing counting, and the energy iteration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -131,6 +131,62 @@ fn bench_banded_join_skewed(c: &mut Criterion) {
     g.finish();
 }
 
+/// Warm re-probes of one knowledge cache: a 400-document cosine corpus
+/// (SimHash, 32 bands of 8), every threshold of a 0.9 → 0.5 ladder
+/// probed once to fill the memos. Each iteration re-probes the ladder —
+/// every candidate a full hit — from one thread, or from two threads
+/// sharing the cache, as two connections on one corpus do.
+fn bench_knowledge_cache(c: &mut Criterion) {
+    use plasma_core::apss::{build_sketches, ApssConfig, CandidateStrategy};
+    use plasma_core::SharedKnowledgeCache;
+    const LADDER: [f64; 9] = [0.9, 0.85, 0.8, 0.75, 0.7, 0.65, 0.6, 0.55, 0.5];
+    let corpus = CorpusSpec::new("bench", 400, 4000, 6).generate(5);
+    let cfg = ApssConfig {
+        candidates: CandidateStrategy::Banded {
+            bands: 32,
+            width: 8,
+        },
+        parallelism: Some(1),
+        ..ApssConfig::default()
+    };
+    let (sketches, _) = build_sketches(&corpus.records, Similarity::Cosine, &cfg);
+    let cache = SharedKnowledgeCache::new(sketches);
+    let sweep = || {
+        LADDER
+            .iter()
+            .map(|&t| {
+                let r = cache.probe(&corpus.records, Similarity::Cosine, t, &cfg);
+                assert_eq!(
+                    r.stats.hashes_compared, 0,
+                    "a warm re-probe compares nothing"
+                );
+                r.stats.candidates
+            })
+            .sum::<u64>()
+    };
+    // The first sweep fills the memos (it compares hashes, so `sweep`'s
+    // assertion would fail on it).
+    for &t in &LADDER {
+        cache.probe(&corpus.records, Similarity::Cosine, t, &cfg);
+    }
+    let candidates = sweep();
+    let mut g = c.benchmark_group("knowledge_cache");
+    g.throughput(Throughput::Elements(candidates));
+    g.bench_function("warm_reprobe/1_thread", |b| b.iter(sweep));
+    // Two sweeps per iteration, one per thread: per-candidate time is
+    // comparable with the one-thread row only on two free cores.
+    g.throughput(Throughput::Elements(2 * candidates));
+    g.bench_function("warm_reprobe/2_threads", |b| {
+        b.iter(|| {
+            std::thread::scope(|s| {
+                let other = s.spawn(sweep);
+                sweep() + other.join().expect("re-probe thread panicked")
+            })
+        })
+    });
+    g.finish();
+}
+
 fn bench_bayeslsh(c: &mut Criterion) {
     let ds = GaussianSpec::new("bench", 200, 10, 4).generate(3);
     let sketches = Sketcher::new(LshFamily::SimHash, 256, 5).sketch_all(&ds.records);
@@ -244,6 +300,6 @@ fn bench_energy(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_sketching, bench_parallel_sketching, bench_bayeslsh, bench_parallel_pair_evaluation, bench_banded_join_skewed, bench_triangles, bench_lam, bench_crossings, bench_energy
+    targets = bench_sketching, bench_parallel_sketching, bench_bayeslsh, bench_parallel_pair_evaluation, bench_banded_join_skewed, bench_knowledge_cache, bench_triangles, bench_lam, bench_crossings, bench_energy
 }
 criterion_main!(kernels);

@@ -2,8 +2,8 @@
 //!
 //! Runs the scenarios the interactive-speed promise rests on — N sessions
 //! sweeping thresholds over one `SharedKnowledgeCache`, the same sweep
-//! under a byte cap, the posterior work of first and repeated probes,
-//! the banded join over a Zipf-skewed corpus whose hottest bucket holds
+//! under a byte cap, the posterior work and the memo copies of first and
+//! repeated probes, the banded join over a Zipf-skewed corpus whose hottest bucket holds
 //! most records, streaming ingest with carried memos,
 //! fixed batches into a ~10×-growing corpus, a ladder of threshold
 //! watches, a warm restart from snapshot + WAL, and the serial load
@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use plasma_core::apss::{build_sketches, ApssConfig};
+use plasma_core::apss::{build_sketches, ApssConfig, ApssStats};
 use plasma_core::cache::{CacheCapacity, CacheMemoryStats, CacheRegistry};
 use plasma_core::durable::{self, CorpusStore};
 use plasma_core::{SharedKnowledgeCache, StreamingSession};
@@ -112,6 +112,8 @@ pub const SNAPSHOT: &[(&str, Kind, Gate)] = &[
     ("bounded_cache.evicted_entries", Count, Recorded),
     ("posterior_evals.first_probe", CountList, Exact),
     ("posterior_evals.second_probe", CountList, Exact),
+    ("memo_clones.first_probe", CountList, Exact),
+    ("memo_clones.second_probe", CountList, Exact),
     ("banded_skew.records", Count, Exact),
     ("banded_skew.hot_bucket_share", Ratio, Recorded),
     ("banded_skew.hot_bucket_pairs", Count, Exact),
@@ -208,6 +210,7 @@ pub fn measure(seed: u64) -> Json {
             "posterior_evals",
             measure_posterior_evals(&ds.records, ds.measure),
         ),
+        ("memo_clones", measure_memo_clones(&ds.records, ds.measure)),
         ("banded_skew", measure_banded_skew_sized(1000)),
         ("streaming", measure_streaming_sized(100, 40, 3)),
         // Fixed 200-record batches growing the corpus 200 → 2000 (10×).
@@ -556,14 +559,37 @@ const POSTERIOR_SWEEP: [f64; 3] = [0.5, 0.7, 0.9];
 /// and evaluates no posterior. The count is the same at every thread
 /// count, because all workers fill one table.
 fn measure_posterior_evals(records: &[SparseVector], measure: Similarity) -> Json {
+    probe_twice(records, measure, &POSTERIOR_SWEEP, |s| s.posterior_evals)
+}
+
+/// Thresholds the memo-copy shape probes, each twice in a row. Descending,
+/// so each first probe deepens profiles the previous threshold left.
+const MEMO_SWEEP: [f64; 3] = [0.9, 0.7, 0.5];
+
+/// The memo-copy shape: one fresh cache over the fixed corpus, probed
+/// twice at each threshold of [`MEMO_SWEEP`]. Records each probe's
+/// `memo_clones` — the non-empty profiles it copied out of the cache. A
+/// first probe copies one per partial hit (none at the top threshold,
+/// where the cache is empty); the second reads every profile in place and
+/// copies none.
+fn measure_memo_clones(records: &[SparseVector], measure: Similarity) -> Json {
+    probe_twice(records, measure, &MEMO_SWEEP, |s| s.memo_clones)
+}
+
+/// Probes one fresh cache over `records` twice at each of `sweep`, in
+/// order, and records `stat` of every probe as `first_probe` and
+/// `second_probe` lists.
+fn probe_twice(
+    records: &[SparseVector],
+    measure: Similarity,
+    sweep: &[f64],
+    stat: fn(&ApssStats) -> u64,
+) -> Json {
     let cfg = ApssConfig::default();
     let (sketches, _) = build_sketches(records, measure, &cfg);
     let cache = SharedKnowledgeCache::new(sketches);
-    let probe = |t| count(cache.probe(records, measure, t, &cfg).stats.posterior_evals);
-    let (first, second) = POSTERIOR_SWEEP
-        .iter()
-        .map(|&t| (probe(t), probe(t)))
-        .unzip();
+    let probe = |t| count(stat(&cache.probe(records, measure, t, &cfg).stats));
+    let (first, second) = sweep.iter().map(|&t| (probe(t), probe(t))).unzip();
     json::obj(vec![
         ("first_probe", Json::Arr(first)),
         ("second_probe", Json::Arr(second)),
@@ -827,6 +853,7 @@ mod tests {
         "peak_memo_bytes": 65536, "hit_rate_unbounded": 0.81, "hit_rate": 0.55,
         "evicted_entries": 1234},
       "posterior_evals": {"first_probe": [610, 540, 420], "second_probe": [0, 0, 0]},
+      "memo_clones": {"first_probe": [0, 3100, 7400], "second_probe": [0, 0, 0]},
       "banded_skew": {"records": 1000, "hot_bucket_share": 0.61, "hot_bucket_pairs": 185745,
         "total_pairs": 1600000, "candidates": 250000},
       "streaming": {"batches": 3, "batch_records": 40, "final_records": 220,
@@ -907,7 +934,7 @@ mod tests {
         // One top-level member per line, the benchmark id first.
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[1], "  \"benchmark\": \"apss\",");
-        assert_eq!(lines.len(), 2 + 10, "{text}");
+        assert_eq!(lines.len(), 2 + 11, "{text}");
         let doc = json::parse(&text).expect("rendered snapshot parses");
         assert_eq!(doc, fixture());
         validate_snapshot_json(&text).expect("every table path resolves");
@@ -1005,6 +1032,40 @@ mod tests {
             schema_problems("posterior_evals", tree),
             Vec::<String>::new()
         );
+    }
+
+    #[test]
+    fn compare_flags_a_regressed_memo_clone_count() {
+        // A re-probe that copies a profile out of the cache again, or a
+        // first probe that copies one more than the baseline, fails.
+        let doc = fixture().encode();
+        for (path, value) in [
+            ("memo_clones.second_probe[1]", 1),
+            ("memo_clones.first_probe[1]", 3101),
+        ] {
+            let problems = compare_snapshots(&with(path, count(value)), &doc)
+                .expect_err("memo copies drifted");
+            let list = path.strip_suffix("[1]").expect("a list element");
+            assert!(flagged(&problems, list), "{path}: {problems:?}");
+        }
+    }
+
+    #[test]
+    fn memo_clone_measurement_copies_only_partial_hits() {
+        let ds = GaussianSpec::new("bench", 60, 10, 4).generate(3);
+        let tree = measure_memo_clones(&ds.records, ds.measure);
+        let doc = json::obj(vec![("memo_clones", tree.clone())]);
+        let list = |path: &str| -> Vec<u64> {
+            let items = lookup(&doc, path).and_then(Json::as_arr).expect(path);
+            items.iter().map(|v| v.as_u64().expect("count")).collect()
+        };
+        let first = list("memo_clones.first_probe");
+        assert_eq!(first.len(), MEMO_SWEEP.len());
+        // The top threshold finds an empty cache; the lower ones resume.
+        assert_eq!(first[0], 0, "{first:?}");
+        assert!(first[1..].iter().all(|&n| n > 0), "{first:?}");
+        assert_eq!(list("memo_clones.second_probe"), [0, 0, 0]);
+        assert_eq!(schema_problems("memo_clones", tree), Vec::<String>::new());
     }
 
     #[test]

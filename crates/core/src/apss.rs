@@ -24,7 +24,9 @@ use std::time::Instant;
 
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
-use plasma_lsh::bayes::{BayesLsh, DecisionCells, PairDecision, PairEstimate, ProbeTable};
+use plasma_lsh::bayes::{
+    BayesLsh, DecisionCells, MatchProfile, PairDecision, PairEstimate, ProbeTable,
+};
 use plasma_lsh::candidates;
 use plasma_lsh::family::LshFamily;
 use plasma_lsh::resolve_parallelism;
@@ -32,7 +34,7 @@ use plasma_lsh::sketch::{SketchSet, Sketcher};
 use plasma_lsh::BayesParams;
 use rayon::prelude::*;
 
-use crate::cache::SharedKnowledgeCache;
+use crate::cache::{MemoRead, SharedKnowledgeCache};
 
 /// How candidate pairs are generated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,6 +148,11 @@ pub struct ApssStats {
     /// cells the earlier probes filled, so a re-probe counts 0. The same
     /// at every thread count.
     pub posterior_evals: u64,
+    /// Non-empty match profiles this probe copied out of a knowledge
+    /// cache: one per partial hit, resumed outside the stripe guard. A
+    /// full hit reads its profile in place and copies nothing, so a
+    /// re-probe at an already-probed threshold counts 0.
+    pub memo_clones: u64,
 }
 
 impl ApssStats {
@@ -159,6 +166,7 @@ impl ApssStats {
         self.hashes_compared += other.hashes_compared;
         self.cache_hits += other.cache_hits;
         self.posterior_evals += other.posterior_evals;
+        self.memo_clones += other.memo_clones;
     }
 }
 
@@ -235,6 +243,8 @@ struct PairEvaluator<'a> {
     /// schedule; a mismatched walk runs cold but still reuses (and
     /// publishes) exact similarities.
     profiled: bool,
+    /// Non-empty profiles copied out of the cache (partial hits).
+    memo_clones: u64,
 }
 
 /// What one pair evaluation produced.
@@ -258,17 +268,19 @@ impl<'a> PairEvaluator<'a> {
             sketches,
             memos,
             profiled: memos.is_some_and(|c| c.schedule_accepts(engine.params().batch)),
+            memo_clones: 0,
         }
     }
 
     /// Evaluates one pair: memo read → decision walk → similarity →
-    /// publish. The walk runs on a copy of the pair's profile, outside
-    /// the stripe guard. `exact` carries the records and measure when
+    /// publish. A full hit decides from the resident profile under the
+    /// stripe's shared guard; any other walk resumes from a copy (or from
+    /// nothing) outside it. `exact` carries the records and measure when
     /// accepted pairs get their similarity recomputed exactly. The
     /// estimate is bit-identical whatever the memos hold; only
     /// `new_hashes` varies.
-    // `#[inline]` here and on `load`/`publish`: out-of-line per-candidate
-    // calls cost ~5 % of a contended warm probe.
+    // `#[inline]` here and on `replay`/`publish`: out-of-line
+    // per-candidate calls cost ~5 % of a contended warm probe.
     #[inline]
     fn step(
         &mut self,
@@ -277,20 +289,27 @@ impl<'a> PairEvaluator<'a> {
         exact: Option<(&[SparseVector], Similarity)>,
     ) -> PairOutcome {
         let (key, a, b) = ((i, j), i as usize, j as usize);
-        let (mut profile, known_exact) = match self.memos {
-            Some(cache) => cache.load(key),
-            None => Default::default(),
+        let table = self.profiled.then_some(&mut self.table);
+        let (read, known_exact) = match self.memos {
+            Some(cache) => cache.replay(key, table, self.sketches.n_hashes()),
+            None => (MemoRead::Resume(MatchProfile::new()), None),
         };
-        let had_profile = !profile.is_empty();
-        // Evaluate without holding any lock.
-        let (estimate, new_hashes) = if self.profiled {
-            let out = self
-                .table
-                .evaluate_profiled(self.sketches, a, b, &mut profile);
-            (out.estimate, out.new_hashes)
-        } else {
-            let est = self.table.evaluate_pair(self.sketches, a, b);
-            (est, est.hashes)
+        // Compare hashes without holding any lock.
+        let (estimate, new_hashes, profile) = match read {
+            MemoRead::Decided(estimate) => (estimate, 0, None),
+            MemoRead::Resume(mut profile) if self.profiled => {
+                if !profile.is_empty() {
+                    self.memo_clones += 1;
+                }
+                let out = self
+                    .table
+                    .evaluate_profiled(self.sketches, a, b, &mut profile);
+                (out.estimate, out.new_hashes, Some(profile))
+            }
+            MemoRead::Resume(_) => {
+                let est = self.table.evaluate_pair(self.sketches, a, b);
+                (est, est.hashes, None)
+            }
         };
         let mut fresh_exact = None;
         let similarity = (estimate.decision != PairDecision::Pruned).then(|| match exact {
@@ -302,11 +321,9 @@ impl<'a> PairEvaluator<'a> {
             None => estimate.map_similarity,
         });
         if let Some(cache) = self.memos {
-            // A full cache hit publishes nothing — it re-derived only
+            // A full cache hit publishes no profile — it re-derived only
             // already-published knowledge.
-            let memo =
-                (self.profiled && (new_hashes > 0 || !had_profile)).then_some((profile, estimate));
-            cache.publish(key, memo, fresh_exact);
+            cache.publish(key, profile.map(|p| (p, estimate)), fresh_exact);
         }
         PairOutcome {
             estimate,
@@ -359,6 +376,7 @@ pub(crate) fn evaluate(
             out.estimates.push((i, j, pair.estimate));
         }
         out.stats.posterior_evals = eval.table.cells_filled();
+        out.stats.memo_clones = eval.memo_clones;
         out
     };
     let threads = eval_threads(cfg, cands.len());

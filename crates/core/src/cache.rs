@@ -31,12 +31,19 @@
 //! # Sharing and determinism
 //!
 //! [`SharedKnowledgeCache`] is the concurrent form: the memo maps are
-//! **lock-striped** across [`STRIPES`] shards keyed by pair hash, probes
-//! take `&self`, and workers publish memos into their stripe as they
-//! evaluate — there is no global lock and no single-threaded fold. Many
-//! sessions probing the same corpus at different thresholds share one
-//! sketch set and one memo pool ([`StreamingSession::with_shared_cache`],
-//! [`CacheRegistry`]).
+//! **lock-striped** across [`STRIPES`] reader-writer shards keyed by pair
+//! hash, probes take `&self`, and workers publish memos into their stripe
+//! as they evaluate — there is no global lock and no single-threaded
+//! fold. Many sessions probing the same corpus at different thresholds
+//! share one sketch set and one memo pool
+//! ([`StreamingSession::with_shared_cache`], [`CacheRegistry`]).
+//!
+//! A re-probe reads under a *shared* stripe guard and writes nothing
+//! shared: a full hit decides from the resident profile in place, with
+//! no copy, and an unbounded cache (which never evicts) keeps no recency
+//! stamp. Only a partial hit copies its profile out, and only a walk that
+//! learned something takes the exclusive guard to publish it. Hash
+//! comparison never runs under any guard.
 //!
 //! Sharing does not cost reproducibility, because profile-backed
 //! evaluation is *confluent*: a probe's pairs, estimates, and decision
@@ -82,13 +89,13 @@
 //! [`MatchProfile`]: plasma_lsh::bayes::MatchProfile
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use plasma_data::hash::{FxHashMap, FxHasher};
 use plasma_data::similarity::Similarity;
 use plasma_data::vector::SparseVector;
-use plasma_lsh::bayes::{BayesLsh, DecisionCells, MatchProfile, PairEstimate};
+use plasma_lsh::bayes::{BayesLsh, DecisionCells, MatchProfile, PairEstimate, ProbeTable};
 use plasma_lsh::candidates::BandBuckets;
 use plasma_lsh::sketch::SketchSet;
 
@@ -96,7 +103,9 @@ use crate::apss::{build_sketches, evaluate, ApssConfig, ApssResult};
 
 /// Number of lock stripes in a [`SharedKnowledgeCache`]. A fixed power of
 /// two well above typical core counts keeps contention negligible without
-/// making `len()`/snapshot walks expensive.
+/// making `len()`/snapshot walks expensive. Each stripe is a reader-writer
+/// lock aligned to 128 bytes of its own, so readers on two cores share a
+/// stripe's guard and never write to a neighbouring stripe's cache line.
 pub const STRIPES: usize = 64;
 
 /// Decision tables a [`SharedKnowledgeCache`] keeps, one per probed
@@ -119,9 +128,10 @@ type DecisionKey = (u64, [u64; 4], usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
     /// Evict the pair touched longest ago (reads and publications both
-    /// refresh recency). Ties — possible only between pairs never touched
-    /// since the same probe — fall back to dropping the shallowest
-    /// profile first, the cheapest knowledge to rebuild.
+    /// refresh recency, in a bounded cache only: an unbounded one never
+    /// evicts, so it keeps no stamp). Ties — possible only between pairs
+    /// never touched since the same probe — fall back to dropping the
+    /// shallowest profile first, the cheapest knowledge to rebuild.
     #[default]
     LeastRecentlyUsed,
     /// Evict the pair with the fewest covered batch steps first (recency
@@ -217,8 +227,11 @@ struct PairMemo {
     /// dot products. A pure function of the record pair, so publication
     /// is idempotent.
     exact: Option<f64>,
-    /// Monotonic recency stamp from the cache's touch clock.
-    last_used: u64,
+    /// Recency stamp from the cache's touch clock, kept only in a bounded
+    /// cache. Atomic so a read can stamp under the shared stripe guard; a
+    /// stamp only ever rises (`fetch_max`), so for any serialized history
+    /// it is exactly the last touch's.
+    last_used: AtomicU64,
 }
 
 impl PairMemo {
@@ -256,12 +269,16 @@ impl Stripe {
                 .entries
                 .iter()
                 .min_by_key(|(key, memo)| match policy {
-                    EvictionPolicy::LeastRecentlyUsed => {
-                        (memo.last_used, memo.profile.covered_steps() as u64, **key)
-                    }
-                    EvictionPolicy::ShallowestFirst => {
-                        (memo.profile.covered_steps() as u64, memo.last_used, **key)
-                    }
+                    EvictionPolicy::LeastRecentlyUsed => (
+                        memo.last_used.load(Ordering::Relaxed),
+                        memo.profile.covered_steps() as u64,
+                        **key,
+                    ),
+                    EvictionPolicy::ShallowestFirst => (
+                        memo.profile.covered_steps() as u64,
+                        memo.last_used.load(Ordering::Relaxed),
+                        **key,
+                    ),
                 })
                 .map(|(key, _)| *key)
                 .expect("non-empty entry map has a minimum");
@@ -273,6 +290,33 @@ impl Stripe {
         }
         evicted
     }
+}
+
+/// A stripe's reader-writer lock on 128 bytes of its own: two cores
+/// reading neighbouring stripes never share a cache line (nor the
+/// adjacent-line prefetch pair).
+#[repr(align(128))]
+#[derive(Default)]
+struct PaddedStripe(RwLock<Stripe>);
+
+impl PaddedStripe {
+    fn read(&self) -> RwLockReadGuard<'_, Stripe> {
+        self.0.read().expect("stripe lock")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Stripe> {
+        self.0.write().expect("stripe lock")
+    }
+}
+
+/// What a pair's memo tells a walk at a probe's threshold (see
+/// [`SharedKnowledgeCache::replay`]).
+pub(crate) enum MemoRead {
+    /// The resident profile decided the walk: a full hit, read in place.
+    Decided(PairEstimate),
+    /// The walk goes on from this copy of the resident profile — empty
+    /// when the pair has none, or when the walk is unprofiled.
+    Resume(MatchProfile),
 }
 
 /// Point-in-time memory and eviction statistics for a
@@ -354,7 +398,7 @@ pub struct SharedKnowledgeCache {
     /// publishes an epoch-bumped prefix-extension in its place. Old pair
     /// memos survive a swap because the old sketch bytes are unchanged.
     sketches: RwLock<Arc<SketchSet>>,
-    stripes: Vec<Mutex<Stripe>>,
+    stripes: Vec<PaddedStripe>,
     /// Memory policy; stripes enforce their share of the cap at
     /// publication time.
     capacity: CacheCapacity,
@@ -363,8 +407,10 @@ pub struct SharedKnowledgeCache {
     /// disagrees still return correct (bit-identical-to-fresh) results but
     /// bypass the profile memos; see [`probe`](Self::probe).
     schedule_batch: OnceLock<usize>,
-    /// Monotonic touch clock; every read or publication of a pair memo
-    /// takes a fresh stamp, giving the LRU policy its order.
+    /// Monotonic touch clock of a bounded cache; every read or
+    /// publication of a pair memo takes a fresh stamp, giving the LRU
+    /// policy its order. An unbounded cache never reads a stamp, so it
+    /// never takes one.
     clock: AtomicU64,
     /// Mirror of the summed per-stripe byte tallies, so `memo_bytes` and
     /// peak tracking are O(1) instead of [`STRIPES`] lock walks.
@@ -438,9 +484,7 @@ impl SharedKnowledgeCache {
     pub fn with_capacity(sketches: SketchSet, capacity: CacheCapacity) -> Self {
         Self {
             sketches: RwLock::new(Arc::new(sketches)),
-            stripes: (0..STRIPES)
-                .map(|_| Mutex::new(Stripe::default()))
-                .collect(),
+            stripes: (0..STRIPES).map(|_| PaddedStripe::default()).collect(),
             capacity,
             schedule_batch: OnceLock::new(),
             clock: AtomicU64::new(0),
@@ -572,11 +616,7 @@ impl SharedKnowledgeCache {
     /// for any serialized probe history.
     pub fn memory_stats(&self) -> CacheMemoryStats {
         CacheMemoryStats {
-            entries: self
-                .stripes
-                .iter()
-                .map(|s| s.lock().expect("stripe lock").entries.len())
-                .sum(),
+            entries: self.stripes.iter().map(|s| s.read().entries.len()).sum(),
             memo_bytes: self.memo_bytes(),
             peak_memo_bytes: self.peak_bytes.load(Ordering::Relaxed),
             sketch_bytes: self.sketches().byte_size(),
@@ -597,8 +637,7 @@ impl SharedKnowledgeCache {
         self.stripes
             .iter()
             .map(|s| {
-                s.lock()
-                    .expect("stripe lock")
+                s.read()
                     .entries
                     .values()
                     .filter(|m| !m.profile.is_empty())
@@ -612,13 +651,9 @@ impl SharedKnowledgeCache {
     /// memos published by mismatched-batch probes don't count, exactly as
     /// they don't count toward `len`).
     pub fn is_empty(&self) -> bool {
-        self.stripes.iter().all(|s| {
-            s.lock()
-                .expect("stripe lock")
-                .entries
-                .values()
-                .all(|m| m.profile.is_empty())
-        })
+        self.stripes
+            .iter()
+            .all(|s| s.read().entries.values().all(|m| m.profile.is_empty()))
     }
 
     /// The most-refined decision record memoized for a pair, if any.
@@ -632,8 +667,7 @@ impl SharedKnowledgeCache {
     pub fn get(&self, i: u32, j: u32) -> Option<PairEstimate> {
         let key = (i.min(j), i.max(j));
         self.stripe(key)
-            .lock()
-            .expect("stripe lock")
+            .read()
             .entries
             .get(&key)
             .and_then(|m| m.estimate)
@@ -644,7 +678,7 @@ impl SharedKnowledgeCache {
     pub fn snapshot_estimates(&self) -> Vec<((u32, u32), PairEstimate)> {
         let mut out = Vec::new();
         for s in &self.stripes {
-            let g = s.lock().expect("stripe lock");
+            let g = s.read();
             out.extend(
                 g.entries
                     .iter()
@@ -655,7 +689,7 @@ impl SharedKnowledgeCache {
     }
 
     /// The stripe owning a pair key.
-    fn stripe(&self, key: (u32, u32)) -> &Mutex<Stripe> {
+    fn stripe(&self, key: (u32, u32)) -> &PaddedStripe {
         let mixed = plasma_data::hash::mix64(((key.0 as u64) << 32) | key.1 as u64);
         &self.stripes[(mixed as usize) & (STRIPES - 1)]
     }
@@ -702,20 +736,39 @@ impl SharedKnowledgeCache {
         cells
     }
 
-    /// Snapshot of a pair's memoized profile and exact similarity (empty
-    /// and `None` when unknown), refreshing the pair's recency so LRU
-    /// eviction sees the read. The caller walks the copy outside the
-    /// stripe guard.
+    /// Reads a pair's memo under the stripe's *shared* guard, with the
+    /// pair's exact similarity when one is known.
+    ///
+    /// With a `table`, the walk replays the resident profile in place
+    /// ([`ProbeTable::replay`], no sketch read): when a covered step
+    /// decides, that is a full hit and nothing is copied; otherwise the
+    /// caller gets a copy to resume and publish outside the guard. An
+    /// unprofiled walk (`None`) gets only the exact similarity. A bounded
+    /// cache stamps the read so LRU eviction sees it; an unbounded one
+    /// writes nothing shared.
     #[inline]
-    pub(crate) fn load(&self, key: (u32, u32)) -> (MatchProfile, Option<f64>) {
-        let mut g = self.stripe(key).lock().expect("stripe lock");
-        match g.entries.get_mut(&key) {
-            Some(memo) => {
-                memo.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
-                (memo.profile.clone(), memo.exact)
-            }
-            None => Default::default(),
+    pub(crate) fn replay(
+        &self,
+        key: (u32, u32),
+        table: Option<&mut ProbeTable<'_>>,
+        max_n: usize,
+    ) -> (MemoRead, Option<f64>) {
+        let g = self.stripe(key).read();
+        let Some(memo) = g.entries.get(&key) else {
+            return (MemoRead::Resume(MatchProfile::new()), None);
+        };
+        if self.capacity.max_bytes().is_some() {
+            let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+            memo.last_used.fetch_max(stamp, Ordering::Relaxed);
         }
+        let read = match table {
+            Some(table) => match table.replay(&memo.profile, max_n) {
+                Some(estimate) => MemoRead::Decided(estimate),
+                None => MemoRead::Resume(memo.profile.clone()),
+            },
+            None => MemoRead::Resume(MatchProfile::new()),
+        };
+        (read, memo.exact)
     }
 
     /// Publishes what one evaluation learned into the pair's stripe under
@@ -738,8 +791,11 @@ impl SharedKnowledgeCache {
         if memo.is_none() && exact.is_none() {
             return;
         }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut g = self.stripe(key).lock().expect("stripe lock");
+        let stamp = self
+            .capacity
+            .max_bytes()
+            .map(|_| self.clock.fetch_add(1, Ordering::Relaxed));
+        let mut g = self.stripe(key).write();
         let existed = g.entries.contains_key(&key);
         let entry = g.entries.entry(key).or_default();
         // A fresh entry contributes its whole footprint; an update only
@@ -759,7 +815,10 @@ impl SharedKnowledgeCache {
         if let Some(s) = exact {
             entry.exact = Some(s);
         }
-        entry.last_used = stamp;
+        if let Some(stamp) = stamp {
+            let last_used = entry.last_used.get_mut();
+            *last_used = (*last_used).max(stamp);
+        }
         let new_bytes = entry.byte_size();
         g.bytes = (g.bytes + new_bytes) - old_bytes;
         if new_bytes >= old_bytes {
@@ -1673,16 +1732,25 @@ mod tests {
         let records = dataset();
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        let cache = SharedKnowledgeCache::new(sketches);
-        cache.probe(&records, Similarity::Cosine, 0.6, &cfg);
-        let clock = cache.clock.load(Ordering::Relaxed);
-        let again = cache.probe(&records, Similarity::Cosine, 0.6, &cfg);
+        // Large enough that nothing is evicted: only eviction reads stamps.
+        let bounded =
+            SharedKnowledgeCache::with_capacity(sketches.clone(), CacheCapacity::bounded(1 << 30));
+        bounded.probe(&records, Similarity::Cosine, 0.6, &cfg);
+        let clock = bounded.clock.load(Ordering::Relaxed);
+        let again = bounded.probe(&records, Similarity::Cosine, 0.6, &cfg);
         assert_eq!(again.stats.cache_hits, again.stats.candidates);
+        assert_eq!(again.stats.memo_clones, 0);
         // One stamp per candidate (the read) and no publication.
         assert_eq!(
-            cache.clock.load(Ordering::Relaxed) - clock,
+            bounded.clock.load(Ordering::Relaxed) - clock,
             again.stats.candidates
         );
+        // An unbounded cache never evicts, so it never stamps.
+        let unbounded = SharedKnowledgeCache::new(sketches);
+        unbounded.probe(&records, Similarity::Cosine, 0.6, &cfg);
+        let again = unbounded.probe(&records, Similarity::Cosine, 0.6, &cfg);
+        assert_eq!(again.stats.cache_hits, again.stats.candidates);
+        assert_eq!(unbounded.clock.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -300,33 +300,40 @@ fn attached_sessions_report_invariant_across_threads_and_sessions() {
 /// Probes racing from OS threads against one shared cache: outputs are
 /// still exactly the fresh sequential answer (only the work counters may
 /// redistribute between racers), and afterwards every probed threshold
-/// re-probes for free.
+/// re-probes for free. A second round races those free re-probes, which
+/// read resident profiles in place, against probes at lower thresholds
+/// that deepen the same profiles.
 #[test]
 fn racing_sessions_return_fresh_results_and_warm_the_cache() {
     let records = gaussian_records(60, 7);
     let cfg = ApssConfig::default();
     let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
     let cache = Arc::new(SharedKnowledgeCache::new(sketches.clone()));
+    let race = |thresholds: &[f64]| -> Vec<(f64, ApssResult)> {
+        std::thread::scope(|s| {
+            let joins: Vec<_> = thresholds
+                .iter()
+                .map(|&t| {
+                    let cache = &cache;
+                    let records = &records;
+                    let cfg = &cfg;
+                    s.spawn(move || (t, cache.probe(records, Similarity::Cosine, t, cfg)))
+                })
+                .collect();
+            joins
+                .into_iter()
+                .map(|j| j.join().expect("racing probe panicked"))
+                .collect()
+        })
+    };
+    let assert_fresh = |results: &[(f64, ApssResult)], round: &str| {
+        for (t, result) in results {
+            let fresh = apss_with_sketches(&records, Similarity::Cosine, &sketches, *t, &cfg);
+            assert_same_outputs(&fresh, result, &format!("{round} probe at {t}"));
+        }
+    };
     let thresholds = [0.9, 0.7, 0.5, 0.8];
-    let results: Vec<(f64, ApssResult)> = std::thread::scope(|s| {
-        let joins: Vec<_> = thresholds
-            .iter()
-            .map(|&t| {
-                let cache = &cache;
-                let records = &records;
-                let cfg = &cfg;
-                s.spawn(move || (t, cache.probe(records, Similarity::Cosine, t, cfg)))
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("racing probe panicked"))
-            .collect()
-    });
-    for (t, result) in &results {
-        let fresh = apss_with_sketches(&records, Similarity::Cosine, &sketches, *t, &cfg);
-        assert_same_outputs(&fresh, result, &format!("raced probe at {t}"));
-    }
+    assert_fresh(&race(&thresholds), "raced");
     // The cache now covers every pair to each threshold's depth: every
     // re-probe is answered without a single new hash comparison.
     for &t in &thresholds {
@@ -334,6 +341,16 @@ fn racing_sessions_return_fresh_results_and_warm_the_cache() {
         assert_eq!(again.stats.hashes_compared, 0, "re-probe at {t}");
         assert_eq!(again.stats.cache_hits, again.stats.candidates);
     }
+    let mixed = race(&[0.9, 0.6, 0.7, 0.4, 0.5, 0.8]);
+    assert_fresh(&mixed, "replay-vs-deepen");
+    let deepened: u64 = (mixed.iter())
+        .filter(|(t, _)| [0.6, 0.4].contains(t))
+        .map(|(_, r)| r.stats.hashes_compared)
+        .sum();
+    assert!(
+        deepened > 0,
+        "the lower thresholds deepen resident profiles"
+    );
 }
 
 /// A corpus where well over half of all records are exact copies of one
