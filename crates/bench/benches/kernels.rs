@@ -135,7 +135,8 @@ fn bench_banded_join_skewed(c: &mut Criterion) {
 /// (SimHash, 32 bands of 8), every threshold of a 0.9 → 0.5 ladder
 /// probed once to fill the memos. Each iteration re-probes the ladder —
 /// every candidate a full hit — from one thread, or from two threads
-/// sharing the cache, as two connections on one corpus do.
+/// sharing the cache, as two connections on one corpus do. A third row
+/// times the cold side: a fresh cache probed down the same ladder.
 fn bench_knowledge_cache(c: &mut Criterion) {
     use plasma_core::apss::{build_sketches, ApssConfig, CandidateStrategy};
     use plasma_core::SharedKnowledgeCache;
@@ -150,7 +151,7 @@ fn bench_knowledge_cache(c: &mut Criterion) {
         ..ApssConfig::default()
     };
     let (sketches, _) = build_sketches(&corpus.records, Similarity::Cosine, &cfg);
-    let cache = SharedKnowledgeCache::new(sketches);
+    let cache = SharedKnowledgeCache::new(sketches.clone());
     let sweep = || {
         LADDER
             .iter()
@@ -182,6 +183,18 @@ fn bench_knowledge_cache(c: &mut Criterion) {
                 let other = s.spawn(sweep);
                 sweep() + other.join().expect("re-probe thread panicked")
             })
+        })
+    });
+    // The publication path: a fresh cache per iteration, probed down the
+    // ladder, so every rung publishes (or deepens) its candidates' memos.
+    g.throughput(Throughput::Elements(candidates));
+    g.bench_function("descending_sweep", |b| {
+        b.iter(|| {
+            let cold = SharedKnowledgeCache::new(sketches.clone());
+            for &t in &LADDER {
+                cold.probe(&corpus.records, Similarity::Cosine, t, &cfg);
+            }
+            cold.memo_bytes()
         })
     });
     g.finish();

@@ -301,9 +301,8 @@ impl<'a> PairEvaluator<'a> {
                 if !profile.is_empty() {
                     self.memo_clones += 1;
                 }
-                let out = self
-                    .table
-                    .evaluate_profiled(self.sketches, a, b, &mut profile);
+                // The guarded replay walked the covered steps already.
+                let out = self.table.resume(self.sketches, a, b, &mut profile);
                 (out.estimate, out.new_hashes, Some(profile))
             }
             MemoRead::Resume(_) => {
@@ -323,7 +322,7 @@ impl<'a> PairEvaluator<'a> {
         if let Some(cache) = self.memos {
             // A full cache hit publishes no profile — it re-derived only
             // already-published knowledge.
-            cache.publish(key, profile.map(|p| (p, estimate)), fresh_exact);
+            cache.publish(key, profile, fresh_exact);
         }
         PairOutcome {
             estimate,

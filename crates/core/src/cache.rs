@@ -55,9 +55,12 @@
 //!
 //! # Bounded memory
 //!
-//! Long-lived serving processes bound the memo pool with a
-//! [`CacheCapacity`]: every pair memo is byte-accounted
-//! ([`MatchProfile::byte_size`] plus per-entry overhead) per stripe, and
+//! A pair memo is one map slot with no heap block of its own: the
+//! profile's counts sit inline under the default schedule, and only a
+//! deeper profile spills (see [`MatchProfile`]). Long-lived serving
+//! processes bound the memo pool with a [`CacheCapacity`]: every pair
+//! memo is byte-accounted (a fixed per-entry overhead plus
+//! [`MatchProfile::byte_size`], 0 unless spilled) per stripe, and
 //! publications that push a stripe over its share of the cap evict memos
 //! — least-recently-used first, or shallowest-profile first
 //! ([`EvictionPolicy`]). Because memos are pure recomputable knowledge,
@@ -142,9 +145,10 @@ pub enum EvictionPolicy {
 
 /// Memory policy for a [`SharedKnowledgeCache`]'s memo pool.
 ///
-/// The cap is a bound on **accounted memo bytes**: per-pair profile heap
-/// bytes ([`MatchProfile::byte_size`]) plus a fixed per-entry overhead for
-/// the key, decision record, exact-similarity slot, and recency stamp.
+/// The cap is a bound on **accounted memo bytes**: a fixed per-entry
+/// overhead for the map slot (key, inline profile, exact-similarity slot,
+/// and recency stamp) plus a spilled profile's heap bytes
+/// ([`MatchProfile::byte_size`]).
 /// Sketches are *not* counted — they are immutable, sized up front, and
 /// reported separately ([`SharedKnowledgeCache::total_bytes`]).
 ///
@@ -218,10 +222,8 @@ impl CacheCapacity {
 struct PairMemo {
     /// The confluent match-count memo (may be empty when only an exact
     /// similarity was published, e.g. by a mismatched-batch probe).
+    /// Inline under the default schedule, so the slot is the whole memo.
     profile: MatchProfile,
-    /// Most-refined decision record seen (advisory; see
-    /// [`SharedKnowledgeCache::get`]).
-    estimate: Option<PairEstimate>,
     /// Exact similarity computed for an accepted pair (when a probe ran
     /// with `exact_on_accept`); re-probes reuse it instead of recomputing
     /// dot products. A pure function of the record pair, so publication
@@ -234,11 +236,16 @@ struct PairMemo {
     last_used: AtomicU64,
 }
 
+// A pair memo is one map slot: a field added to it fails the build here,
+// not a benchmark.
+const _: () = assert!(std::mem::size_of::<((u32, u32), PairMemo)>() <= 56);
+
 impl PairMemo {
-    /// Accounted bytes: fixed per-entry overhead (map slot, key, record,
-    /// stamp) plus the profile's heap. An estimate of the real footprint
-    /// — hash-map load-factor slack is not modeled — but a *consistent*
-    /// one, so the capacity invariant is exact over what is accounted.
+    /// Accounted bytes: fixed per-entry overhead (the map slot — key,
+    /// inline profile, exact similarity, stamp — plus one word) plus a
+    /// spilled profile's heap, none under the default schedule. An estimate of the real footprint — hash-map load-factor
+    /// slack is not modeled — but a *consistent* one, so the capacity
+    /// invariant is exact over what is accounted.
     fn byte_size(&self) -> usize {
         std::mem::size_of::<((u32, u32), PairMemo)>()
             + std::mem::size_of::<u64>()
@@ -656,38 +663,6 @@ impl SharedKnowledgeCache {
             .all(|s| s.read().entries.values().all(|m| m.profile.is_empty()))
     }
 
-    /// The most-refined decision record memoized for a pair, if any.
-    ///
-    /// Advisory: the record's *counts* (`matches`, `hashes`) and posterior
-    /// summary are exact, but its `decision` is relative to whichever
-    /// probe threshold evaluated the pair deepest. Re-deciding at a
-    /// specific threshold is what [`probe`](Self::probe) does. Inspection
-    /// does not refresh the pair's eviction recency — only probes and
-    /// publications keep a memo warm.
-    pub fn get(&self, i: u32, j: u32) -> Option<PairEstimate> {
-        let key = (i.min(j), i.max(j));
-        self.stripe(key)
-            .read()
-            .entries
-            .get(&key)
-            .and_then(|m| m.estimate)
-    }
-
-    /// Owned snapshot of all memoized decision records, in unspecified
-    /// order (stripe by stripe).
-    pub fn snapshot_estimates(&self) -> Vec<((u32, u32), PairEstimate)> {
-        let mut out = Vec::new();
-        for s in &self.stripes {
-            let g = s.read();
-            out.extend(
-                g.entries
-                    .iter()
-                    .filter_map(|(&k, m)| Some((k, m.estimate?))),
-            );
-        }
-        out
-    }
-
     /// The stripe owning a pair key.
     fn stripe(&self, key: (u32, u32)) -> &PaddedStripe {
         let mixed = plasma_data::hash::mix64(((key.0 as u64) << 32) | key.1 as u64);
@@ -772,9 +747,10 @@ impl SharedKnowledgeCache {
     }
 
     /// Publishes what one evaluation learned into the pair's stripe under
-    /// a single lock acquisition: an extended profile + decision record
-    /// (order-free deepest-wins merge) and/or a freshly computed exact
-    /// similarity. No-op (lock-free) when there is nothing to publish.
+    /// a single lock acquisition and a single map lookup: an extended
+    /// profile (order-free deepest-wins merge) and/or a freshly computed
+    /// exact similarity. No-op (lock-free) when there is nothing to
+    /// publish.
     ///
     /// Publication is where the capacity policy bites: the stripe's byte
     /// tally is updated and, when over its share of the cap, memos are
@@ -785,10 +761,10 @@ impl SharedKnowledgeCache {
     pub(crate) fn publish(
         &self,
         key: (u32, u32),
-        memo: Option<(MatchProfile, PairEstimate)>,
+        profile: Option<MatchProfile>,
         exact: Option<f64>,
     ) {
-        if memo.is_none() && exact.is_none() {
+        if profile.is_none() && exact.is_none() {
             return;
         }
         let stamp = self
@@ -796,21 +772,16 @@ impl SharedKnowledgeCache {
             .max_bytes()
             .map(|_| self.clock.fetch_add(1, Ordering::Relaxed));
         let mut g = self.stripe(key).write();
-        let existed = g.entries.contains_key(&key);
-        let entry = g.entries.entry(key).or_default();
+        let mut fresh = false;
+        let entry = g.entries.entry(key).or_insert_with(|| {
+            fresh = true;
+            PairMemo::default()
+        });
         // A fresh entry contributes its whole footprint; an update only
         // its growth.
-        let old_bytes = if existed { entry.byte_size() } else { 0 };
-        if let Some((mut profile, est)) = memo {
-            // Shrink before adopting so the stored capacity — what the
-            // accounting charges — carries no push-growth slack.
-            profile.shrink_to_fit();
+        let old_bytes = if fresh { 0 } else { entry.byte_size() };
+        if let Some(profile) = profile {
             entry.profile.adopt_deeper(profile);
-            match &mut entry.estimate {
-                Some(old) if est.hashes >= old.hashes => *old = est,
-                Some(_) => {}
-                slot @ None => *slot = Some(est),
-            }
         }
         if let Some(s) = exact {
             entry.exact = Some(s);
@@ -1655,17 +1626,35 @@ mod tests {
     }
 
     #[test]
-    fn get_returns_memoized_estimate() {
+    fn spilled_profiles_probe_exactly_and_replay_free() {
+        // 1 024 hashes: pairs near a low threshold walk past the eight
+        // inline steps, so their memos spill to the heap.
         let records = dataset();
-        let cfg = ApssConfig::default();
+        let cfg = ApssConfig {
+            n_hashes: 1024,
+            ..ApssConfig::default()
+        };
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        let cache = SharedKnowledgeCache::new(sketches);
-        let r = cache.probe(&records, Similarity::Cosine, 0.8, &cfg);
-        let (i, j, est) = r.estimates[0];
-        let cached = cache.get(i, j).expect("estimate must be memoized");
-        assert_eq!(cached.hashes, est.hashes);
-        assert!(!cache.is_empty());
-        assert_eq!(cache.len(), cache.snapshot_estimates().len());
+        let cache = SharedKnowledgeCache::new(sketches.clone());
+        let ladder = [0.9, 0.8, 0.7, 0.6, 0.5];
+        for t in ladder {
+            let probe = cache.probe(&records, Similarity::Cosine, t, &cfg);
+            let fresh = apss_with_sketches(&records, Similarity::Cosine, &sketches, t, &cfg);
+            assert_same_output(&probe, &fresh, &format!("probe at {t}"));
+        }
+        let stats = cache.memory_stats();
+        let slot = PairMemo::default().byte_size();
+        assert!(
+            stats.memo_bytes > stats.entries * slot,
+            "some profile spilled: {} bytes over {} entries",
+            stats.memo_bytes,
+            stats.entries
+        );
+        for t in ladder {
+            let again = cache.probe(&records, Similarity::Cosine, t, &cfg);
+            assert_eq!(again.stats.hashes_compared, 0, "re-probe at {t}");
+            assert_eq!(again.stats.cache_hits, again.stats.candidates);
+        }
     }
 
     #[test]

@@ -399,13 +399,47 @@ impl DecisionCells {
 /// idempotent, so the cache state after a set of probes is independent of
 /// thread count and session interleaving.
 ///
+/// The counts are a small vector: up to eight steps of counts below
+/// 2¹⁶ live inline, which covers the default schedule (256 hashes in
+/// batches of 32, every count ≤ 256), so a profile there owns no heap.
+/// A deeper profile, or one with a larger count, spills to an exact-size
+/// heap slice. The representation is a function of the counts alone, so
+/// equal profiles compare equal.
+///
 /// A profile is only meaningful for the `(sketches, batch)` pair it was
 /// built against; the shared cache pins both.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchProfile {
     /// `counts[k]` = matches among the first `min((k+1)·batch, n_hashes)`
     /// hashes.
-    counts: Vec<u32>,
+    counts: Counts,
+}
+
+/// Batch steps a profile holds without a heap block.
+const INLINE_STEPS: usize = 8;
+
+/// A profile's match counts, inline while they fit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Counts {
+    /// The first `len` entries of `counts`; the rest stay 0.
+    Inline {
+        len: u8,
+        counts: [u16; INLINE_STEPS],
+    },
+    /// Counts past the inline capacity, exactly as many as covered: a
+    /// boxed slice is no wider than the inline form and has no slack.
+    Spilled(Box<[u32]>),
+}
+
+impl Default for MatchProfile {
+    fn default() -> Self {
+        Self {
+            counts: Counts::Inline {
+                len: 0,
+                counts: [0; INLINE_STEPS],
+            },
+        }
+    }
 }
 
 impl MatchProfile {
@@ -416,12 +450,46 @@ impl MatchProfile {
 
     /// Number of batch steps covered.
     pub fn covered_steps(&self) -> usize {
-        self.counts.len()
+        match &self.counts {
+            Counts::Inline { len, .. } => *len as usize,
+            Counts::Spilled(counts) => counts.len(),
+        }
     }
 
     /// True when no batch step has been compared yet.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.covered_steps() == 0
+    }
+
+    /// The covered steps' match counts, shallowest first.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let (inline, spilled): (&[u16], &[u32]) = match &self.counts {
+            Counts::Inline { len, counts } => (&counts[..*len as usize], &[]),
+            Counts::Spilled(counts) => (&[], counts),
+        };
+        (inline.iter().map(|&m| u32::from(m))).chain(spilled.iter().copied())
+    }
+
+    /// The deepest covered step's match count, 0 when empty.
+    fn last(&self) -> u32 {
+        self.iter().last().unwrap_or(0)
+    }
+
+    /// Appends the next step's match count, spilling to the heap when it
+    /// does not fit inline. A spilled profile is reallocated one step
+    /// longer; it deepens at most `n_hashes / batch` times in its life.
+    fn push(&mut self, m: u32) {
+        if let Counts::Inline { len, counts } = &mut self.counts {
+            if let (Some(slot), Ok(m)) = (counts.get_mut(*len as usize), u16::try_from(m)) {
+                *slot = m;
+                *len += 1;
+                return;
+            }
+        }
+        let mut spilled = Vec::with_capacity(self.covered_steps() + 1);
+        spilled.extend(self.iter());
+        spilled.push(m);
+        self.counts = Counts::Spilled(spilled.into_boxed_slice());
     }
 
     /// Replaces this profile with `other` when `other` covers more batch
@@ -429,16 +497,14 @@ impl MatchProfile {
     /// Equal-depth profiles over the same sketches are identical, so ties
     /// keep `self`.
     pub fn adopt_deeper(&mut self, other: MatchProfile) {
-        if other.counts.len() > self.counts.len() {
-            self.counts = other.counts;
+        if other.covered_steps() > self.covered_steps() {
+            *self = other;
         }
     }
 
-    /// Heap bytes this profile holds, for cache accounting. Counts the
-    /// *capacity* of the match-count vector — what the allocator actually
-    /// charges — not just its length, so a bounded cache's accounting is
-    /// honest about push-growth slack. Publish paths that care about tight
-    /// accounting call [`shrink_to_fit`](Self::shrink_to_fit) first.
+    /// Heap bytes this profile holds, for cache accounting: 0 while the
+    /// counts are inline (they live in whatever holds the profile), else
+    /// four bytes per covered step — a spilled slice has no slack.
     ///
     /// ```
     /// use plasma_lsh::bayes::MatchProfile;
@@ -447,17 +513,10 @@ impl MatchProfile {
     /// assert_eq!(p.byte_size(), 0, "empty profiles own no heap");
     /// ```
     pub fn byte_size(&self) -> usize {
-        self.counts.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// Releases excess capacity so [`byte_size`](Self::byte_size) equals
-    /// `covered_steps() * 4` bytes. The shared knowledge cache shrinks
-    /// profiles at publication time: a profile deepens at most
-    /// `n_hashes / batch` times over its whole life, so the occasional
-    /// realloc is cheap, and the memo pool's accounted footprint stays
-    /// slack-free.
-    pub fn shrink_to_fit(&mut self) {
-        self.counts.shrink_to_fit();
+        match &self.counts {
+            Counts::Inline { .. } => 0,
+            Counts::Spilled(counts) => std::mem::size_of_val(&**counts),
+        }
     }
 }
 
@@ -547,11 +606,12 @@ impl ProbeTable<'_> {
     /// counts alone, reading no sketch and changing nothing: the estimate
     /// [`evaluate_profiled`](Self::evaluate_profiled) would return when a
     /// covered step decides (a full cache hit), `None` when the walk
-    /// outruns the profile. `max_n` is the sketches' hash count.
+    /// outruns the profile — then [`resume`](Self::resume) goes on from
+    /// there. `max_n` is the sketches' hash count.
     pub fn replay(&mut self, profile: &MatchProfile, max_n: usize) -> Option<PairEstimate> {
         let batch = self.engine.params.batch;
-        (profile.counts.iter().enumerate())
-            .find_map(|(step, &m)| self.decide(step, m, ((step + 1) * batch).min(max_n), max_n))
+        (profile.iter().enumerate())
+            .find_map(|(step, m)| self.decide(step, m, ((step + 1) * batch).min(max_n), max_n))
     }
 
     /// Evaluates a pair through its [`MatchProfile`], extending the
@@ -561,10 +621,11 @@ impl ProbeTable<'_> {
     /// stop at the first decisive cell), with each step's match count
     /// either read from the profile (free, [`replay`](Self::replay)) or
     /// computed incrementally via [`SketchSet::matches_range`] and
-    /// appended to the profile. The returned estimate is therefore
-    /// bit-identical to [`evaluate_pair`](Self::evaluate_pair) regardless
-    /// of how much of the profile was already populated — the property
-    /// the shared knowledge cache's determinism guarantee rests on. Only
+    /// appended to the profile ([`resume`](Self::resume)). The returned
+    /// estimate is therefore bit-identical to
+    /// [`evaluate_pair`](Self::evaluate_pair) regardless of how much of
+    /// the profile was already populated — the property the shared
+    /// knowledge cache's determinism guarantee rests on. Only
     /// [`ProfiledEval::new_hashes`] varies with cache warmth.
     pub fn evaluate_profiled(
         &mut self,
@@ -573,23 +634,39 @@ impl ProbeTable<'_> {
         j: usize,
         profile: &mut MatchProfile,
     ) -> ProfiledEval {
-        let max_n = sketches.n_hashes();
-        if let Some(estimate) = self.replay(profile, max_n) {
-            return ProfiledEval {
+        match self.replay(profile, sketches.n_hashes()) {
+            Some(estimate) => ProfiledEval {
                 estimate,
                 new_hashes: 0,
-            };
+            },
+            None => self.resume(sketches, i, j, profile),
         }
+    }
+
+    /// The second half of [`evaluate_profiled`](Self::evaluate_profiled):
+    /// compares hashes from the step after `profile`'s deepest covered
+    /// one until a step decides, appending each step's count. The caller
+    /// has already [`replay`](Self::replay)ed the covered steps (with a
+    /// table over the same cells) and none decided, so they are not
+    /// walked again.
+    pub fn resume(
+        &mut self,
+        sketches: &SketchSet,
+        i: usize,
+        j: usize,
+        profile: &mut MatchProfile,
+    ) -> ProfiledEval {
+        let max_n = sketches.n_hashes();
         let batch = self.engine.params.batch;
         let mut new_hashes = 0u32;
-        let mut step = profile.counts.len();
+        let mut step = profile.covered_steps();
         let mut n_prev = (step * batch).min(max_n);
-        let mut m_prev = profile.counts.last().copied().unwrap_or(0);
+        let mut m_prev = profile.last();
         loop {
             let n = ((step + 1) * batch).min(max_n);
             let m = m_prev + sketches.matches_range(i, j, n_prev, n);
             new_hashes += (n - n_prev) as u32;
-            profile.counts.push(m);
+            profile.push(m);
             if let Some(estimate) = self.decide(step, m, n, max_n) {
                 return ProfiledEval {
                     estimate,
@@ -853,12 +930,24 @@ mod tests {
         e.probe_table(0.2)
             .evaluate_profiled(&sk, 0, 1, &mut profile);
         assert!(profile.covered_steps() > 0);
-        // Capacity-based accounting bounds the length-based minimum…
-        let tight = profile.covered_steps() * std::mem::size_of::<u32>();
-        assert!(profile.byte_size() >= tight);
-        // …and shrinking makes them equal.
-        profile.shrink_to_fit();
-        assert_eq!(profile.byte_size(), tight);
+        // The default schedule's profile is inline: no heap to count.
+        assert!(matches!(profile.counts, Counts::Inline { .. }));
+        assert_eq!(profile.byte_size(), 0);
+        // Past the inline steps it spills, and the heap it counts is
+        // exactly its covered steps: a spilled slice carries no slack.
+        while profile.covered_steps() <= INLINE_STEPS {
+            profile.push(profile.last());
+        }
+        assert!(matches!(profile.counts, Counts::Spilled(_)));
+        assert_eq!(profile.byte_size(), profile.covered_steps() * 4);
+        profile.push(profile.last());
+        assert_eq!(profile.byte_size(), profile.covered_steps() * 4);
+        // A count past u16 spills even a shallow profile.
+        let mut wide = MatchProfile::new();
+        wide.push(1 << 16);
+        assert_eq!(wide.covered_steps(), 1);
+        assert_eq!(wide.last(), 1 << 16);
+        assert_eq!(wide.byte_size(), 4);
     }
 
     #[test]
@@ -881,5 +970,106 @@ mod tests {
         let mut other = deep.clone();
         other.adopt_deeper(shallow);
         assert_eq!(merged, other);
+    }
+
+    /// `profile` cut back to its first `k` steps.
+    fn truncated(profile: &MatchProfile, k: usize) -> MatchProfile {
+        let mut out = MatchProfile::new();
+        profile.iter().take(k).for_each(|m| out.push(m));
+        out
+    }
+
+    fn assert_same_estimate(a: PairEstimate, b: PairEstimate, label: &str) {
+        assert_eq!(a.decision, b.decision, "{label}");
+        assert_eq!((a.matches, a.hashes), (b.matches, b.hashes), "{label}");
+        assert_eq!(
+            a.map_similarity.to_bits(),
+            b.map_similarity.to_bits(),
+            "{label}"
+        );
+        assert_eq!(a.variance.to_bits(), b.variance.to_bits(), "{label}");
+    }
+
+    #[test]
+    fn resuming_a_shortened_profile_equals_fresh_evaluation() {
+        let records: Vec<SparseVector> = (0..12u32)
+            .map(|r| SparseVector::from_set((r * 9..r * 9 + 60 + r % 4 * 11).collect()))
+            .collect();
+        let sk = Sketcher::new(LshFamily::MinHash, 256, 13).sketch_all(&records);
+        let e = engine(LshFamily::MinHash);
+        for t in [0.3, 0.6, 0.9] {
+            let mut table = e.probe_table(t);
+            for i in 0..records.len() {
+                for j in i + 1..records.len() {
+                    let fresh = table.evaluate_pair(&sk, i, j);
+                    let mut full = MatchProfile::new();
+                    table.evaluate_profiled(&sk, i, j, &mut full);
+                    for k in 0..=full.covered_steps() {
+                        let label = format!("({i},{j}) at {t}, {k} steps");
+                        let mut profile = truncated(&full, k);
+                        let resumed = match table.replay(&profile, sk.n_hashes()) {
+                            Some(hit) => hit,
+                            None => {
+                                let out = table.resume(&sk, i, j, &mut profile);
+                                assert_eq!(profile, full, "{label}: resumed profile");
+                                out.estimate
+                            }
+                        };
+                        assert_same_estimate(resumed, fresh, &label);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deep_profiles_spill_and_stay_exact() {
+        // 1 024 hashes: a pair near 0.5 needs far more than eight steps to
+        // concentrate at a low threshold, and is pruned in a few at 0.9.
+        let a = SparseVector::from_set((0..200).collect());
+        let b = SparseVector::from_set((67..267).collect());
+        let c = SparseVector::from_set((5000..5200).collect());
+        let sk = Sketcher::new(LshFamily::MinHash, 1024, 21).sketch_all(&[a, b, c]);
+        let e = engine(LshFamily::MinHash);
+        let mut shallow = MatchProfile::new();
+        let mut deep = MatchProfile::new();
+        for (t, spills) in [(0.9, false), (0.3, true)] {
+            let mut table = e.probe_table(t);
+            let fresh = table.evaluate_pair(&sk, 0, 1);
+            let out = table.evaluate_profiled(&sk, 0, 1, &mut deep);
+            assert_same_estimate(out.estimate, fresh, &format!("({t})"));
+            assert_eq!(matches!(deep.counts, Counts::Spilled(_)), spills, "{t}");
+            if !spills {
+                shallow = deep.clone();
+                assert_eq!(shallow.byte_size(), 0, "inline owns no heap");
+            }
+        }
+        assert!(deep.covered_steps() > INLINE_STEPS);
+        assert_eq!(
+            deep.byte_size(),
+            deep.covered_steps() * 4,
+            "spilled counts the heap"
+        );
+        // A spilled profile re-probes for free at every threshold.
+        for t in [0.9, 0.3, 0.6] {
+            let again = e.probe_table(t).evaluate_profiled(&sk, 0, 1, &mut deep);
+            assert_eq!(again.new_hashes, 0, "re-probe at {t}");
+        }
+        // Inline adopts spilled, spilled keeps itself over inline.
+        let mut merged = shallow.clone();
+        merged.adopt_deeper(deep.clone());
+        assert_eq!(merged, deep);
+        let mut other = deep.clone();
+        other.adopt_deeper(shallow.clone());
+        assert_eq!(other, deep);
+        // And a spilled memo's copy with fewer steps reads back inline.
+        let back = truncated(&deep, shallow.covered_steps());
+        assert_eq!(back, shallow);
+        assert_eq!(back.byte_size(), 0);
+        // The dissimilar pair is pruned inline at 1 024 hashes too.
+        let mut pruned = MatchProfile::new();
+        let out = e.probe_table(0.3).evaluate_profiled(&sk, 0, 2, &mut pruned);
+        assert_eq!(out.estimate.decision, PairDecision::Pruned);
+        assert_eq!(pruned.byte_size(), 0);
     }
 }
