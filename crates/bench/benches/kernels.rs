@@ -200,6 +200,55 @@ fn bench_knowledge_cache(c: &mut Criterion) {
     g.finish();
 }
 
+/// `Response::encode` of one 7 500-pair `probe_result`, the size of a
+/// `wide_answer` reply, in two shapes. `grid_points`: every similarity is
+/// a BayesLSH cosine grid point, as in an estimate-only answer, so the
+/// writer's float memo hits. `distinct`: 7 500 distinct similarities, as
+/// with `exact_on_accept`, so every float misses.
+fn bench_reply_encode(c: &mut Criterion) {
+    use plasma_core::apss::SimilarPair;
+    use plasma_server::Response;
+    use rand::Rng;
+    let grid: Vec<f64> = BayesLsh::new(LshFamily::SimHash, BayesParams::default())
+        .grid_points()
+        .iter()
+        .copied()
+        .filter(|&s| s >= 0.5)
+        .collect();
+    const PAIRS: usize = 7_500;
+    let mut rng = plasma_data::rng::seeded(45);
+    let on_grid: Vec<f64> = (0..PAIRS)
+        .map(|_| grid[rng.gen_range(0..grid.len())])
+        .collect();
+    let distinct: Vec<f64> = (0..PAIRS).map(|_| rng.gen_range(0.5..1.0)).collect();
+    let shapes = [("grid_points", on_grid), ("distinct", distinct)].map(|(name, sims)| {
+        let pairs = sims
+            .into_iter()
+            .map(|similarity| {
+                let i = rng.gen_range(0..3_000);
+                let j = i + rng.gen_range(1..3_000);
+                SimilarPair { i, j, similarity }
+            })
+            .collect();
+        let response = Response::ProbeResult {
+            threshold: 0.5,
+            epoch: 3,
+            pairs,
+            candidates: 120_000,
+            pruned: 90_000,
+            cache_hits: 120_000,
+            hashes_compared: 0,
+        };
+        (name, response)
+    });
+    let mut g = c.benchmark_group("reply_encode");
+    for (name, response) in &shapes {
+        g.throughput(Throughput::Bytes(response.encode().len() as u64));
+        g.bench_function(*name, |b| b.iter(|| response.encode().len()));
+    }
+    g.finish();
+}
+
 fn bench_bayeslsh(c: &mut Criterion) {
     let ds = GaussianSpec::new("bench", 200, 10, 4).generate(3);
     let sketches = Sketcher::new(LshFamily::SimHash, 256, 5).sketch_all(&ds.records);
@@ -313,6 +362,6 @@ fn bench_energy(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_sketching, bench_parallel_sketching, bench_bayeslsh, bench_parallel_pair_evaluation, bench_banded_join_skewed, bench_knowledge_cache, bench_triangles, bench_lam, bench_crossings, bench_energy
+    targets = bench_sketching, bench_parallel_sketching, bench_bayeslsh, bench_parallel_pair_evaluation, bench_banded_join_skewed, bench_knowledge_cache, bench_reply_encode, bench_triangles, bench_lam, bench_crossings, bench_energy
 }
 criterion_main!(kernels);

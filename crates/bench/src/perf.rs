@@ -114,6 +114,8 @@ pub const SNAPSHOT: &[(&str, Kind, Gate)] = &[
     ("posterior_evals.second_probe", CountList, Exact),
     ("memo_clones.first_probe", CountList, Exact),
     ("memo_clones.second_probe", CountList, Exact),
+    ("curve_rows.first_probe", CountList, Exact),
+    ("curve_rows.second_probe", CountList, Exact),
     ("banded_skew.records", Count, Exact),
     ("banded_skew.hot_bucket_share", Ratio, Recorded),
     ("banded_skew.hot_bucket_pairs", Count, Exact),
@@ -211,6 +213,7 @@ pub fn measure(seed: u64) -> Json {
             measure_posterior_evals(&ds.records, ds.measure),
         ),
         ("memo_clones", measure_memo_clones(&ds.records, ds.measure)),
+        ("curve_rows", measure_curve_rows(&ds.records, ds.measure)),
         ("banded_skew", measure_banded_skew_sized(1000)),
         ("streaming", measure_streaming_sized(100, 40, 3)),
         // Fixed 200-record batches growing the corpus 200 → 2000 (10×).
@@ -576,6 +579,22 @@ fn measure_memo_clones(records: &[SparseVector], measure: Similarity) -> Json {
     probe_twice(records, measure, &MEMO_SWEEP, |s| s.memo_clones)
 }
 
+/// The curve-fold shape: one fresh [`StreamingSession`] over the fixed
+/// corpus, probed twice at each threshold of [`MEMO_SWEEP`]. Records each
+/// probe's `curve_rows` — the tail rows its curve fold computed. A first
+/// probe computes one per `(m, n)` cell the session had not met; the
+/// second meets only known cells and computes none.
+fn measure_curve_rows(records: &[SparseVector], measure: Similarity) -> Json {
+    let mut session =
+        StreamingSession::from_records(records.to_vec(), measure, ApssConfig::default());
+    let mut probe = |t| count(session.probe(t).curve_rows);
+    let (first, second) = MEMO_SWEEP.iter().map(|&t| (probe(t), probe(t))).unzip();
+    json::obj(vec![
+        ("first_probe", Json::Arr(first)),
+        ("second_probe", Json::Arr(second)),
+    ])
+}
+
 /// Probes one fresh cache over `records` twice at each of `sweep`, in
 /// order, and records `stat` of every probe as `first_probe` and
 /// `second_probe` lists.
@@ -854,6 +873,7 @@ mod tests {
         "evicted_entries": 1234},
       "posterior_evals": {"first_probe": [610, 540, 420], "second_probe": [0, 0, 0]},
       "memo_clones": {"first_probe": [0, 3100, 7400], "second_probe": [0, 0, 0]},
+      "curve_rows": {"first_probe": [200, 150, 120], "second_probe": [0, 0, 0]},
       "banded_skew": {"records": 1000, "hot_bucket_share": 0.61, "hot_bucket_pairs": 185745,
         "total_pairs": 1600000, "candidates": 250000},
       "streaming": {"batches": 3, "batch_records": 40, "final_records": 220,
@@ -934,7 +954,7 @@ mod tests {
         // One top-level member per line, the benchmark id first.
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[1], "  \"benchmark\": \"apss\",");
-        assert_eq!(lines.len(), 2 + 11, "{text}");
+        assert_eq!(lines.len(), 2 + 12, "{text}");
         let doc = json::parse(&text).expect("rendered snapshot parses");
         assert_eq!(doc, fixture());
         validate_snapshot_json(&text).expect("every table path resolves");
@@ -1066,6 +1086,38 @@ mod tests {
         assert!(first[1..].iter().all(|&n| n > 0), "{first:?}");
         assert_eq!(list("memo_clones.second_probe"), [0, 0, 0]);
         assert_eq!(schema_problems("memo_clones", tree), Vec::<String>::new());
+    }
+
+    #[test]
+    fn compare_flags_a_regressed_curve_row_count() {
+        // A re-probe that computes a tail row again, or a first probe that
+        // computes one more than the baseline, fails the gate.
+        let doc = fixture().encode();
+        for (path, value) in [
+            ("curve_rows.second_probe[1]", 1),
+            ("curve_rows.first_probe[1]", 151),
+        ] {
+            let problems =
+                compare_snapshots(&with(path, count(value)), &doc).expect_err("curve rows drifted");
+            let list = path.strip_suffix("[1]").expect("a list element");
+            assert!(flagged(&problems, list), "{path}: {problems:?}");
+        }
+    }
+
+    #[test]
+    fn curve_row_measurement_re_probes_for_free() {
+        let ds = GaussianSpec::new("bench", 60, 10, 4).generate(3);
+        let tree = measure_curve_rows(&ds.records, ds.measure);
+        let doc = json::obj(vec![("curve_rows", tree.clone())]);
+        let list = |path: &str| -> Vec<u64> {
+            let items = lookup(&doc, path).and_then(Json::as_arr).expect(path);
+            items.iter().map(|v| v.as_u64().expect("count")).collect()
+        };
+        let first = list("curve_rows.first_probe");
+        assert_eq!(first.len(), MEMO_SWEEP.len());
+        assert!(first[0] > 0, "{first:?}");
+        assert_eq!(list("curve_rows.second_probe"), [0, 0, 0]);
+        assert_eq!(schema_problems("curve_rows", tree), Vec::<String>::new());
     }
 
     #[test]

@@ -146,7 +146,9 @@ pub struct ApssStats {
     /// Posterior evaluations: decision cells this probe filled. A probe
     /// at a threshold its cache has already decided at fills none of the
     /// cells the earlier probes filled, so a re-probe counts 0. The same
-    /// at every thread count.
+    /// at every thread count. Decision cells only: the posteriors a
+    /// session's curve fold evaluates are counted by
+    /// [`ProbeReport::curve_rows`](crate::streaming::ProbeReport::curve_rows).
     pub posterior_evals: u64,
     /// Non-empty match profiles this probe copied out of a knowledge
     /// cache: one per partial hit, resumed outside the stripe guard. A

@@ -11,7 +11,17 @@
 //! Bernoullis, `sqrt(Σ p(1−p))`. Pruned pairs carry wide posteriors, which
 //! is exactly why the paper's error bars balloon *below* the probed
 //! threshold.
+//!
+//! A probe's pairs fall into few `(m, n)` cells (the batch schedule times
+//! the match counts), and a session's probes keep landing in the same
+//! ones. [`TailRows`] therefore memoizes, per cell, its *tail row*: the
+//! clamped tail probability at every threshold of one grid. A cell costs
+//! one posterior (256 `exp`s) and one backward sweep the first time any
+//! probe of the session meets it, and a row read after that. The fold
+//! sums rows in the order the uncached fold summed them, so the curve's
+//! bits do not depend on what the memo held.
 
+use plasma_data::hash::FxHashMap;
 use plasma_lsh::bayes::{BayesLsh, PairEstimate};
 use plasma_lsh::family::LshFamily;
 use plasma_lsh::BayesParams;
@@ -27,54 +37,115 @@ pub struct CumulativeCurve {
     pub std_dev: Vec<f64>,
 }
 
-impl CumulativeCurve {
-    /// Builds the curve from memoized pair estimates.
-    pub fn from_estimates<'a, I>(
-        family: LshFamily,
-        params: BayesParams,
-        estimates: I,
-        thresholds: &[f64],
-    ) -> Self
+/// The tail rows of one threshold grid, memoized per `(m, n)` cell, and
+/// the one fold that turns pair estimates into a [`CumulativeCurve`].
+///
+/// A row is a pure function of the cell, the family, the BayesLSH
+/// parameters and the grid. The memo owns its grid, so a row is never
+/// read against another grid; a session that changes grid starts a new
+/// memo. The `(m, n)` triangle bounds its size: at 256 hashes in batches
+/// of 32 there are at most ≈ 1 160 cells, ≈ 0.2 MB on a 19-point grid.
+#[derive(Debug, Clone)]
+pub struct TailRows {
+    family: LshFamily,
+    params: BayesParams,
+    /// The threshold grid (ascending) every row is taken at.
+    thresholds: Vec<f64>,
+    /// Built when the first row is computed.
+    engine: Option<BayesLsh>,
+    /// Offset of each computed cell's row in `rows`.
+    index: FxHashMap<(u32, u32), usize>,
+    /// Rows back to back, one value per threshold.
+    rows: Vec<f64>,
+    /// Posterior buffer reused by every row computed.
+    post: Vec<f64>,
+}
+
+impl TailRows {
+    /// An empty memo over `thresholds` (ascending).
+    pub fn new(family: LshFamily, params: BayesParams, thresholds: Vec<f64>) -> Self {
+        Self {
+            family,
+            params,
+            thresholds,
+            engine: None,
+            index: FxHashMap::default(),
+            rows: Vec::new(),
+            post: Vec::new(),
+        }
+    }
+
+    /// The grid the rows are taken at.
+    pub fn thresholds(&self) -> &[f64] {
+        &self.thresholds
+    }
+
+    /// Folds pair estimates into a curve over this memo's grid. Returns
+    /// the curve and the rows this fold computed (cells no earlier fold
+    /// met); every other cell reads its row.
+    pub fn fold<'a, I>(&mut self, estimates: I) -> (CumulativeCurve, u64)
     where
         I: IntoIterator<Item = &'a PairEstimate>,
     {
-        let engine = BayesLsh::new(family, params);
-        let grid = engine.grid_points().to_vec();
-        // Only ~1k distinct (m, n) cells occur per probe (batch schedule ×
-        // match counts); group first so each posterior is computed once.
-        let mut counts: plasma_data::hash::FxHashMap<(u32, u32), u64> =
-            plasma_data::hash::FxHashMap::default();
+        // Group first so each cell is visited once. The curve's bits
+        // depend on the order cells are summed in, which is this map's.
+        let mut counts: FxHashMap<(u32, u32), u64> = FxHashMap::default();
         for est in estimates {
             *counts.entry((est.matches, est.hashes)).or_insert(0) += 1;
         }
-        let mut expected = vec![0.0f64; thresholds.len()];
-        let mut var = vec![0.0f64; thresholds.len()];
-        // One reused posterior buffer across all cells keeps curve
-        // assembly allocation-free after the first cell.
-        let mut post = Vec::new();
+        let width = self.thresholds.len();
+        let mut expected = vec![0.0f64; width];
+        let mut var = vec![0.0f64; width];
+        let mut computed = 0;
         for ((m, n), count) in counts {
-            engine.posterior_into(m, n, &mut post);
-            // Tail mass at each threshold via a single backward sweep.
-            let mut acc = 0.0;
-            let mut gi = grid.len();
-            // thresholds ascending → walk both descending.
-            for (ti, &t) in thresholds.iter().enumerate().rev() {
-                while gi > 0 && grid[gi - 1] >= t {
-                    gi -= 1;
-                    acc += post[gi];
+            let at = match self.index.get(&(m, n)) {
+                Some(&at) => at,
+                None => {
+                    computed += 1;
+                    self.compute_row(m, n)
                 }
-                let p = acc.clamp(0.0, 1.0);
+            };
+            for (ti, &p) in self.rows[at..at + width].iter().enumerate() {
                 expected[ti] += count as f64 * p;
                 var[ti] += count as f64 * p * (1.0 - p);
             }
         }
-        CumulativeCurve {
-            thresholds: thresholds.to_vec(),
+        let curve = CumulativeCurve {
+            thresholds: self.thresholds.clone(),
             expected,
             std_dev: var.into_iter().map(f64::sqrt).collect(),
-        }
+        };
+        (curve, computed)
     }
 
+    /// Computes and stores the tail row of cell `(m, n)`; returns its
+    /// offset in `rows`.
+    fn compute_row(&mut self, m: u32, n: u32) -> usize {
+        let engine = self
+            .engine
+            .get_or_insert_with(|| BayesLsh::new(self.family, self.params));
+        engine.posterior_into(m, n, &mut self.post);
+        let grid = engine.grid_points();
+        let at = self.rows.len();
+        self.rows.resize(at + self.thresholds.len(), 0.0);
+        let row = &mut self.rows[at..];
+        // Tail mass at each threshold via a single backward sweep:
+        // thresholds ascending → walk both descending.
+        let mut acc = 0.0;
+        let mut gi = grid.len();
+        for (ti, &t) in self.thresholds.iter().enumerate().rev() {
+            while gi > 0 && grid[gi - 1] >= t {
+                gi -= 1;
+                acc += self.post[gi];
+            }
+            row[ti] = acc.clamp(0.0, 1.0);
+        }
+        self.index.insert((m, n), at);
+        at
+    }
+}
+
+impl CumulativeCurve {
     /// Merges two curves over the same grid by keeping, per threshold, the
     /// estimate with the smaller error bar — how a user combines the
     /// high-threshold probe with a later low-threshold probe (Fig. 2.4's
@@ -137,6 +208,12 @@ mod tests {
     use super::*;
     use plasma_lsh::bayes::PairDecision;
 
+    /// A fresh MinHash memo's fold of `ests` over `grid`.
+    fn fold(ests: &[PairEstimate], grid: &[f64]) -> CumulativeCurve {
+        let mut rows = TailRows::new(LshFamily::MinHash, BayesParams::default(), grid.to_vec());
+        rows.fold(ests).0
+    }
+
     fn est(m: u32, n: u32) -> PairEstimate {
         PairEstimate {
             decision: PairDecision::Accepted,
@@ -151,12 +228,7 @@ mod tests {
     fn curve_is_nonincreasing() {
         let ests = [est(250, 256), est(128, 256), est(30, 256), est(200, 256)];
         let grid = default_grid(0.1);
-        let curve = CumulativeCurve::from_estimates(
-            LshFamily::MinHash,
-            BayesParams::default(),
-            ests.iter(),
-            &grid,
-        );
+        let curve = fold(&ests, &grid);
         for w in curve.expected.windows(2) {
             assert!(w[0] >= w[1] - 1e-9, "must be non-increasing: {w:?}");
         }
@@ -167,12 +239,7 @@ mod tests {
         // One pair at ~0.97 similarity: counts at 0.5, not at 0.999.
         let ests = [est(250, 256)];
         let grid = vec![0.5, 0.9, 0.999];
-        let curve = CumulativeCurve::from_estimates(
-            LshFamily::MinHash,
-            BayesParams::default(),
-            ests.iter(),
-            &grid,
-        );
+        let curve = fold(&ests, &grid);
         assert!(curve.expected[0] > 0.95, "at 0.5: {}", curve.expected[0]);
         assert!(curve.expected[2] < 0.6, "at 0.999: {}", curve.expected[2]);
     }
@@ -184,24 +251,29 @@ mod tests {
         let precise = [est(192, 256)];
         let vague = [est(24, 32)];
         let grid = vec![0.7];
-        let c1 = CumulativeCurve::from_estimates(
-            LshFamily::MinHash,
-            BayesParams::default(),
-            precise.iter(),
-            &grid,
-        );
-        let c2 = CumulativeCurve::from_estimates(
-            LshFamily::MinHash,
-            BayesParams::default(),
-            vague.iter(),
-            &grid,
-        );
+        let c1 = fold(&precise, &grid);
+        let c2 = fold(&vague, &grid);
         assert!(
             c2.std_dev[0] > c1.std_dev[0],
             "vague {} vs precise {}",
             c2.std_dev[0],
             c1.std_dev[0]
         );
+    }
+
+    #[test]
+    fn a_refold_reads_every_row_and_keeps_the_bits() {
+        let ests = [est(250, 256), est(128, 256), est(24, 32), est(250, 256)];
+        let grid = default_grid(0.1);
+        let mut rows = TailRows::new(LshFamily::MinHash, BayesParams::default(), grid.clone());
+        let (_, computed) = rows.fold(&ests);
+        assert_eq!(computed, 3, "one row per distinct cell");
+        let (again, computed) = rows.fold(&ests[1..]);
+        assert_eq!(computed, 0);
+        let cold = fold(&ests[1..], &grid);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again.expected), bits(&cold.expected));
+        assert_eq!(bits(&again.std_dev), bits(&cold.std_dev));
     }
 
     #[test]

@@ -72,7 +72,7 @@ use plasma_lsh::sketch::{SketchSet, Sketcher};
 use crate::apss::{build_sketches, ApssConfig, SimilarPair};
 use crate::cache::{CacheCapacity, SharedKnowledgeCache};
 use crate::cues::{self, DensityPlot, TriangleCue};
-use crate::cumulative::CumulativeCurve;
+use crate::cumulative::{CumulativeCurve, TailRows};
 use crate::watch::{WatchHandle, WatchRegistry};
 
 /// Lowest threshold of a session's default cumulative-curve grid.
@@ -156,6 +156,10 @@ pub struct ProbeReport {
     pub pairs: Vec<SimilarPair>,
     /// Updated Cumulative APSS Graph estimate (merged across probes).
     pub curve: CumulativeCurve,
+    /// Tail rows this probe's curve fold computed: the `(m, n)` cells no
+    /// earlier probe of this session met on its grid (each one posterior
+    /// and one sweep). A repeated probe computes none. Not on the wire.
+    pub curve_rows: u64,
     /// Seconds spent on this probe (sketching charged to the first).
     pub seconds: f64,
     /// Sketch seconds charged to this probe (non-zero only on the first).
@@ -213,7 +217,11 @@ pub struct StreamingSession {
     /// Per-fork probe configuration (parallelism may diverge;
     /// sketch-relevant knobs are shared with the corpus).
     cfg: ApssConfig,
-    grid: Vec<f64>,
+    /// The threshold grid of this session's curve, with the tail row of
+    /// every `(m, n)` cell a probe has folded on it. Per session: a fork
+    /// starts empty and `with_grid` starts over.
+    tail_rows: TailRows,
+    /// The curve merged across this session's probes, over the same grid.
     curve: Option<CumulativeCurve>,
 }
 
@@ -237,15 +245,28 @@ impl StreamingSession {
                 watches: WatchRegistry::new(),
             }),
             cfg,
-            grid: crate::cumulative::default_grid(GRID_LO),
+            tail_rows: TailRows::new(
+                LshFamily::for_measure(measure),
+                cfg.bayes,
+                crate::cumulative::default_grid(GRID_LO),
+            ),
             curve: None,
         }
     }
 
     /// Overrides the threshold grid for this session's cumulative curve.
+    /// The session's curve and tail rows start over on the new grid.
     pub fn with_grid(mut self, grid: Vec<f64>) -> Self {
-        self.grid = grid;
+        self.tail_rows = self.fresh_tail_rows(grid);
+        self.curve = None;
         self
+    }
+
+    /// An empty tail-row memo over `grid` for this session's family and
+    /// BayesLSH parameters.
+    fn fresh_tail_rows(&self, grid: Vec<f64>) -> TailRows {
+        let family = LshFamily::for_measure(self.corpus.measure);
+        TailRows::new(family, self.cfg.bayes, grid)
     }
 
     /// Pins the worker-thread count for this session's ingests and probes
@@ -344,7 +365,7 @@ impl StreamingSession {
         StreamingSession {
             corpus: self.corpus.clone(),
             cfg: self.cfg,
-            grid: self.grid.clone(),
+            tail_rows: self.fresh_tail_rows(self.tail_rows.thresholds().to_vec()),
             curve: None,
         }
     }
@@ -404,7 +425,9 @@ impl StreamingSession {
 
     /// Probes everything ingested so far at `threshold`, reusing carried
     /// memos for every pair of pre-growth records, and folds the probe's
-    /// estimates into this session's curve. The report is bit-identical
+    /// estimates into this session's curve, computing a tail row only for
+    /// the `(m, n)` cells the session has not folded before
+    /// ([`ProbeReport::curve_rows`]). The report is bit-identical
     /// (pairs, estimates, curve, decision counters) to a fresh session
     /// probing the same corpus cold; carried knowledge shows up only in
     /// `cache_hits` and `hashes_compared`.
@@ -430,9 +453,8 @@ impl StreamingSession {
         let result = cache.probe(&records, corpus.measure, threshold, &self.cfg);
         drop(records);
         let seconds = start.elapsed().as_secs_f64();
-        let family = LshFamily::for_measure(corpus.measure);
         let ests = result.estimates.iter().map(|(_, _, e)| e);
-        let probe_curve = CumulativeCurve::from_estimates(family, self.cfg.bayes, ests, &self.grid);
+        let (probe_curve, curve_rows) = self.tail_rows.fold(ests);
         let curve = match self.curve.take() {
             Some(prev) => prev.merge_min_variance(&probe_curve),
             None => probe_curve,
@@ -443,6 +465,7 @@ impl StreamingSession {
             epoch,
             pairs: result.pairs,
             curve,
+            curve_rows,
             seconds,
             sketch_seconds,
             candidates: result.stats.candidates,
@@ -790,5 +813,93 @@ mod tests {
             sum_sd_after <= sum_sd_before + 1e-9,
             "min-variance merge can only tighten: {sum_sd_before} → {sum_sd_after}"
         );
+    }
+
+    /// The uncached fold, written out: a cold APSS run at `threshold`
+    /// over `records`, its `(m, n)` cells counted in candidate order, each
+    /// cell's posterior swept backward over `grid`.
+    fn cold_fold(records: &[SparseVector], threshold: f64, grid: &[f64]) -> CumulativeCurve {
+        let cfg = ApssConfig::default();
+        let cold = apss(records, Similarity::Cosine, threshold, &cfg);
+        let engine =
+            plasma_lsh::bayes::BayesLsh::new(LshFamily::for_measure(Similarity::Cosine), cfg.bayes);
+        let points = engine.grid_points();
+        let mut counts: plasma_data::hash::FxHashMap<(u32, u32), u64> = Default::default();
+        for (_, _, e) in &cold.estimates {
+            *counts.entry((e.matches, e.hashes)).or_insert(0) += 1;
+        }
+        let mut expected = vec![0.0f64; grid.len()];
+        let mut var = vec![0.0f64; grid.len()];
+        for ((m, n), count) in counts {
+            let post = engine.posterior(m, n);
+            let mut acc = 0.0;
+            let mut gi = points.len();
+            for (ti, &t) in grid.iter().enumerate().rev() {
+                while gi > 0 && points[gi - 1] >= t {
+                    gi -= 1;
+                    acc += post[gi];
+                }
+                let p = acc.clamp(0.0, 1.0);
+                expected[ti] += count as f64 * p;
+                var[ti] += count as f64 * p * (1.0 - p);
+            }
+        }
+        CumulativeCurve {
+            thresholds: grid.to_vec(),
+            expected,
+            std_dev: var.into_iter().map(f64::sqrt).collect(),
+        }
+    }
+
+    #[test]
+    fn memoized_curves_equal_the_cold_fold_bit_for_bit() {
+        let records = dataset(60);
+        let cfg = ApssConfig::default();
+        let custom = vec![0.3, 0.45, 0.6, 0.72, 0.8, 0.9, 0.97];
+        let head = StreamingSession::from_records(records[..40].to_vec(), Similarity::Cosine, cfg);
+        // A probe on the default grid before the switch leaves rows that
+        // the new grid must not read.
+        let mut regridded = head.fork();
+        regridded.probe(0.8);
+        let regridded = regridded.with_grid(custom.clone());
+        let fork = head.fork();
+        let default = crate::cumulative::default_grid(GRID_LO);
+        let mut sessions = [
+            (head, default.clone()),
+            (fork, default),
+            (regridded, custom),
+        ];
+        let mut merged: [Option<CumulativeCurve>; 3] = [None, None, None];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Probes every session at `t` over the first `len` records; checks
+        // each curve against its session's merged oracle and returns the
+        // rows each fold computed.
+        let mut probe_all = |sessions: &mut [(StreamingSession, Vec<f64>)], t: f64, len: usize| {
+            let mut rows = Vec::new();
+            for (k, (session, grid)) in sessions.iter_mut().enumerate() {
+                let report = session.probe(t);
+                let oracle = cold_fold(&records[..len], t, grid);
+                let want = match merged[k].take() {
+                    Some(prev) => prev.merge_min_variance(&oracle),
+                    None => oracle,
+                };
+                let got = &report.curve;
+                let label = format!("session {k} at {t} over {len} records");
+                assert_eq!(bits(&got.thresholds), bits(&want.thresholds), "{label}");
+                assert_eq!(bits(&got.expected), bits(&want.expected), "{label}");
+                assert_eq!(bits(&got.std_dev), bits(&want.std_dev), "{label}");
+                merged[k] = Some(want);
+                rows.push(report.curve_rows);
+            }
+            rows
+        };
+        for t in [0.9, 0.7] {
+            let rows = probe_all(&mut sessions, t, 40);
+            assert!(rows.iter().all(|&r| r > 0), "{t}: {rows:?}");
+        }
+        assert_eq!(probe_all(&mut sessions, 0.9, 40), [0, 0, 0], "a repeat");
+        probe_all(&mut sessions, 0.5, 40);
+        sessions[0].0.ingest(&records[40..]);
+        probe_all(&mut sessions, 0.7, 60);
     }
 }

@@ -17,6 +17,18 @@
 //! [`Json::Int`], everything else to [`Json::Float`]. Readers that expect
 //! a float accept either ([`Json::as_f64`]), so `1.0` surviving a trip as
 //! `1` still decodes exactly.
+//!
+//! Two writers keep a large `probe_result` cheap without changing a byte:
+//!
+//! * `write_int` writes its digits through a 20-byte stack buffer
+//!   (`i64::MIN` is 20 bytes with its sign), not through `fmt`.
+//! * `FloatMemo` remembers the tokens `write_float` produced, in 256
+//!   direct-mapped slots keyed by [`f64::to_bits`]. A hit copies the
+//!   stored bytes; a miss formats exactly as `write_float` does, then
+//!   fills the slot. Equal bits format to equal bytes, so a memoized
+//!   frame cannot differ from a formatted one. It pays off because an
+//!   estimate-only reply draws every similarity from BayesLSH's 256 grid
+//!   points.
 
 use std::fmt::Write as _;
 
@@ -137,10 +149,26 @@ impl Json {
     }
 }
 
-/// Appends an integer token, formatting straight into `out`.
+/// Appends an integer token: the decimal digits, built right to left in
+/// a stack buffer, after a `-` for a negative. `unsigned_abs` keeps
+/// `i64::MIN` exact.
 pub(crate) fn write_int(i: i64, out: &mut String) {
-    // Writing into a `String` cannot fail.
-    let _ = write!(out, "{i}");
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Appends a float token: `{}` is Rust's shortest exact round-trip form;
@@ -151,6 +179,71 @@ pub(crate) fn write_float(f: f64, out: &mut String) {
         let _ = write!(out, "{f}");
     } else {
         out.push_str("null");
+    }
+}
+
+/// Longest token a [`FloatMemo`] slot stores. The shortest round-trip
+/// token of a similarity in `[-1, 1]` fits unless it is tiny; a longer one
+/// (`{}` writes `1e-300` with 300 zeros) is formatted every time.
+const TOKEN_CAP: usize = 22;
+
+/// Slots in a [`FloatMemo`]: one per BayesLSH grid point (see
+/// [`FloatMemo`] for how grid points map to slots).
+const SLOTS: usize = 256;
+
+/// One memoized float token.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// The float's bits; meaningful only when `len > 0`.
+    bits: u64,
+    /// Token length; 0 marks an empty slot (no token is empty).
+    len: u8,
+    token: [u8; TOKEN_CAP],
+}
+
+/// The tokens [`write_float`] produced, in [`SLOTS`] direct-mapped slots
+/// keyed by [`f64::to_bits`], so a stream of repeated floats formats each
+/// one once. A value picks slot `⌊256·f⌋ mod 256`, so BayesLSH's grid
+/// points take distinct slots: the MinHash grid (256 points over
+/// `[0, 1]`) fills every slot once, and the SimHash grid's points in
+/// `[0, 1]` (128 of 256 over `[−1, 1]`) fill every other one. A colliding
+/// value evicts the slot's token. The memo is ≈ 8 KB and lives on the
+/// caller's stack for one frame.
+pub(crate) struct FloatMemo {
+    slots: [Slot; SLOTS],
+}
+
+impl FloatMemo {
+    /// An empty memo.
+    pub(crate) fn new() -> Self {
+        let empty = Slot {
+            bits: 0,
+            len: 0,
+            token: [0; TOKEN_CAP],
+        };
+        FloatMemo {
+            slots: [empty; SLOTS],
+        }
+    }
+
+    /// Appends [`write_float`]'s bytes for `f` to `out`.
+    pub(crate) fn write(&mut self, f: f64, out: &mut String) {
+        let bits = f.to_bits();
+        // `as` saturates: ±inf and NaN land in a slot like any value.
+        let slot = &mut self.slots[(f * SLOTS as f64) as i64 as usize % SLOTS];
+        let len = usize::from(slot.len);
+        if len > 0 && slot.bits == bits {
+            out.push_str(std::str::from_utf8(&slot.token[..len]).expect("a stored token"));
+            return;
+        }
+        let start = out.len();
+        write_float(f, out);
+        let token = &out.as_bytes()[start..];
+        if token.len() <= TOKEN_CAP {
+            slot.bits = bits;
+            slot.len = token.len() as u8;
+            slot.token[..token.len()].copy_from_slice(token);
+        }
     }
 }
 
@@ -447,6 +540,82 @@ mod tests {
     fn depth_bound_refuses_hostile_nesting() {
         let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         assert!(parse(&deep).is_err());
+    }
+
+    /// `format!`'s token for a float, `null` when non-finite: the bytes
+    /// the writers must produce, computed without them.
+    fn reference(f: f64) -> String {
+        if f.is_finite() {
+            format!("{f}")
+        } else {
+            "null".into()
+        }
+    }
+
+    /// Writes `floats` through one memo, comma-separated, and checks the
+    /// bytes against [`reference`].
+    fn assert_memo_writes(floats: &[f64]) {
+        let mut memo = FloatMemo::new();
+        let mut out = String::new();
+        for &f in floats {
+            memo.write(f, &mut out);
+            out.push(',');
+        }
+        let want: String = floats.iter().map(|&f| reference(f) + ",").collect();
+        assert_eq!(out, want, "{floats:?}");
+    }
+
+    #[test]
+    fn integers_write_the_digits_format_writes() {
+        let mut cases = vec![0, 1, -1, 9, -9, 10, -10, i64::MIN, i64::MAX];
+        let mut power = 1i64;
+        for _ in 1..=18 {
+            power *= 10;
+            for i in [power - 1, power, power + 1] {
+                cases.extend([i, -i]);
+            }
+        }
+        // Counters are u64 on the wire and cast as `encode_into` casts them.
+        for counter in [i64::MAX as u64 + 1, u64::MAX - 7, u64::MAX] {
+            cases.push(counter as i64);
+        }
+        for i in cases {
+            let mut out = String::from("x");
+            write_int(i, &mut out);
+            assert_eq!(out, format!("x{i}"));
+        }
+    }
+
+    #[test]
+    fn float_memo_writes_the_tokens_format_writes() {
+        // Repeats hit; 0.5 and 0.5 + 1e-9, then 0.0 and -0.0, share a slot
+        // and evict each other.
+        assert_memo_writes(&[0.25, 0.75, 0.25, 0.25, 0.75, 1.0 / 3.0, 0.25]);
+        assert_memo_writes(&[0.5, 0.5 + 1e-9, 0.5, 0.5 + 1e-9, 0.5, 0.0, -0.0, 0.0, -0.0]);
+        // Tokens longer than a slot are formatted every time.
+        assert_memo_writes(&[1e-300, 5e-324, 1e-300, 5e-324, 1e300, 1e300]);
+        assert_memo_writes(&[-0.0, 1.0, 0.1 + 0.2, 1.0, -0.0, 0.1 + 0.2]);
+        assert_memo_writes(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn float_memo_matches_format_on_random_bits(
+            bits in proptest::collection::vec(0u64..u64::MAX, 1..64),
+            sims in proptest::collection::vec(-1.0f64..1.0, 1..64),
+            repeats in 1usize..4
+        ) {
+            let mut floats: Vec<f64> = bits
+                .into_iter()
+                .map(f64::from_bits)
+                .filter(|f| f.is_finite())
+                .collect();
+            floats.extend(sims);
+            let stream = floats.repeat(repeats);
+            assert_memo_writes(&stream);
+        }
     }
 
     #[test]

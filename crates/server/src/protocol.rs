@@ -623,7 +623,10 @@ impl Response {
     /// connection can reuse one buffer for every frame. A `probe_result`
     /// — the frame that grows with the answer — is written straight into
     /// `out` with no `Json` tree and no per-pair allocation; its bytes
-    /// equal the tree form's (pinned by a test).
+    /// equal the tree form's (pinned by a test). Its similarities go
+    /// through a `json::FloatMemo` local to this call: an estimate-only
+    /// answer repeats BayesLSH grid points, so most are copied, not
+    /// formatted, and no state crosses frames.
     pub fn encode_into(&self, out: &mut String) {
         let Response::ProbeResult {
             threshold,
@@ -642,13 +645,14 @@ impl Response {
         out.push_str(",\"epoch\":");
         json::write_int(*epoch as i64, out);
         out.push_str(",\"pairs\":[");
+        let mut floats = json::FloatMemo::new();
         for (n, p) in pairs.iter().enumerate() {
             out.push_str(if n == 0 { "[" } else { ",[" });
             json::write_int(i64::from(p.i), out);
             out.push(',');
             json::write_int(i64::from(p.j), out);
             out.push(',');
-            json::write_float(p.similarity, out);
+            floats.write(p.similarity, out);
             out.push(']');
         }
         for (key, value) in [
