@@ -1,7 +1,8 @@
 //! Criterion benchmarks for the hot kernels every figure's wall-clock
 //! claims rest on: sketching, BayesLSH pair evaluation, the skewed banded
-//! join, warm knowledge-cache re-probes, triangle counting, LAM
-//! localization + mining, crossing counting, and the energy iteration.
+//! join, warm knowledge-cache re-probes, reply encoding, publish-frame
+//! decoding, triangle counting, LAM localization + mining, crossing
+//! counting, and the energy iteration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -56,24 +57,28 @@ fn available_cores() -> usize {
 }
 
 /// Parallel-vs-sequential sketching on the 200-record corpus: the ≥3×
-/// scaling target of the parallel APSS engine rides on this group.
+/// scaling target of the parallel APSS engine rides on this group. The
+/// `simhash256_1000docs` rows sketch a 1 000-document TF-IDF corpus over
+/// one 4 000-term vocabulary, the shape of a text publish, where SimHash
+/// workers split lanes over one shared dimension list.
 fn bench_parallel_sketching(c: &mut Criterion) {
     let corpus = CorpusSpec::new("bench", 200, 4000, 6).generate(1);
+    let text = CorpusSpec::new("bench", 1000, 4000, 6).generate(4);
     let cores = available_cores();
     let mut g = c.benchmark_group("parallel_sketching");
-    g.throughput(Throughput::Elements(corpus.records.len() as u64));
     for (label, threads) in [("seq", 1usize), ("par", cores)] {
-        for family in [LshFamily::MinHash, LshFamily::SimHash] {
-            let name = match family {
-                LshFamily::MinHash => "minhash256",
-                LshFamily::SimHash => "simhash256",
-            };
+        for (name, family, records) in [
+            ("minhash256", LshFamily::MinHash, &corpus.records),
+            ("simhash256", LshFamily::SimHash, &corpus.records),
+            ("simhash256_1000docs", LshFamily::SimHash, &text.records),
+        ] {
+            g.throughput(Throughput::Elements(records.len() as u64));
             g.bench_with_input(
                 BenchmarkId::new(name, format!("{label}{threads}")),
                 &threads,
                 |b, &threads| {
                     let sk = Sketcher::new(family, 256, 7).with_parallelism(Some(threads));
-                    b.iter(|| sk.sketch_all(&corpus.records));
+                    b.iter(|| sk.sketch_all(records));
                 },
             );
         }
@@ -249,6 +254,34 @@ fn bench_reply_encode(c: &mut Criterion) {
     g.finish();
 }
 
+/// `Request::decode` of a publish frame carrying a 1 000-document TF-IDF
+/// corpus (≈ 1.4 MB, the size of a `cold_sweep` publish): `records` is
+/// read straight from the frame. `tree_parse` parses the same frame into
+/// a `Json` tree, for reference.
+fn bench_publish_decode(c: &mut Criterion) {
+    use plasma_server::{json, PublishCfg, Request};
+    let corpus = CorpusSpec::new("bench", 1000, 4000, 6).generate(5);
+    let frame = Request::Publish {
+        name: "bench".into(),
+        measure: Similarity::Cosine,
+        records: corpus.records,
+        cfg: PublishCfg {
+            bands: Some((32, 8)),
+            ..PublishCfg::default()
+        },
+    }
+    .encode();
+    let mut g = c.benchmark_group("publish_decode");
+    g.throughput(Throughput::Bytes(frame.len() as u64));
+    g.bench_function("decode", |b| {
+        b.iter(|| Request::decode(&frame).expect("a publish frame"))
+    });
+    g.bench_function("tree_parse", |b| {
+        b.iter(|| json::parse(&frame).expect("a JSON frame"))
+    });
+    g.finish();
+}
+
 fn bench_bayeslsh(c: &mut Criterion) {
     let ds = GaussianSpec::new("bench", 200, 10, 4).generate(3);
     let sketches = Sketcher::new(LshFamily::SimHash, 256, 5).sketch_all(&ds.records);
@@ -362,6 +395,6 @@ fn bench_energy(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_sketching, bench_parallel_sketching, bench_bayeslsh, bench_parallel_pair_evaluation, bench_banded_join_skewed, bench_knowledge_cache, bench_reply_encode, bench_triangles, bench_lam, bench_crossings, bench_energy
+    targets = bench_sketching, bench_parallel_sketching, bench_bayeslsh, bench_parallel_pair_evaluation, bench_banded_join_skewed, bench_knowledge_cache, bench_reply_encode, bench_publish_decode, bench_triangles, bench_lam, bench_crossings, bench_energy
 }
 criterion_main!(kernels);

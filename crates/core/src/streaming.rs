@@ -154,7 +154,8 @@ pub struct ProbeReport {
     pub epoch: u64,
     /// Pairs meeting the threshold.
     pub pairs: Vec<SimilarPair>,
-    /// Updated Cumulative APSS Graph estimate (merged across probes).
+    /// Updated Cumulative APSS Graph estimate (merged across this
+    /// session's probes at this epoch).
     pub curve: CumulativeCurve,
     /// Tail rows this probe's curve fold computed: the `(m, n)` cells no
     /// earlier probe of this session met on its grid (each one posterior
@@ -221,8 +222,9 @@ pub struct StreamingSession {
     /// every `(m, n)` cell a probe has folded on it. Per session: a fork
     /// starts empty and `with_grid` starts over.
     tail_rows: TailRows,
-    /// The curve merged across this session's probes, over the same grid.
-    curve: Option<CumulativeCurve>,
+    /// The curve merged across this session's probes at one epoch, over
+    /// the same grid, with that epoch.
+    curve: Option<(u64, CumulativeCurve)>,
 }
 
 impl StreamingSession {
@@ -427,10 +429,17 @@ impl StreamingSession {
     /// memos for every pair of pre-growth records, and folds the probe's
     /// estimates into this session's curve, computing a tail row only for
     /// the `(m, n)` cells the session has not folded before
-    /// ([`ProbeReport::curve_rows`]). The report is bit-identical
-    /// (pairs, estimates, curve, decision counters) to a fresh session
-    /// probing the same corpus cold; carried knowledge shows up only in
-    /// `cache_hits` and `hashes_compared`.
+    /// ([`ProbeReport::curve_rows`]). The pairs, estimates and decision
+    /// counters are bit-identical to a fresh session probing the same
+    /// corpus cold; carried knowledge shows up only in `cache_hits` and
+    /// `hashes_compared`.
+    ///
+    /// The curve is merged ([`CumulativeCurve::merge_min_variance`]) only
+    /// across probes at one epoch. A probe at another epoch starts the
+    /// curve over from its own fold, so after an ingest the curve is
+    /// bit-identical to a fresh session's first curve on the grown
+    /// corpus, and later probes at that epoch merge into it as a fresh
+    /// session's would.
     ///
     /// The report's `epoch` is read under the corpus read guard, before
     /// the cache pins its snapshot. A fork's cache grows only under the
@@ -456,10 +465,10 @@ impl StreamingSession {
         let ests = result.estimates.iter().map(|(_, _, e)| e);
         let (probe_curve, curve_rows) = self.tail_rows.fold(ests);
         let curve = match self.curve.take() {
-            Some(prev) => prev.merge_min_variance(&probe_curve),
-            None => probe_curve,
+            Some((at, prev)) if at == epoch => prev.merge_min_variance(&probe_curve),
+            _ => probe_curve,
         };
-        self.curve = Some(curve.clone());
+        self.curve = Some((epoch, curve.clone()));
         ProbeReport {
             threshold: result.threshold,
             epoch,
@@ -574,14 +583,14 @@ impl StreamingSession {
 
     /// The session's current Cumulative APSS Graph, if any probe has run.
     pub fn curve(&self) -> Option<&CumulativeCurve> {
-        self.curve.as_ref()
+        self.curve.as_ref().map(|(_, curve)| curve)
     }
 
     /// Suggests the next threshold to probe: the knee of the current curve
     /// (§2.2.2's "the user then notices the knee … and investigating it,
     /// selects a new similarity threshold").
     pub fn suggest_next_threshold(&self) -> Option<f64> {
-        let curve = self.curve.as_ref()?;
+        let curve = self.curve()?;
         curve.knee().map(|k| curve.thresholds[k])
     }
 
@@ -869,7 +878,9 @@ mod tests {
             (fork, default),
             (regridded, custom),
         ];
-        let mut merged: [Option<CumulativeCurve>; 3] = [None, None, None];
+        // Each session's oracle, merged across the probes over one corpus
+        // length (one epoch), with that length.
+        let mut merged: [Option<(usize, CumulativeCurve)>; 3] = [None, None, None];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         // Probes every session at `t` over the first `len` records; checks
         // each curve against its session's merged oracle and returns the
@@ -880,15 +891,15 @@ mod tests {
                 let report = session.probe(t);
                 let oracle = cold_fold(&records[..len], t, grid);
                 let want = match merged[k].take() {
-                    Some(prev) => prev.merge_min_variance(&oracle),
-                    None => oracle,
+                    Some((at, prev)) if at == len => prev.merge_min_variance(&oracle),
+                    _ => oracle,
                 };
                 let got = &report.curve;
                 let label = format!("session {k} at {t} over {len} records");
                 assert_eq!(bits(&got.thresholds), bits(&want.thresholds), "{label}");
                 assert_eq!(bits(&got.expected), bits(&want.expected), "{label}");
                 assert_eq!(bits(&got.std_dev), bits(&want.std_dev), "{label}");
-                merged[k] = Some(want);
+                merged[k] = Some((len, want));
                 rows.push(report.curve_rows);
             }
             rows
@@ -901,5 +912,31 @@ mod tests {
         probe_all(&mut sessions, 0.5, 40);
         sessions[0].0.ingest(&records[40..]);
         probe_all(&mut sessions, 0.7, 60);
+        probe_all(&mut sessions, 0.9, 60);
+    }
+
+    #[test]
+    fn curve_after_an_ingest_equals_a_fresh_sessions_on_the_grown_corpus() {
+        let records = dataset(60);
+        let cfg = ApssConfig::default();
+        let mut grown =
+            StreamingSession::from_records(records[..20].to_vec(), Similarity::Cosine, cfg);
+        grown.probe(0.8);
+        grown.probe(0.5);
+        grown.ingest(&records[20..]);
+        let mut fresh = StreamingSession::from_records(records.clone(), Similarity::Cosine, cfg);
+        let bits = |c: &CumulativeCurve| {
+            [&c.thresholds, &c.expected, &c.std_dev]
+                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        // The first probe after the ingest starts the curve over; the next
+        // one at the same epoch merges into it, as a fresh session's does.
+        for t in [0.8, 0.6] {
+            let after = grown.probe(t);
+            let first = fresh.probe(t);
+            assert_eq!(after.epoch, 1);
+            assert_eq!(bits(&after.curve), bits(&first.curve), "probe at {t}");
+            assert_eq!(bits(grown.curve().expect("probed")), bits(&first.curve));
+        }
     }
 }

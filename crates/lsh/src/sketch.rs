@@ -32,28 +32,39 @@
 //! running minima stay in registers. Minima are order-free, so the values
 //! equal the textbook lane-outer formulation.
 //!
-//! **SimHash** tabulates hyperplanes once per shard. A hyperplane
+//! **SimHash** tabulates hyperplanes once per batch. A hyperplane
 //! component costs a keyed hash and a Box–Muller transform (`ln`, `sqrt`,
 //! `cos`), and a text corpus repeats each dimension across many records.
-//! So the kernel collects the shard's distinct dimensions and fills a
+//! So the kernel collects the batch's distinct dimensions and fills a
 //! tile of their components eight lanes at a time: 64 B per distinct
 //! dimension, plus one `u32` row index per non-zero. Every record then
 //! accumulates its weighted tile rows in record order. Each lane adds the
 //! same `f64` values in the same order from `+0.0` as the lane-outer
 //! formulation, so the sign bits are identical to it. The saving is the
-//! shard's dimension reuse (non-zeros per distinct dimension); with no
+//! batch's dimension reuse (non-zeros per distinct dimension); with no
 //! reuse the kernel costs one component per (non-zero, lane), as the
-//! lane-outer formulation does, plus a sort of the shard's dimensions.
+//! lane-outer formulation does, plus a sort of the batch's dimensions.
 //!
 //! # Parallelism
 //!
-//! [`Sketcher::sketch_all`] and [`Sketcher::extend_batch`] shard the
-//! record range across threads: the flat output buffer is pre-sized and
-//! split into disjoint per-shard slices (`par_chunks_mut`), so workers
-//! write without synchronization and the result is bit-identical for
-//! every thread count. Each SimHash shard builds its own tile.
-//! [`Sketcher::with_parallelism`] pins the thread count (`Some(1)` =
-//! sequential, `None` = all cores).
+//! [`Sketcher::sketch_all`] and [`Sketcher::extend_batch`] split a batch
+//! across threads, and the result is bit-identical for every thread
+//! count. [`Sketcher::with_parallelism`] pins the thread count (`Some(1)`
+//! = sequential, `None` = all cores).
+//!
+//! - **MinHash** shards records: the flat output buffer is pre-sized and
+//!   split into disjoint per-shard slices (`par_chunks_mut`), so workers
+//!   write without synchronization.
+//! - **SimHash** splits lanes, because the records of a batch share one
+//!   vocabulary and record shards would each compute nearly the same
+//!   tile. Each worker owns a contiguous run of eight-lane tiles, fills
+//!   them over all the batch's distinct dimensions, and sums every record
+//!   for its own lanes only; the per-worker sign words are OR-merged into
+//!   the flat buffer. So each (distinct dimension, lane) component is
+//!   computed once per batch at every thread count, and a lane's sum is
+//!   the one a single thread computes. There are at most as many workers
+//!   as tiles, and the tiles held at once take workers × 64 B × the
+//!   batch's distinct dimensions.
 //!
 //! # Streaming growth and epochs
 //!
@@ -83,8 +94,8 @@ use crate::{resolve_parallelism, resolve_segment_records};
 const MINHASH_LANE_MUL: u64 = 0xA24B_AED4_963E_E407;
 const SIMHASH_LANE_MUL: u64 = 0x9E6C_63D0_9759_27F1;
 
-/// Below this much total work (`records · n_hashes`), sharding costs more
-/// than it saves and sketching stays sequential.
+/// Below this much total work (`records · n_hashes`), splitting a batch
+/// across threads costs more than it saves and sketching stays sequential.
 const MIN_PARALLEL_WORK: usize = 1 << 13;
 
 /// Generates sketches for one dataset.
@@ -151,10 +162,10 @@ impl Sketcher {
         self.family
     }
 
-    /// Sketches every record, sharding across threads. MinHash costs
+    /// Sketches every record across threads. MinHash costs
     /// `O(nnz · n_hashes / threads)` keyed hashes; SimHash costs one
-    /// hyperplane component per (distinct dimension of a shard, lane) and
-    /// one multiply-add per (non-zero, lane).
+    /// hyperplane component per (distinct dimension of the batch, lane)
+    /// and one multiply-add per (non-zero, lane).
     pub fn sketch_all(&self, records: &[SparseVector]) -> SketchSet {
         let mut set =
             SketchSet::with_segments(self.family, self.n_hashes, self.seed, self.seg_shift());
@@ -166,36 +177,26 @@ impl Sketcher {
         set
     }
 
-    /// Sketches a batch into one flat record-major buffer, sharding
-    /// across threads into disjoint slices — the kernel half shared by
-    /// [`sketch_all`](Self::sketch_all) and
-    /// [`extend_batch`](Self::extend_batch). Keeping the parallel write
-    /// target flat (and copying into the segmented store afterwards, an
-    /// O(batch) move) means thread sharding never interacts with segment
-    /// boundaries, so outputs stay bit-identical at every
-    /// (threads × segment capacity) combination.
+    /// Sketches a batch into one flat record-major buffer — the kernel
+    /// half shared by [`sketch_all`](Self::sketch_all) and
+    /// [`extend_batch`](Self::extend_batch). MinHash shards records into
+    /// disjoint slices; SimHash splits lanes (see "Parallelism" in the
+    /// module docs). Keeping the parallel write target flat (and copying
+    /// into the segmented store afterwards, an O(batch) move) means
+    /// thread splits never interact with segment boundaries, so outputs
+    /// stay bit-identical at every (threads × segment capacity)
+    /// combination.
     fn sketch_batch_words(&self, records: &[SparseVector]) -> Vec<u64> {
-        let k = records.len();
-        let stride = SketchSet::stride_for(self.family, self.n_hashes);
-        let mut buf = vec![0u64; k * stride];
-        let threads = self.threads_for(k).min(k);
-        if threads <= 1 {
-            self.sketch_shard(records, &mut buf);
-        } else {
-            let shard_records = k.div_ceil(threads);
-            buf.par_chunks_mut(shard_records * stride)
-                .enumerate_for_each(|shard, slice| {
-                    let lo = shard * shard_records;
-                    let hi = (lo + shard_records).min(k);
-                    self.sketch_shard(&records[lo..hi], slice);
-                });
+        let threads = self.threads_for(records.len());
+        match self.family {
+            LshFamily::MinHash => minhash_batch(records, &self.lane_keys, threads),
+            LshFamily::SimHash => simhash_batch(records, &self.lane_keys, threads).0,
         }
-        buf
     }
 
     /// Appends a batch of records to an existing set — the streaming
-    /// ingest path. New records are sketched in parallel into pre-sized
-    /// disjoint slices of a flat buffer (same kernels and sharding as
+    /// ingest path. New records are sketched in parallel into a flat
+    /// buffer (same kernels and thread split as
     /// [`sketch_all`](Self::sketch_all)); existing sketches are untouched
     /// byte for byte, so the grown set is an exact prefix-extension of
     /// the old one and every memo over old pairs stays valid. Each
@@ -244,28 +245,13 @@ impl Sketcher {
         if k == 0 {
             return;
         }
-        // Sketch the batch into a flat scratch buffer (parallel, disjoint
-        // slices), then move it into the segmented store: O(batch) total,
-        // independent of how many records the set already holds. Existing
-        // sealed segments and tail bytes are untouched.
+        // Sketch the batch into a flat scratch buffer, then move it into
+        // the segmented store: O(batch) total, independent of how many
+        // records the set already holds. Existing sealed segments and
+        // tail bytes are untouched.
         let buf = self.sketch_batch_words(new_records);
         set.append_words(&buf, k);
         set.epoch += 1;
-    }
-
-    /// Sequentially sketches a contiguous shard of records into its
-    /// pre-sized, zeroed slice of the flat buffer.
-    fn sketch_shard(&self, records: &[SparseVector], out: &mut [u64]) {
-        let stride = SketchSet::stride_for(self.family, self.n_hashes);
-        match self.family {
-            LshFamily::MinHash => {
-                let mut spreads = Vec::new();
-                for (record, words) in records.iter().zip(out.chunks_exact_mut(stride)) {
-                    minhash_lanes(record, &self.lane_keys, words, &mut spreads);
-                }
-            }
-            LshFamily::SimHash => simhash_shard(records, &self.lane_keys, stride, out),
-        }
     }
 
     /// Thread count for a whole-dataset pass over `records` records.
@@ -286,6 +272,32 @@ fn lane_keys(family: LshFamily, seed: u64, n_hashes: usize) -> Vec<u64> {
     (0..n_hashes)
         .map(|h| seed ^ (h as u64).wrapping_mul(mul))
         .collect()
+}
+
+/// MinHash over a batch: records are sharded across up to `threads`
+/// workers into disjoint slices of the flat record-major buffer, so
+/// workers write without synchronization.
+fn minhash_batch(records: &[SparseVector], keys: &[u64], threads: usize) -> Vec<u64> {
+    let stride = keys.len();
+    let mut buf = vec![0u64; records.len() * stride];
+    let shard = |records: &[SparseVector], out: &mut [u64]| {
+        let mut spreads = Vec::new();
+        for (record, words) in records.iter().zip(out.chunks_exact_mut(stride)) {
+            minhash_lanes(record, keys, words, &mut spreads);
+        }
+    };
+    let threads = threads.min(records.len());
+    if threads <= 1 {
+        shard(records, &mut buf);
+    } else {
+        let shard_records = records.len().div_ceil(threads);
+        buf.par_chunks_mut(shard_records * stride)
+            .enumerate_for_each(|k, slice| {
+                let lo = k * shard_records;
+                shard(&records[lo..(lo + shard_records).min(records.len())], slice);
+            });
+    }
+    buf
 }
 
 /// Lanes per register block of the MinHash kernel: eight independent
@@ -338,46 +350,120 @@ fn minhash_lanes(record: &SparseVector, keys: &[u64], out: &mut [u64], spreads: 
 /// one sign word.
 const PLANE_TILE: usize = 8;
 
-/// Tiled SimHash over one shard (see "Kernel shape" in the module docs):
-/// one tile of [`PLANE_TILE`] lanes per distinct dimension at a time, then
-/// every record's sign bits for those lanes.
-fn simhash_shard(records: &[SparseVector], keys: &[u64], stride: usize, out: &mut [u64]) {
+/// The batch-wide inputs every SimHash lane worker reads: the records,
+/// each non-zero's row in the distinct-dimension list, and each distinct
+/// dimension's [`spread_item`].
+struct SimHashBatch<'a> {
+    records: &'a [SparseVector],
+    rows: Vec<u32>,
+    spreads: Vec<u64>,
+}
+
+/// Tiled SimHash over a batch (see "Kernel shape" and "Parallelism" in
+/// the module docs). The batch's distinct dimensions, row indices and
+/// spreads are collected once; each of up to `threads` workers then owns
+/// a contiguous run of [`PLANE_TILE`]-lane tiles and writes only its own
+/// lanes' bits, which are OR-merged into the flat record-major buffer.
+/// Also returns the hyperplane components computed: distinct dims ×
+/// `n_hashes` at every thread count.
+fn simhash_batch(records: &[SparseVector], keys: &[u64], threads: usize) -> (Vec<u64>, usize) {
     let mut dims: Vec<u32> = records.iter().flat_map(|r| r.dims()).copied().collect();
     dims.sort_unstable();
     dims.dedup();
-    let rows: Vec<u32> = records
-        .iter()
-        .flat_map(|r| r.dims())
-        .map(|d| dims.binary_search(d).expect("every dim was collected") as u32)
-        .collect();
-    let spreads: Vec<u64> = dims.iter().map(|&d| spread_item(d)).collect();
-    let mut tile = vec![[0.0f64; PLANE_TILE]; dims.len()];
-    for (t, tile_keys) in keys.chunks(PLANE_TILE).enumerate() {
-        for (row, &spread) in tile.iter_mut().zip(&spreads) {
-            for (c, &key) in row.iter_mut().zip(tile_keys) {
-                *c = gaussian_from_hash(keyed_hash_spread(key, spread));
+    let batch = SimHashBatch {
+        records,
+        rows: records
+            .iter()
+            .flat_map(|r| r.dims())
+            .map(|d| dims.binary_search(d).expect("every dim was collected") as u32)
+            .collect(),
+        spreads: dims.iter().map(|&d| spread_item(d)).collect(),
+    };
+    let stride = keys.len().div_ceil(64);
+    let tiles = keys.len().div_ceil(PLANE_TILE);
+    let workers = threads.clamp(1, tiles);
+    // Worker `w`'s lanes, and the words `[first_word, first_word + span)`
+    // of each record they fall in.
+    let lane_part = |w: usize| {
+        let lo = w * tiles / workers * PLANE_TILE;
+        let hi = ((w + 1) * tiles / workers * PLANE_TILE).min(keys.len());
+        let first_word = lo / 64;
+        let span = hi.div_ceil(64) - first_word;
+        let mut words = vec![0u64; records.len() * span];
+        let computed = batch.sketch_lanes(&keys[lo..hi], lo % 64, &mut words, span);
+        (first_word, span, words, computed)
+    };
+    let parts: Vec<_> = rayon::scope(|s| {
+        let lane_part = &lane_part;
+        let handles: Vec<_> = (1..workers)
+            .map(|w| s.spawn(move || lane_part(w)))
+            .collect();
+        let mut parts = vec![lane_part(0)];
+        parts.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("SimHash lane worker panicked")),
+        );
+        parts
+    });
+    let mut out = vec![0u64; records.len() * stride];
+    let mut total = 0;
+    for (first_word, span, words, computed) in parts {
+        for (record, part) in out.chunks_exact_mut(stride).zip(words.chunks_exact(span)) {
+            for (word, &bits) in record[first_word..first_word + span].iter_mut().zip(part) {
+                *word |= bits;
             }
         }
-        // A short last tile leaves stale components past `tile_keys.len()`;
-        // their sums are computed and never read.
-        let first = t * PLANE_TILE;
-        let mut nz = rows.as_slice();
-        for (record, words) in records.iter().zip(out.chunks_exact_mut(stride)) {
-            let (record_rows, rest) = nz.split_at(record.nnz());
-            nz = rest;
-            let mut acc = [0.0f64; PLANE_TILE];
-            for (&r, &w) in record_rows.iter().zip(record.weights()) {
-                let row = &tile[r as usize];
-                for l in 0..PLANE_TILE {
-                    acc[l] += w * row[l];
+        total += computed;
+    }
+    (out, total)
+}
+
+impl SimHashBatch<'_> {
+    /// Sign bits of every record for the lanes keyed by `keys`, one tile
+    /// of [`PLANE_TILE`] lanes at a time: the tile's components over every
+    /// distinct dimension, then every record's sums in record order. Lane
+    /// `l` lands at bit `first_bit + l` of each record's `stride`-word run
+    /// of `out`; `first_bit` is a multiple of [`PLANE_TILE`], so a tile
+    /// never straddles a word. Returns the components computed.
+    fn sketch_lanes(
+        &self,
+        keys: &[u64],
+        first_bit: usize,
+        out: &mut [u64],
+        stride: usize,
+    ) -> usize {
+        let mut tile = vec![[0.0f64; PLANE_TILE]; self.spreads.len()];
+        let mut computed = 0;
+        for (t, tile_keys) in keys.chunks(PLANE_TILE).enumerate() {
+            for (row, &spread) in tile.iter_mut().zip(&self.spreads) {
+                for (c, &key) in row.iter_mut().zip(tile_keys) {
+                    *c = gaussian_from_hash(keyed_hash_spread(key, spread));
                 }
             }
-            let mut bits = 0u64;
-            for (l, &dot) in acc[..tile_keys.len()].iter().enumerate() {
-                bits |= u64::from(dot >= 0.0) << l;
+            computed += self.spreads.len() * tile_keys.len();
+            // A short last tile leaves stale components past `tile_keys.len()`;
+            // their sums are computed and never read.
+            let first = first_bit + t * PLANE_TILE;
+            let mut nz = self.rows.as_slice();
+            for (record, words) in self.records.iter().zip(out.chunks_exact_mut(stride)) {
+                let (record_rows, rest) = nz.split_at(record.nnz());
+                nz = rest;
+                let mut acc = [0.0f64; PLANE_TILE];
+                for (&r, &w) in record_rows.iter().zip(record.weights()) {
+                    let row = &tile[r as usize];
+                    for l in 0..PLANE_TILE {
+                        acc[l] += w * row[l];
+                    }
+                }
+                let mut bits = 0u64;
+                for (l, &dot) in acc[..tile_keys.len()].iter().enumerate() {
+                    bits |= u64::from(dot >= 0.0) << l;
+                }
+                words[first / 64] |= bits << (first % 64);
             }
-            words[first / 64] |= bits << (first % 64);
         }
+        computed
     }
 }
 
@@ -935,11 +1021,14 @@ mod tests {
                 assert_eq!(sk.minhash_value(i, h), expect, "record {i} lane {h}");
             }
         }
-        // SimHash: sparse records sharing dims across records, an empty
-        // record, a zero weight (a cancelled duplicate survives
-        // `from_pairs`), negative and 1e-300 weights; every tile width,
-        // and four threads, so that from 59 lanes up (`MIN_PARALLEL_WORK`)
-        // shards build separate tiles.
+        // SimHash over three corpora: sparse records sharing a 90-dim
+        // vocabulary, with an empty record, a zero weight (a cancelled
+        // duplicate survives `from_pairs`), negative and 1e-300 weights;
+        // records that share no dimension; and empty records only. Every
+        // tile width at one to four threads, through `sketch_all` and
+        // through a split `extend_batch`: from 59 lanes up
+        // (`MIN_PARALLEL_WORK`) a 140-record batch splits its lanes
+        // across workers, and some widths leave a worker a short tile.
         let mut sparse: Vec<SparseVector> = (0..140)
             .map(|_| {
                 let pairs = (0..12)
@@ -954,35 +1043,77 @@ mod tests {
         sparse[100] = SparseVector::from_pairs(vec![(5, 1e-300)]);
         sparse[139] = SparseVector::from_pairs(vec![(7, -0.5), (89, -1.0)]);
         assert_eq!(sparse[40].weights(), &[0.0, -2.5]);
-        for n_hashes in [1usize, 7, 8, 9, 63, 64, 65, 256] {
-            let expect: Vec<Vec<u64>> = sparse
-                .iter()
-                .map(|r| {
-                    let mut words = vec![0u64; n_hashes.div_ceil(64)];
-                    for h in 0..n_hashes {
-                        let key = seed ^ (h as u64).wrapping_mul(SIMHASH_LANE_MUL);
-                        let mut dot = 0.0f64;
-                        for (d, w) in r.iter() {
-                            dot += w * gaussian_from_hash(keyed_hash(key, d));
+        let no_reuse: Vec<SparseVector> = (0..100u32)
+            .map(|i| {
+                let pairs = (0..5)
+                    .map(|k| (i * 5 + k, rng.gen_range(-2.0..2.0)))
+                    .collect();
+                SparseVector::from_pairs(pairs)
+            })
+            .collect();
+        let empty = vec![SparseVector::new(); 40];
+        for (name, corpus) in [
+            ("shared", &sparse),
+            ("no-reuse", &no_reuse),
+            ("empty", &empty),
+        ] {
+            for n_hashes in [1usize, 7, 8, 9, 63, 64, 65, 100, 256] {
+                let expect: Vec<Vec<u64>> = corpus
+                    .iter()
+                    .map(|r| {
+                        let mut words = vec![0u64; n_hashes.div_ceil(64)];
+                        for h in 0..n_hashes {
+                            let key = seed ^ (h as u64).wrapping_mul(SIMHASH_LANE_MUL);
+                            let mut dot = 0.0f64;
+                            for (d, w) in r.iter() {
+                                dot += w * gaussian_from_hash(keyed_hash(key, d));
+                            }
+                            if dot >= 0.0 {
+                                words[h / 64] |= 1 << (h % 64);
+                            }
                         }
-                        if dot >= 0.0 {
-                            words[h / 64] |= 1 << (h % 64);
-                        }
+                        words
+                    })
+                    .collect();
+                for threads in [1, 2, 3, 4] {
+                    let sketcher = Sketcher::new(LshFamily::SimHash, n_hashes, seed)
+                        .with_parallelism(Some(threads));
+                    let whole = sketcher.sketch_all(corpus);
+                    let mut split = sketcher.sketch_all(&corpus[..corpus.len() / 3]);
+                    sketcher.extend_batch(&corpus[corpus.len() / 3..], &mut split);
+                    for (i, words) in expect.iter().enumerate() {
+                        let label =
+                            format!("{name}: {n_hashes} lanes, {threads} threads, record {i}");
+                        assert_eq!(whole.sketch(i), &words[..], "sketch_all, {label}");
+                        assert_eq!(split.sketch(i), &words[..], "extend_batch, {label}");
                     }
-                    words
-                })
-                .collect();
-            for threads in [1, 4] {
-                let sh = Sketcher::new(LshFamily::SimHash, n_hashes, seed)
-                    .with_parallelism(Some(threads))
-                    .sketch_all(&sparse);
-                for (i, words) in expect.iter().enumerate() {
-                    assert_eq!(
-                        sh.sketch(i),
-                        &words[..],
-                        "{n_hashes} lanes, {threads} threads, record {i}"
-                    );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn simhash_computes_each_component_once_per_batch() {
+        // Records drawn from one 300-dim vocabulary: record shards would
+        // each tabulate nearly every dimension, lane workers split them.
+        let mut rng = seeded(91);
+        let records: Vec<SparseVector> = (0..120).map(|_| random_set(&mut rng, 300, 40)).collect();
+        let mut dims: Vec<u32> = records.iter().flat_map(|r| r.dims()).copied().collect();
+        dims.sort_unstable();
+        dims.dedup();
+        for n_hashes in [8, 64, 100, 256] {
+            let keys = lane_keys(LshFamily::SimHash, 5, n_hashes);
+            let (serial, computed) = simhash_batch(&records, &keys, 1);
+            assert_eq!(
+                computed,
+                dims.len() * n_hashes,
+                "{n_hashes} lanes, 1 thread"
+            );
+            for threads in [2, 3, 4] {
+                let (words, computed) = simhash_batch(&records, &keys, threads);
+                let label = format!("{n_hashes} lanes, {threads} threads");
+                assert_eq!(computed, dims.len() * n_hashes, "{label}");
+                assert_eq!(words, serial, "{label}");
             }
         }
     }

@@ -29,6 +29,12 @@
 //!   frame cannot differ from a formatted one. It pays off because an
 //!   estimate-only reply draws every similarity from BayesLSH's 256 grid
 //!   points.
+//!
+//! One reader keeps a large request cheap the same way: `parse_taking`
+//! hands one top-level member's bytes to the caller, which reads the
+//! shape it expects straight into its own types (the protocol's
+//! `records`) or declines, and then the member is parsed into the tree
+//! as usual. Every error stays [`parse`]'s own.
 
 use std::fmt::Write as _;
 
@@ -274,14 +280,58 @@ pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
     let value = parse_value(bytes, &mut pos, 0)?;
+    end_of_document(bytes, pos)?;
+    Ok(value)
+}
+
+/// Parses one JSON document as [`parse`] does, except that the value of
+/// the first member named `key` of a top-level object is first offered
+/// to `take`, at the byte where that value starts (whitespace not yet
+/// skipped). When `take` returns `Some`, it must have left `pos` just
+/// past the value, as [`parse`] would; the member then holds
+/// [`Json::Null`] in the returned tree. When it returns `None`, the value
+/// is rewound and parsed as [`parse`] parses it. So the tree, the `take`
+/// result aside, and every error are [`parse`]'s own.
+pub(crate) fn parse_taking<T>(
+    input: &str,
+    key: &str,
+    mut take: impl FnMut(&[u8], &mut usize) -> Option<T>,
+) -> Result<(Json, Option<T>), String> {
+    let bytes = input.as_bytes();
+    let mut pos = 0;
+    skip_ws(bytes, &mut pos);
+    let mut taken = None;
+    let value = if bytes.get(pos) == Some(&b'{') {
+        let mut seen = false;
+        parse_object(bytes, &mut pos, 0, &mut |name, bytes, pos| {
+            if !seen && name == key {
+                seen = true;
+                let start = *pos;
+                taken = take(bytes, pos);
+                if taken.is_some() {
+                    return Ok(Json::Null);
+                }
+                *pos = start;
+            }
+            parse_value(bytes, pos, 1)
+        })?
+    } else {
+        parse_value(bytes, &mut pos, 0)?
+    };
+    end_of_document(bytes, pos)?;
+    Ok((value, taken))
+}
+
+/// Refuses anything but whitespace after a document's value.
+fn end_of_document(bytes: &[u8], mut pos: usize) -> Result<(), String> {
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
-    Ok(value)
+    Ok(())
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
+pub(crate) fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
@@ -294,38 +344,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos, depth + 1)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
+        Some(b'{') => parse_object(bytes, pos, depth, &mut |_, bytes, pos| {
+            parse_value(bytes, pos, depth + 1)
+        }),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -352,6 +373,50 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
         Some(_) => parse_number(bytes, pos),
+    }
+}
+
+/// Parses one object member's value: `(key, bytes, pos)`, called at the
+/// byte after the member's `:`.
+type MemberValue<'a> = dyn FnMut(&str, &[u8], &mut usize) -> Result<Json, String> + 'a;
+
+/// Parses an object whose `{` is at `pos`, at nesting `depth`, taking
+/// each member's value from `value`.
+fn parse_object(
+    bytes: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    value: &mut MemberValue<'_>,
+) -> Result<Json, String> {
+    *pos += 1;
+    let mut fields = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(Json::Obj(fields));
+    }
+    loop {
+        skip_ws(bytes, pos);
+        let key = match parse_value(bytes, pos, depth + 1)? {
+            Json::Str(s) => s,
+            other => return Err(format!("object key must be a string, got {other:?}")),
+        };
+        skip_ws(bytes, pos);
+        if bytes.get(*pos) != Some(&b':') {
+            return Err(format!("expected ':' at byte {pos}"));
+        }
+        *pos += 1;
+        let member = value(&key, bytes, pos)?;
+        fields.push((key, member));
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                return Ok(Json::Obj(fields));
+            }
+            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+        }
     }
 }
 
@@ -431,7 +496,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+pub(crate) fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;

@@ -370,6 +370,65 @@ fn records_from(value: &Json) -> Result<Vec<SparseVector>, String> {
         .collect()
 }
 
+/// Reads a `records` value straight from the frame when it is exactly
+/// `[[[dim, weight], …], …]` with a `u32` dim and a numeric weight, the
+/// shape [`records_from`] accepts. Tokens go through the tree parser's
+/// own number reader and [`Json`]'s own conversions, and each record
+/// through [`SparseVector::from_pairs`] in frame order, so the records
+/// equal `records_from(&json::parse(..))`'s. Any other value gives
+/// `None`; the caller rewinds and takes the tree path, which produces
+/// every error. Whitespace is skipped wherever the tree parser skips it,
+/// and `pos` ends just past the closing `]`.
+fn read_records(bytes: &[u8], pos: &mut usize) -> Option<Vec<SparseVector>> {
+    let mut records = Vec::new();
+    let mut more = open_array(bytes, pos)?;
+    while more {
+        let mut pairs = Vec::new();
+        let mut more_pairs = open_array(bytes, pos)?;
+        while more_pairs {
+            punct(bytes, pos, b'[')?;
+            json::skip_ws(bytes, pos);
+            let dim = json::parse_number(bytes, pos).ok()?.as_u64()?;
+            let dim = u32::try_from(dim).ok()?;
+            punct(bytes, pos, b',')?;
+            json::skip_ws(bytes, pos);
+            let weight = json::parse_number(bytes, pos).ok()?.as_f64()?;
+            punct(bytes, pos, b']')?;
+            pairs.push((dim, weight));
+            more_pairs = next_item(bytes, pos)?;
+        }
+        records.push(SparseVector::from_pairs(pairs));
+        more = next_item(bytes, pos)?;
+    }
+    Some(records)
+}
+
+/// Consumes `c` after optional whitespace.
+fn punct(bytes: &[u8], pos: &mut usize, c: u8) -> Option<()> {
+    json::skip_ws(bytes, pos);
+    (bytes.get(*pos) == Some(&c)).then(|| *pos += 1)
+}
+
+/// Consumes an array's `[`; `Some(false)` when it is empty (its `]`
+/// consumed too).
+fn open_array(bytes: &[u8], pos: &mut usize) -> Option<bool> {
+    punct(bytes, pos, b'[')?;
+    Some(punct(bytes, pos, b']').is_none())
+}
+
+/// Consumes the `,` (`Some(true)`) or `]` (`Some(false)`) after an array
+/// item.
+fn next_item(bytes: &[u8], pos: &mut usize) -> Option<bool> {
+    json::skip_ws(bytes, pos);
+    let more = match bytes.get(*pos)? {
+        b',' => true,
+        b']' => false,
+        _ => return None,
+    };
+    *pos += 1;
+    Some(more)
+}
+
 fn pairs_json(pairs: &[SimilarPair]) -> Json {
     Json::Arr(
         pairs
@@ -411,6 +470,10 @@ fn work_json(w: &ApssStats) -> Json {
         ("hashes_compared", Json::Int(w.hashes_compared as i64)),
         ("cache_hits", Json::Int(w.cache_hits as i64)),
     ])
+}
+
+fn invalid_json(e: String) -> (ErrorCode, String) {
+    (ErrorCode::MalformedFrame, format!("invalid JSON: {e}"))
 }
 
 impl Request {
@@ -492,9 +555,25 @@ impl Request {
 
     /// Decodes one frame. Failures carry the [`ErrorCode`] the server
     /// should answer with.
+    ///
+    /// The frame is parsed once. The first `records` member, the one
+    /// [`Json::get`] finds, is read straight into records when it has
+    /// exactly the records shape, without building a tree of it; any
+    /// other value is parsed into the tree and checked there. Either
+    /// way the records, and every error, equal the tree path's.
     pub fn decode(frame: &str) -> Result<Request, (ErrorCode, String)> {
-        let value = json::parse(frame)
-            .map_err(|e| (ErrorCode::MalformedFrame, format!("invalid JSON: {e}")))?;
+        let (value, read) =
+            json::parse_taking(frame, "records", read_records).map_err(invalid_json)?;
+        Self::from_json(&value, read)
+    }
+
+    /// Decodes a parsed frame. `read` holds the records when they were
+    /// read straight from the frame; otherwise they come from the tree's
+    /// `records` member, through [`records_from`].
+    fn from_json(
+        value: &Json,
+        read: Option<Vec<SparseVector>>,
+    ) -> Result<Request, (ErrorCode, String)> {
         if !matches!(value, Json::Obj(_)) {
             return Err((
                 ErrorCode::MalformedFrame,
@@ -506,6 +585,16 @@ impl Request {
             .and_then(Json::as_str)
             .ok_or((ErrorCode::MalformedFrame, "missing 'verb'".to_string()))?;
         let bad = |msg: &str| (ErrorCode::BadRequest, msg.to_string());
+        // Records read from the frame, else the tree's `records` member.
+        let records = |read: Option<Vec<SparseVector>>| match read {
+            Some(records) => Ok(records),
+            None => records_from(
+                value
+                    .get("records")
+                    .ok_or_else(|| bad("missing 'records'"))?,
+            )
+            .map_err(|e| bad(&e)),
+        };
         match verb {
             "publish" => {
                 let name = value
@@ -518,12 +607,7 @@ impl Request {
                     .and_then(Json::as_str)
                     .and_then(measure_from)
                     .ok_or_else(|| bad("'measure' must be \"cosine\" or \"jaccard\""))?;
-                let records = records_from(
-                    value
-                        .get("records")
-                        .ok_or_else(|| bad("missing 'records'"))?,
-                )
-                .map_err(|e| bad(&e))?;
+                let records = records(read)?;
                 let mut cfg = PublishCfg::default();
                 if let Some(c) = value.get("cfg") {
                     cfg.n_hashes = c.get("n_hashes").and_then(Json::as_usize);
@@ -590,15 +674,9 @@ impl Request {
                     .ok_or_else(|| bad("missing integer 'watch_id'"))?;
                 Ok(Request::Unwatch { watch_id })
             }
-            "ingest" => {
-                let records = records_from(
-                    value
-                        .get("records")
-                        .ok_or_else(|| bad("missing 'records'"))?,
-                )
-                .map_err(|e| bad(&e))?;
-                Ok(Request::Ingest { records })
-            }
+            "ingest" => Ok(Request::Ingest {
+                records: records(read)?,
+            }),
             "memory_stats" => Ok(Request::MemoryStats),
             "health" => Ok(Request::Health),
             "ready" => Ok(Request::Ready),
@@ -927,6 +1005,145 @@ mod tests {
         for (frame, want) in cases {
             let (code, _) = Request::decode(frame).expect_err(frame);
             assert_eq!(code, want, "{frame}");
+        }
+    }
+
+    /// The tree path: the whole frame parsed into a [`Json`] tree, the
+    /// records taken from it by [`records_from`].
+    fn decode_by_tree(frame: &str) -> Result<Request, (ErrorCode, String)> {
+        Request::from_json(&json::parse(frame).map_err(invalid_json)?, None)
+    }
+
+    /// Records' dims and weight bits, so `-0` and `0` differ.
+    fn record_bits(req: &Request) -> Option<Vec<Vec<(u32, u64)>>> {
+        let records = match req {
+            Request::Publish { records, .. } | Request::Ingest { records } => records,
+            _ => return None,
+        };
+        let bits = records
+            .iter()
+            .map(|r| r.iter().map(|(d, w)| (d, w.to_bits())).collect())
+            .collect();
+        Some(bits)
+    }
+
+    /// A `records` value over `records`' dim and weight tokens, with
+    /// random whitespace between tokens.
+    fn seeded_frame(rng: &mut impl rand::Rng, records: &[Vec<(String, String)>]) -> String {
+        let mut ws = || [" ", "", "", "\n\t", ""][rng.gen_range(0..5)].to_string();
+        let pairs = |r: &Vec<(String, String)>, ws: &mut dyn FnMut() -> String| {
+            r.iter()
+                .map(|(d, w)| format!("[{}{d}{},{}{w}{}]", ws(), ws(), ws(), ws()))
+                .collect::<Vec<_>>()
+                .join(&format!("{},", ws()))
+        };
+        let rows: Vec<String> = records
+            .iter()
+            .map(|r| format!("[{}{}{}]", ws(), pairs(r, &mut ws), ws()))
+            .collect();
+        format!("[{}{}{}]", ws(), rows.join(","), ws())
+    }
+
+    #[test]
+    fn read_records_takes_only_the_records_shape() {
+        for (frame, records) in [
+            (r#"{"verb":"ingest","records":[]}"#, Some(0)),
+            (r#"{"verb":"ingest","records":[[]]}"#, Some(1)),
+            (
+                r#"{"verb":"ingest","records": [ [ [ 1 , -0 ] ] ] }"#,
+                Some(1),
+            ),
+            (r#"{"verb":"ingest","records":[[[1,2,3]]]}"#, None),
+            (r#"{"verb":"ingest","records":[[[1.0,2]]]}"#, None),
+            (r#"{"verb":"ingest","records":{}}"#, None),
+        ] {
+            let (_, read) = json::parse_taking(frame, "records", read_records).expect(frame);
+            assert_eq!(read.map(|r| r.len()), records, "{frame}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decode_equals_the_tree_path(seed in 0u64..u64::MAX, mutation in 0usize..14) {
+            use rand::Rng;
+            let mut rng = plasma_data::rng::seeded(seed);
+            let mut records: Vec<Vec<(String, String)>> = (0..rng.gen_range(0..5))
+                .map(|_| {
+                    (0..rng.gen_range(0..5))
+                        .map(|_| {
+                            let dim = rng.gen_range(0..3000u32).to_string();
+                            let weight = match rng.gen_range(0..4) {
+                                0 => rng.gen_range(-3i32..4).to_string(),
+                                _ => rng.gen_range(-3.0..3.0f64).to_string(),
+                            };
+                            (dim, weight)
+                        })
+                        .collect()
+                })
+                .collect();
+            // Token mutations: one dim or weight of a non-empty record.
+            let token_edits: [(bool, &str); 8] = [
+                (true, "3.0"),
+                (true, "-1"),
+                (true, "4294967296"),
+                (true, "4294967295"),
+                (false, "-0"),
+                (false, "1e-3"),
+                (false, "2E+2"),
+                (false, "1e999"),
+            ];
+            let filled: Vec<usize> = (0..records.len()).filter(|&r| !records[r].is_empty()).collect();
+            if (1..=8).contains(&mutation) && !filled.is_empty() {
+                let r = filled[rng.gen_range(0..filled.len())];
+                let p = rng.gen_range(0..records[r].len());
+                let (is_dim, token) = token_edits[mutation - 1];
+                if is_dim {
+                    records[r][p].0 = token.to_string();
+                } else {
+                    records[r][p].1 = token.to_string();
+                }
+            }
+            let value = seeded_frame(&mut rng, &records);
+            let verb = if rng.gen_bool(0.5) { "publish" } else { "ingest" };
+            let head = format!(r#""verb":"{verb}","name":"n","measure":"cosine""#);
+            let mut frame = match mutation {
+                // `records` before `verb`.
+                9 => format!(r#"{{"records":{value},{head}}}"#),
+                // A duplicate `records` key: the first one counts, whether
+                // it has the records shape or not.
+                10 => format!(r#"{{{head},"records":{value},"records":[[[1,2]]]}}"#),
+                11 => format!(r#"{{{head},"records":[[["x",2]]],"records":{value}}}"#),
+                // A probe does not read a mis-shaped `records`.
+                12 => r#"{"verb":"probe","threshold":0.5,"records":[[[-1]],{}]}"#.to_string(),
+                _ => format!(r#"{{{head},"records":{value},"cfg":{{"n_hashes":64}}}}"#),
+            };
+            if mutation == 0 {
+                // Truncation, or a swapped bracket, inside the frame.
+                let cut = rng.gen_range(0..frame.len());
+                if rng.gen_bool(0.5) {
+                    frame.truncate(cut);
+                } else if let Some(at) = frame[cut..].find(['[', ']']).map(|i| cut + i) {
+                    let swapped = if &frame[at..=at] == "[" { "]" } else { "[" };
+                    frame.replace_range(at..=at, swapped);
+                }
+            }
+            let fast = Request::decode(&frame);
+            let tree = decode_by_tree(&frame);
+            match (&fast, &tree) {
+                (Ok(a), Ok(b)) => {
+                    proptest::prop_assert_eq!(record_bits(a), record_bits(b), "{}", frame);
+                    proptest::prop_assert_eq!(a, b, "{}", frame);
+                }
+                _ => proptest::prop_assert_eq!(&fast, &tree, "{}", frame),
+            }
+            if mutation == 12 {
+                proptest::prop_assert!(matches!(fast, Ok(Request::Probe { .. })), "{}", frame);
+            }
+            if mutation == 13 {
+                proptest::prop_assert!(fast.is_ok(), "{}", frame);
+            }
         }
     }
 
