@@ -140,8 +140,9 @@ fn bench_banded_join_skewed(c: &mut Criterion) {
 /// (SimHash, 32 bands of 8), every threshold of a 0.9 → 0.5 ladder
 /// probed once to fill the memos. Each iteration re-probes the ladder —
 /// every candidate a full hit — from one thread, or from two threads
-/// sharing the cache, as two connections on one corpus do. A third row
-/// times the cold side: a fresh cache probed down the same ladder.
+/// sharing the cache, as two connections on one corpus do. Two more rows
+/// time the cold side: a fresh cache probed down the same ladder by one
+/// evaluation worker or by two.
 fn bench_knowledge_cache(c: &mut Criterion) {
     use plasma_core::apss::{build_sketches, ApssConfig, CandidateStrategy};
     use plasma_core::SharedKnowledgeCache;
@@ -192,16 +193,27 @@ fn bench_knowledge_cache(c: &mut Criterion) {
     });
     // The publication path: a fresh cache per iteration, probed down the
     // ladder, so every rung publishes (or deepens) its candidates' memos.
+    // With two workers each probe splits its candidates at a row start,
+    // so the workers publish disjoint memo rows.
     g.throughput(Throughput::Elements(candidates));
-    g.bench_function("descending_sweep", |b| {
-        b.iter(|| {
-            let cold = SharedKnowledgeCache::new(sketches.clone());
-            for &t in &LADDER {
-                cold.probe(&corpus.records, Similarity::Cosine, t, &cfg);
-            }
-            cold.memo_bytes()
-        })
-    });
+    for (name, workers) in [
+        ("descending_sweep/1_worker", 1),
+        ("descending_sweep/2_workers", 2),
+    ] {
+        let cfg = ApssConfig {
+            parallelism: Some(workers),
+            ..cfg
+        };
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let cold = SharedKnowledgeCache::new(sketches.clone());
+                for &t in &LADDER {
+                    cold.probe(&corpus.records, Similarity::Cosine, t, &cfg);
+                }
+                cold.memo_bytes()
+            })
+        });
+    }
     g.finish();
 }
 

@@ -334,13 +334,34 @@ impl<'a> PairEvaluator<'a> {
     }
 }
 
+/// Splits `cands` into at most `threads` chunks of about equal length,
+/// moving each cut forward to the next row start (a change of the first
+/// record `i`), so one worker evaluates — and publishes — all of a row's
+/// candidates and no two workers write one memo row.
+fn row_chunks(cands: &[(u32, u32)], threads: usize) -> Vec<&[(u32, u32)]> {
+    let per = cands.len().div_ceil(threads);
+    let mut chunks = Vec::with_capacity(threads);
+    let mut rest = cands;
+    while !rest.is_empty() {
+        let mut cut = per.min(rest.len());
+        while cut < rest.len() && rest[cut].0 == rest[cut - 1].0 {
+            cut += 1;
+        }
+        let (chunk, tail) = rest.split_at(cut);
+        chunks.push(chunk);
+        rest = tail;
+    }
+    chunks
+}
+
 /// The one evaluation loop behind every probe: cold APSS and incremental
 /// blocks (`memos: None`), cached probes and watch deltas (`Some`).
-/// Chunks `cands` across [`eval_threads`] workers, each with a private
-/// [`PairEvaluator`] and stats partial over one shared decision table,
-/// and concatenates chunk outputs back into candidate order — so pairs,
-/// estimates, and decision counters are bit-identical at every thread
-/// count and cache warmth. The caller owns the timings.
+/// Chunks `cands` across [`eval_threads`] workers at row starts
+/// ([`row_chunks`]), each with a private [`PairEvaluator`] and stats
+/// partial over one shared decision table, and concatenates chunk
+/// outputs back into candidate order — so pairs, estimates, and decision
+/// counters are bit-identical at every thread count and cache warmth.
+/// The caller owns the timings.
 pub(crate) fn evaluate(
     records: &[SparseVector],
     measure: Similarity,
@@ -384,9 +405,9 @@ pub(crate) fn evaluate(
     if threads <= 1 {
         return eval_chunk(cands);
     }
-    let chunks: Vec<ApssResult> = cands
-        .par_chunks(cands.len().div_ceil(threads))
-        .map(eval_chunk)
+    let chunks: Vec<ApssResult> = row_chunks(cands, threads)
+        .par_chunks(1)
+        .map(|chunk| eval_chunk(chunk[0]))
         .collect();
     let mut result = ApssResult::with_capacity(threshold, cands.len());
     for out in chunks {
@@ -489,6 +510,29 @@ mod tests {
         assert!(one.posterior_evals > 0);
         assert_eq!(one.posterior_evals, four.posterior_evals);
         assert_eq!(one.hashes_compared, four.hashes_compared);
+    }
+
+    #[test]
+    fn chunks_cut_at_row_starts() {
+        let cands = candidates::exhaustive(60);
+        for threads in 2..=4 {
+            let chunks = row_chunks(&cands, threads);
+            assert!(chunks.len() <= threads, "{threads} workers");
+            assert_eq!(chunks.concat(), cands, "{threads} workers");
+            let mut start = 0;
+            for pair in chunks.windows(2) {
+                start += pair[0].len();
+                assert_ne!(
+                    cands[start - 1].0,
+                    cands[start].0,
+                    "{threads} workers cut inside row {}",
+                    cands[start].0
+                );
+            }
+        }
+        // One row cannot be split.
+        let row: Vec<(u32, u32)> = (1..500).map(|j| (0, j)).collect();
+        assert_eq!(row_chunks(&row, 4).len(), 1);
     }
 
     #[test]

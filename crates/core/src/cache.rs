@@ -30,12 +30,16 @@
 //!
 //! # Sharing and determinism
 //!
-//! [`SharedKnowledgeCache`] is the concurrent form: the memo maps are
-//! **lock-striped** across [`STRIPES`] reader-writer shards keyed by pair
-//! hash, probes take `&self`, and workers publish memos into their stripe
-//! as they evaluate — there is no global lock and no single-threaded
-//! fold. Many sessions probing the same corpus at different thresholds
-//! share one sketch set and one memo pool
+//! [`SharedKnowledgeCache`] is the concurrent form: the pair memos are
+//! **lock-striped** across [`STRIPES`] reader-writer shards by first
+//! record (stripe `i % STRIPES` holds record `i`'s row, its memos sorted
+//! by the second record `j`), probes take `&self`, and workers publish
+//! memos into their rows as they evaluate — there is no global lock and
+//! no single-threaded fold. Candidates come sorted by `(i, j)` and each
+//! evaluation worker takes whole rows, so consecutive reads land on
+//! adjacent slots under one stripe guard that no other worker writes.
+//! Many sessions probing the same corpus at different thresholds share
+//! one sketch set and one memo pool
 //! ([`StreamingSession::with_shared_cache`], [`CacheRegistry`]).
 //!
 //! A re-probe reads under a *shared* stripe guard and writes nothing
@@ -55,7 +59,7 @@
 //!
 //! # Bounded memory
 //!
-//! A pair memo is one map slot with no heap block of its own: the
+//! A pair memo is one row slot with no heap block of its own: the
 //! profile's counts sit inline under the default schedule, and only a
 //! deeper profile spills (see [`MatchProfile`]). Long-lived serving
 //! processes bound the memo pool with a [`CacheCapacity`]: every pair
@@ -104,11 +108,12 @@ use plasma_lsh::sketch::SketchSet;
 
 use crate::apss::{build_sketches, evaluate, ApssConfig, ApssResult};
 
-/// Number of lock stripes in a [`SharedKnowledgeCache`]. A fixed power of
-/// two well above typical core counts keeps contention negligible without
-/// making `len()`/snapshot walks expensive. Each stripe is a reader-writer
-/// lock aligned to 128 bytes of its own, so readers on two cores share a
-/// stripe's guard and never write to a neighbouring stripe's cache line.
+/// Number of lock stripes in a [`SharedKnowledgeCache`]. Stripe
+/// `i % STRIPES` holds the memo rows of first record `i`, so a fixed power
+/// of two well above typical core counts keeps workers on different rows
+/// from sharing a guard. Each stripe is a reader-writer lock aligned to
+/// 128 bytes of its own, so readers on two cores never write to a
+/// neighbouring stripe's cache line.
 pub const STRIPES: usize = 64;
 
 /// Decision tables a [`SharedKnowledgeCache`] keeps, one per probed
@@ -146,7 +151,7 @@ pub enum EvictionPolicy {
 /// Memory policy for a [`SharedKnowledgeCache`]'s memo pool.
 ///
 /// The cap is a bound on **accounted memo bytes**: a fixed per-entry
-/// overhead for the map slot (key, inline profile, exact-similarity slot,
+/// overhead for the row slot (`j`, inline profile, exact-similarity slot,
 /// and recency stamp) plus a spilled profile's heap bytes
 /// ([`MatchProfile::byte_size`]).
 /// Sketches are *not* counted — they are immutable, sized up front, and
@@ -158,7 +163,9 @@ pub enum EvictionPolicy {
 /// locking. Summed over stripes the accounted footprint therefore never
 /// exceeds `max_bytes` once any publication's eviction pass has run —
 /// including mid-probe, since eviction happens inside the publishing
-/// stripe's critical section.
+/// stripe's critical section. A stripe holds whole rows, so a row whose
+/// memos outgrow the stripe's share evicts its own earliest memos as it
+/// fills.
 ///
 /// ```
 /// use plasma_core::cache::{CacheCapacity, EvictionPolicy};
@@ -217,7 +224,7 @@ impl CacheCapacity {
     }
 }
 
-/// Everything the cache remembers about one pair, under one stripe slot.
+/// Everything the cache remembers about one pair, in one row slot.
 #[derive(Default)]
 struct PairMemo {
     /// The confluent match-count memo (may be empty when only an exact
@@ -236,60 +243,100 @@ struct PairMemo {
     last_used: AtomicU64,
 }
 
-// A pair memo is one map slot: a field added to it fails the build here,
+/// One slot of a row: the second record `j` of the pair and its memo.
+type RowSlot = (u32, PairMemo);
+
+// A pair memo is one row slot: a field added to it fails the build here,
 // not a benchmark.
-const _: () = assert!(std::mem::size_of::<((u32, u32), PairMemo)>() <= 56);
+const _: () = assert!(std::mem::size_of::<RowSlot>() <= 56);
 
 impl PairMemo {
-    /// Accounted bytes: fixed per-entry overhead (the map slot — key,
+    /// Accounted bytes: fixed per-entry overhead (the row slot — `j`,
     /// inline profile, exact similarity, stamp — plus one word) plus a
-    /// spilled profile's heap, none under the default schedule. An estimate of the real footprint — hash-map load-factor
-    /// slack is not modeled — but a *consistent* one, so the capacity
+    /// spilled profile's heap, none under the default schedule. An
+    /// estimate of the real footprint — row headers and a row's spare
+    /// capacity are not modeled — but a *consistent* one, so the capacity
     /// invariant is exact over what is accounted.
     fn byte_size(&self) -> usize {
-        std::mem::size_of::<((u32, u32), PairMemo)>()
-            + std::mem::size_of::<u64>()
-            + self.profile.byte_size()
+        std::mem::size_of::<RowSlot>() + std::mem::size_of::<u64>() + self.profile.byte_size()
     }
 }
 
-/// One lock stripe of the shared memo pool: the per-pair memos plus this
-/// stripe's exact accounted-byte tally.
+/// One lock stripe of the shared memo pool: the memo rows of every record
+/// `i` with `i % STRIPES` equal to the stripe's index, plus this stripe's
+/// exact accounted-byte tally.
 #[derive(Default)]
 struct Stripe {
-    /// Per-pair memos (`i < j` keys).
-    entries: FxHashMap<(u32, u32), PairMemo>,
-    /// Sum of `entries[k].byte_size()` — maintained exactly under this
-    /// stripe's lock.
+    /// `rows[i / STRIPES]` holds record `i`'s memos, one slot per pair
+    /// `(i, j)` with `i < j`, sorted by `j`. Candidates come sorted by
+    /// `(i, j)`, so a walk over them reads adjacent slots of one row.
+    rows: Vec<Vec<RowSlot>>,
+    /// Sum of every resident memo's `byte_size()` — maintained exactly
+    /// under this stripe's lock.
     bytes: usize,
 }
 
 impl Stripe {
+    /// The memo of pair `(i, j)`, where `row` is `i / STRIPES`.
+    fn memo(&self, row: usize, j: u32) -> Option<&PairMemo> {
+        let row = self.rows.get(row)?;
+        let at = row.binary_search_by_key(&j, |&(k, _)| k).ok()?;
+        Some(&row[at].1)
+    }
+
+    /// The memo slot of pair `(i, j)`, where `row` is `i / STRIPES`,
+    /// inserted empty at its sorted place when missing, and whether it
+    /// was inserted. A `j` past the row's end (a row's first
+    /// publication, or a pair of a record new since the last probe) is
+    /// an append.
+    fn slot(&mut self, row: usize, j: u32) -> (&mut PairMemo, bool) {
+        if self.rows.len() <= row {
+            self.rows.resize_with(row + 1, Vec::new);
+        }
+        let row = &mut self.rows[row];
+        let found = match row.last() {
+            Some(&(last, _)) if last >= j => row.binary_search_by_key(&j, |&(k, _)| k),
+            _ => Err(row.len()),
+        };
+        match found {
+            Ok(at) => (&mut row[at].1, false),
+            Err(at) => {
+                row.insert(at, (j, PairMemo::default()));
+                (&mut row[at].1, true)
+            }
+        }
+    }
+
+    /// Every resident memo, row by row.
+    fn memos(&self) -> impl Iterator<Item = &PairMemo> {
+        self.rows.iter().flatten().map(|(_, memo)| memo)
+    }
+
     /// Evicts until this stripe's accounted bytes fit `budget`, returning
     /// `(entries, bytes)` evicted. Victim order is the capacity policy's;
     /// the final total-order key makes eviction deterministic for any
-    /// serialized publication history.
+    /// serialized publication history. That key is `(row, j)`: within one
+    /// stripe `i = row · STRIPES + stripe`, so it orders exactly as the
+    /// pair key `(i, j)` does.
     fn evict_to_budget(&mut self, budget: usize, policy: EvictionPolicy) -> (u64, u64) {
         let mut evicted = (0u64, 0u64);
-        while self.bytes > budget && !self.entries.is_empty() {
+        while self.bytes > budget {
             let victim = self
-                .entries
+                .rows
                 .iter()
-                .min_by_key(|(key, memo)| match policy {
-                    EvictionPolicy::LeastRecentlyUsed => (
-                        memo.last_used.load(Ordering::Relaxed),
-                        memo.profile.covered_steps() as u64,
-                        **key,
-                    ),
-                    EvictionPolicy::ShallowestFirst => (
-                        memo.profile.covered_steps() as u64,
-                        memo.last_used.load(Ordering::Relaxed),
-                        **key,
-                    ),
+                .enumerate()
+                .flat_map(|(r, row)| row.iter().enumerate().map(move |(at, slot)| (r, at, slot)))
+                .min_by_key(|&(r, _, (j, memo))| {
+                    let stamp = memo.last_used.load(Ordering::Relaxed);
+                    let steps = memo.profile.covered_steps() as u64;
+                    match policy {
+                        EvictionPolicy::LeastRecentlyUsed => (stamp, steps, (r, *j)),
+                        EvictionPolicy::ShallowestFirst => (steps, stamp, (r, *j)),
+                    }
                 })
-                .map(|(key, _)| *key)
-                .expect("non-empty entry map has a minimum");
-            let memo = self.entries.remove(&victim).expect("victim exists");
+                .map(|(r, at, _)| (r, at));
+            let Some((r, at)) = victim else { break };
+            let (_, memo) = self.rows[r].remove(at);
             let bytes = memo.byte_size();
             self.bytes -= bytes;
             evicted.0 += 1;
@@ -623,7 +670,11 @@ impl SharedKnowledgeCache {
     /// for any serialized probe history.
     pub fn memory_stats(&self) -> CacheMemoryStats {
         CacheMemoryStats {
-            entries: self.stripes.iter().map(|s| s.read().entries.len()).sum(),
+            entries: self
+                .stripes
+                .iter()
+                .map(|s| s.read().rows.iter().map(Vec::len).sum::<usize>())
+                .sum(),
             memo_bytes: self.memo_bytes(),
             peak_memo_bytes: self.peak_bytes.load(Ordering::Relaxed),
             sketch_bytes: self.sketches().byte_size(),
@@ -637,19 +688,13 @@ impl SharedKnowledgeCache {
     }
 
     /// Number of pairs with a memoized profile, summed across all lock
-    /// stripes. Linear in [`STRIPES`] lock acquisitions; the count is a
-    /// snapshot and may be stale by the time it returns if other sessions
-    /// are probing concurrently.
+    /// stripes. Walks every resident memo, one stripe guard at a time; the
+    /// count is a snapshot and may be stale by the time it returns if
+    /// other sessions are probing concurrently.
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| {
-                s.read()
-                    .entries
-                    .values()
-                    .filter(|m| !m.profile.is_empty())
-                    .count()
-            })
+            .map(|s| s.read().memos().filter(|m| !m.profile.is_empty()).count())
             .sum()
     }
 
@@ -660,13 +705,15 @@ impl SharedKnowledgeCache {
     pub fn is_empty(&self) -> bool {
         self.stripes
             .iter()
-            .all(|s| s.read().entries.values().all(|m| m.profile.is_empty()))
+            .all(|s| s.read().memos().all(|m| m.profile.is_empty()))
     }
 
-    /// The stripe owning a pair key.
-    fn stripe(&self, key: (u32, u32)) -> &PaddedStripe {
-        let mixed = plasma_data::hash::mix64(((key.0 as u64) << 32) | key.1 as u64);
-        &self.stripes[(mixed as usize) & (STRIPES - 1)]
+    /// The stripe holding record `i`'s memo row, and the row's index in
+    /// it. Every pair `(i, j)` of one `i` lives under one lock, so a walk
+    /// over sorted candidates keeps re-taking the same guard.
+    fn row_of(&self, i: u32) -> (&PaddedStripe, usize) {
+        let i = i as usize;
+        (&self.stripes[i % STRIPES], i / STRIPES)
     }
 
     /// Pins the evaluation schedule on first use; returns whether profile
@@ -728,8 +775,9 @@ impl SharedKnowledgeCache {
         table: Option<&mut ProbeTable<'_>>,
         max_n: usize,
     ) -> (MemoRead, Option<f64>) {
-        let g = self.stripe(key).read();
-        let Some(memo) = g.entries.get(&key) else {
+        let (stripe, row) = self.row_of(key.0);
+        let g = stripe.read();
+        let Some(memo) = g.memo(row, key.1) else {
             return (MemoRead::Resume(MatchProfile::new()), None);
         };
         if self.capacity.max_bytes().is_some() {
@@ -746,8 +794,8 @@ impl SharedKnowledgeCache {
         (read, memo.exact)
     }
 
-    /// Publishes what one evaluation learned into the pair's stripe under
-    /// a single lock acquisition and a single map lookup: an extended
+    /// Publishes what one evaluation learned into the pair's row under a
+    /// single lock acquisition and a single row search: an extended
     /// profile (order-free deepest-wins merge) and/or a freshly computed
     /// exact similarity. No-op (lock-free) when there is nothing to
     /// publish.
@@ -771,26 +819,25 @@ impl SharedKnowledgeCache {
             .capacity
             .max_bytes()
             .map(|_| self.clock.fetch_add(1, Ordering::Relaxed));
-        let mut g = self.stripe(key).write();
-        let mut fresh = false;
-        let entry = g.entries.entry(key).or_insert_with(|| {
-            fresh = true;
-            PairMemo::default()
-        });
-        // A fresh entry contributes its whole footprint; an update only
-        // its growth.
-        let old_bytes = if fresh { 0 } else { entry.byte_size() };
-        if let Some(profile) = profile {
-            entry.profile.adopt_deeper(profile);
-        }
-        if let Some(s) = exact {
-            entry.exact = Some(s);
-        }
-        if let Some(stamp) = stamp {
-            let last_used = entry.last_used.get_mut();
-            *last_used = (*last_used).max(stamp);
-        }
-        let new_bytes = entry.byte_size();
+        let (stripe, row) = self.row_of(key.0);
+        let mut g = stripe.write();
+        let (old_bytes, new_bytes) = {
+            let (entry, fresh) = g.slot(row, key.1);
+            // A fresh entry contributes its whole footprint; an update
+            // only its growth.
+            let old_bytes = if fresh { 0 } else { entry.byte_size() };
+            if let Some(profile) = profile {
+                entry.profile.adopt_deeper(profile);
+            }
+            if let Some(s) = exact {
+                entry.exact = Some(s);
+            }
+            if let Some(stamp) = stamp {
+                let last_used = entry.last_used.get_mut();
+                *last_used = (*last_used).max(stamp);
+            }
+            (old_bytes, entry.byte_size())
+        };
         g.bytes = (g.bytes + new_bytes) - old_bytes;
         if new_bytes >= old_bytes {
             let total = self
@@ -972,7 +1019,7 @@ impl SharedKnowledgeCache {
     /// (`cache_hits`); partially covered pairs resume from their deepest
     /// memoized step; unknown pairs are evaluated fresh. Workers publish
     /// extended profiles (and freshly computed exact similarities) into
-    /// their lock stripe as they go.
+    /// their memo rows as they go.
     ///
     /// **Determinism:** the returned pairs, estimates, and decision
     /// counters (`candidates`/`pruned`/`accepted`/`exhausted`) are bit
@@ -1740,6 +1787,309 @@ mod tests {
         let again = unbounded.probe(&records, Similarity::Cosine, 0.6, &cfg);
         assert_eq!(again.stats.cache_hits, again.stats.candidates);
         assert_eq!(unbounded.clock.load(Ordering::Relaxed), 0);
+    }
+
+    /// Calls `f((i, j), memo)` on every resident memo, checking on the
+    /// way that each row is strictly sorted by `j` and holds only pairs
+    /// `i < j`.
+    fn for_each_memo(cache: &SharedKnowledgeCache, mut f: impl FnMut((u32, u32), &PairMemo)) {
+        for (s, stripe) in cache.stripes.iter().enumerate() {
+            let g = stripe.read();
+            for (r, row) in g.rows.iter().enumerate() {
+                let i = (r * STRIPES + s) as u32;
+                assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row {i} unsorted");
+                for (j, memo) in row {
+                    assert!(i < *j, "row {i} holds j = {j}");
+                    f((i, *j), memo);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_end_sorted_and_identical_at_every_split() {
+        // Exhaustive candidates: row `i` holds 59 − i pairs, so the
+        // chunk cuts of 2, 3 and 4 workers land inside long rows and
+        // must move to row starts.
+        let records = GaussianSpec::new("rows", 60, 8, 3).generate(5).records;
+        let ladder = [0.9, 0.7, 0.5];
+        let cfg = |threads| ApssConfig {
+            parallelism: Some(threads),
+            ..ApssConfig::default()
+        };
+        let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg(1));
+        let cold: Vec<ApssResult> = ladder
+            .iter()
+            .map(|&t| apss_with_sketches(&records, Similarity::Cosine, &sketches, t, &cfg(1)))
+            .collect();
+        let memos = |cache: &SharedKnowledgeCache| {
+            let mut memos = Vec::new();
+            for_each_memo(cache, |key, memo| {
+                memos.push((key, memo.profile.clone(), memo.exact));
+            });
+            memos.sort_by_key(|m| m.0);
+            assert_eq!(memos.len(), records.len() * (records.len() - 1) / 2);
+            memos
+        };
+        let mut reference = None;
+        for threads in 1..=4 {
+            let cache = SharedKnowledgeCache::new(sketches.clone());
+            for (&t, cold) in ladder.iter().zip(&cold) {
+                let probe = cache.probe(&records, Similarity::Cosine, t, &cfg(threads));
+                assert_same_output(&probe, cold, &format!("{threads} workers at {t}"));
+            }
+            let memos = memos(&cache);
+            match &reference {
+                None => reference = Some(memos),
+                Some(reference) => assert!(memos == *reference, "{threads} workers"),
+            }
+        }
+        // Two fresh sessions race their first probes on one cache.
+        let cache = Arc::new(SharedKnowledgeCache::new(sketches.clone()));
+        let start = std::sync::Barrier::new(2);
+        let answers: Vec<_> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    let mut session = crate::StreamingSession::from_records(
+                        records.clone(),
+                        Similarity::Cosine,
+                        cfg(2),
+                    )
+                    .with_shared_cache(cache.clone());
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        ladder.map(|t| session.probe(t).pairs)
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|r| r.join().expect("racing session panicked"))
+                .collect()
+        });
+        for pairs in answers.iter().flatten().zip(cold.iter().cycle()) {
+            let (pairs, cold) = pairs;
+            let bits = |p: &[crate::apss::SimilarPair]| {
+                p.iter()
+                    .map(|p| (p.i, p.j, p.similarity.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(pairs), bits(&cold.pairs), "racing session");
+        }
+        assert!(
+            memos(&cache) == reference.expect("four splits ran"),
+            "racing sessions"
+        );
+    }
+
+    /// Profiles of many depths, inline and spilled: real walks of a few
+    /// pairs at several thresholds over 1 024 hashes, one per depth.
+    fn profile_pool() -> Vec<MatchProfile> {
+        let records = dataset();
+        let cfg = ApssConfig {
+            n_hashes: 1024,
+            ..ApssConfig::default()
+        };
+        let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
+        let engine = BayesLsh::new(sketches.family(), cfg.bayes);
+        let mut pool: Vec<MatchProfile> = Vec::new();
+        for t in [0.95, 0.8, 0.6, 0.4, 0.2] {
+            let cells = engine.decision_cells(t, sketches.n_hashes());
+            let mut table = engine.table_over(&cells);
+            for j in 1..records.len() {
+                let mut profile = MatchProfile::new();
+                table.resume(&sketches, 0, j, &mut profile);
+                if pool
+                    .iter()
+                    .all(|p| p.covered_steps() != profile.covered_steps())
+                {
+                    pool.push(profile);
+                }
+            }
+        }
+        assert!(
+            pool.iter().any(|p| p.byte_size() > 0),
+            "some profile spills"
+        );
+        assert!(pool.iter().any(|p| p.covered_steps() == 1));
+        pool
+    }
+
+    /// The row store's reference: a `BTreeMap` of `(profile, exact,
+    /// stamp)` per pair, with per-stripe byte tallies and eviction by the
+    /// same victim order.
+    #[derive(Default)]
+    struct ModelCache {
+        memos: std::collections::BTreeMap<(u32, u32), (MatchProfile, Option<f64>, u64)>,
+        stripe_bytes: Vec<usize>,
+        bytes: usize,
+        peak: usize,
+        clock: u64,
+        evicted: u64,
+        capacity: CacheCapacity,
+    }
+
+    /// Accounted bytes of one memo: the 64-byte slot charge plus a
+    /// spilled profile's heap.
+    fn charge(profile: &MatchProfile) -> usize {
+        64 + profile.byte_size()
+    }
+
+    impl ModelCache {
+        fn new(capacity: CacheCapacity) -> Self {
+            Self {
+                stripe_bytes: vec![0; STRIPES],
+                capacity,
+                ..Self::default()
+            }
+        }
+
+        fn stamp(&mut self) -> Option<u64> {
+            self.capacity.max_bytes().map(|_| {
+                self.clock += 1;
+                self.clock - 1
+            })
+        }
+
+        fn replay(&mut self, key: (u32, u32)) -> Option<f64> {
+            if !self.memos.contains_key(&key) {
+                return None;
+            }
+            let stamp = self.stamp();
+            let memo = self.memos.get_mut(&key).expect("present");
+            if let Some(stamp) = stamp {
+                memo.2 = memo.2.max(stamp);
+            }
+            memo.1
+        }
+
+        fn publish(&mut self, key: (u32, u32), profile: Option<MatchProfile>, exact: Option<f64>) {
+            if profile.is_none() && exact.is_none() {
+                return;
+            }
+            let stamp = self.stamp();
+            let fresh = !self.memos.contains_key(&key);
+            let memo = self
+                .memos
+                .entry(key)
+                .or_insert((MatchProfile::new(), None, 0));
+            let old = if fresh { 0 } else { charge(&memo.0) };
+            if let Some(profile) = profile {
+                memo.0.adopt_deeper(profile);
+            }
+            if exact.is_some() {
+                memo.1 = exact;
+            }
+            if let Some(stamp) = stamp {
+                memo.2 = memo.2.max(stamp);
+            }
+            let new = charge(&memo.0);
+            let stripe = key.0 as usize % STRIPES;
+            self.stripe_bytes[stripe] = self.stripe_bytes[stripe] + new - old;
+            self.bytes = self.bytes + new - old;
+            self.peak = self.peak.max(self.bytes);
+            let Some(budget) = self.capacity.stripe_budget() else {
+                return;
+            };
+            while self.stripe_bytes[stripe] > budget {
+                let victim = self
+                    .memos
+                    .iter()
+                    .filter(|(k, _)| k.0 as usize % STRIPES == stripe)
+                    .min_by_key(|(k, m)| {
+                        let steps = m.0.covered_steps() as u64;
+                        match self.capacity.policy() {
+                            EvictionPolicy::LeastRecentlyUsed => (m.2, steps, **k),
+                            EvictionPolicy::ShallowestFirst => (steps, m.2, **k),
+                        }
+                    })
+                    .map(|(k, _)| *k)
+                    .expect("an over-budget stripe holds a memo");
+                let (profile, _, _) = self.memos.remove(&victim).expect("victim");
+                self.stripe_bytes[stripe] -= charge(&profile);
+                self.bytes -= charge(&profile);
+                self.evicted += 1;
+            }
+        }
+
+        fn check(&self, cache: &SharedKnowledgeCache) {
+            let mut resident = 0;
+            for_each_memo(cache, |key, memo| {
+                let model = self
+                    .memos
+                    .get(&key)
+                    .expect("a resident memo is in the model");
+                let stamp = memo.last_used.load(Ordering::Relaxed);
+                assert_eq!(
+                    (&memo.profile, memo.exact, stamp),
+                    (&model.0, model.1, model.2)
+                );
+                resident += 1;
+            });
+            assert_eq!(resident, self.memos.len());
+            let stats = cache.memory_stats();
+            assert_eq!(stats.entries, self.memos.len());
+            assert_eq!(stats.memo_bytes, self.bytes);
+            assert_eq!(stats.peak_memo_bytes, self.peak);
+            assert_eq!(stats.evicted_entries, self.evicted);
+            let profiled = self.memos.values().filter(|m| !m.0.is_empty()).count();
+            assert_eq!(cache.len(), profiled);
+            assert_eq!(cache.is_empty(), profiled == 0);
+            if let Some(cap) = self.capacity.max_bytes() {
+                assert!(
+                    stats.memo_bytes <= cap,
+                    "{} bytes over a {cap}-byte cap",
+                    stats.memo_bytes
+                );
+            }
+        }
+    }
+
+    /// One model-test operation: `(kind, i, j − i − 1, profile, exact)`.
+    /// Kinds 0–5 publish (profile index past the pool = none; exact 0 =
+    /// none), kinds 6–7 replay.
+    type ModelOp = (u8, u32, u32, usize, u8);
+
+    fn run_model(ops: &[ModelOp], pool: &[MatchProfile], capacity: CacheCapacity) -> usize {
+        let (sketches, _) =
+            build_sketches(&dataset()[..2], Similarity::Cosine, &ApssConfig::default());
+        let cache = SharedKnowledgeCache::with_capacity(sketches, capacity);
+        let mut model = ModelCache::new(capacity);
+        for &(kind, i, dj, p, exact) in ops {
+            let key = (i, i + 1 + dj);
+            if kind < 6 {
+                let profile = pool.get(p).cloned();
+                let exact = (exact > 0).then(|| f64::from(key.0 * 131 + key.1) / 1e5);
+                cache.publish(key, profile.clone(), exact);
+                model.publish(key, profile, exact);
+            } else {
+                let (read, exact) = cache.replay(key, None, 1024);
+                assert!(matches!(read, MemoRead::Resume(p) if p.is_empty()));
+                assert_eq!(exact, model.replay(key), "{key:?}");
+            }
+            model.check(&cache);
+        }
+        model.peak
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3))]
+
+        #[test]
+        fn row_store_matches_a_btree_reference(
+            ops in proptest::collection::vec(
+                (0u8..8, 0u32..192, 0u32..24, 0usize..12, 0u8..3),
+                1500..3000,
+            )
+        ) {
+            let pool = profile_pool();
+            let peak = run_model(&ops, &pool, CacheCapacity::unbounded());
+            run_model(&ops, &pool, CacheCapacity::bounded(0));
+            for policy in [EvictionPolicy::LeastRecentlyUsed, EvictionPolicy::ShallowestFirst] {
+                run_model(&ops, &pool, CacheCapacity::bounded(peak / 4).with_policy(policy));
+            }
+        }
     }
 
     #[test]

@@ -197,11 +197,20 @@ pub struct RecoveredStats {
 pub struct ProbeService {
     registry: CacheRegistry,
     corpora: RwLock<BTreeMap<String, Arc<ServedCorpus>>>,
+    /// Serializes publishes, so two publishes of one fingerprint never
+    /// both build and open its store. A publish holds `corpora` only to
+    /// look the fingerprint up and to insert, never across the sketching
+    /// or the epoch-0 snapshot, so it stalls no other corpus's verbs.
+    publishing: Mutex<()>,
     /// When set, every publish persists (meta + snapshot + WAL) under
     /// `data_dir/<fingerprint>/` and boot recovers what it finds there.
     data_dir: Option<PathBuf>,
     active_sessions: AtomicUsize,
     draining: AtomicBool,
+    /// Runs inside every publish's build, so a test can hold a publish
+    /// mid-build.
+    #[cfg(test)]
+    build_hook: Mutex<Option<Box<dyn Fn() + Send>>>,
 }
 
 impl Default for ProbeService {
@@ -216,9 +225,12 @@ impl ProbeService {
         ProbeService {
             registry: CacheRegistry::new(),
             corpora: RwLock::new(BTreeMap::new()),
+            publishing: Mutex::new(()),
             data_dir: None,
             active_sessions: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
+            #[cfg(test)]
+            build_hook: Mutex::new(None),
         }
     }
 
@@ -229,10 +241,7 @@ impl ProbeService {
     pub fn with_registry_capacity(capacity: RegistryCapacity) -> Self {
         ProbeService {
             registry: CacheRegistry::with_capacity(capacity, CacheCapacity::unbounded()),
-            corpora: RwLock::new(BTreeMap::new()),
-            data_dir: None,
-            active_sessions: AtomicUsize::new(0),
-            draining: AtomicBool::new(false),
+            ..ProbeService::new()
         }
     }
 
@@ -534,8 +543,8 @@ impl Connection {
         let cfg = publish_cfg.to_apss_config();
         let fp_raw = CacheRegistry::fingerprint(&records, measure, &cfg);
         let fp = fingerprint_hex(fp_raw);
-        let mut corpora = self.service.corpora.write().expect("corpora lock");
-        if let Some(existing) = corpora.get(&fp) {
+        let _publishing = self.service.publishing.lock().expect("publish lock");
+        if let Some(existing) = self.service.corpus(&fp) {
             // Idempotent re-publish: answer with the corpus as it stands
             // (it may have grown since the original publish, or been
             // recovered warm from the data directory at boot).
@@ -547,6 +556,10 @@ impl Connection {
             });
         }
         let built = catch_engine(|| {
+            #[cfg(test)]
+            if let Some(hook) = &*self.service.build_hook.lock().expect("build hook lock") {
+                hook();
+            }
             let cache = self.service.registry.get_or_build(&records, measure, &cfg);
             StreamingSession::from_records(records, measure, cfg).with_shared_cache(cache)
         });
@@ -576,7 +589,7 @@ impl Connection {
                     records: master.len(),
                     epoch: master.epoch(),
                 };
-                corpora.insert(
+                self.service.corpora.write().expect("corpora lock").insert(
                     fp,
                     Arc::new(ServedCorpus::new(name, measure, master, store)),
                 );
@@ -1074,6 +1087,60 @@ mod tests {
         assert_eq!(service.session_count(), 1);
         conn.close();
         assert_eq!(service.session_count(), 0);
+    }
+
+    #[test]
+    fn a_publish_mid_build_stalls_no_other_corpus() {
+        let service = Arc::new(ProbeService::new());
+        let fp = publish(&Connection::new(service.clone()), 16);
+        let (entered, at_build) = std::sync::mpsc::channel();
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        *service.build_hook.lock().unwrap() = Some(Box::new(move || {
+            entered.send(()).unwrap();
+            held.lock().unwrap().recv().unwrap();
+        }));
+        std::thread::scope(|s| {
+            let publisher = s.spawn(|| publish(&Connection::new(service.clone()), 24));
+            at_build.recv().unwrap();
+            // The second publish is now held inside its build. Verbs on
+            // the first corpus, and registry-wide ones, must still finish.
+            let (done, finished) = std::sync::mpsc::channel();
+            let (service, fp) = (&service, &fp);
+            s.spawn(move || {
+                let reader = Connection::new(service.clone());
+                let attached = reader.handle(Request::Attach {
+                    fingerprint: fp.clone(),
+                    pinned: false,
+                    declared_measure: None,
+                });
+                let corpus_stats = reader.handle(Request::MemoryStats);
+                let idle = Connection::new(service.clone());
+                let registry_stats = idle.handle(Request::MemoryStats);
+                let health = idle.handle(Request::Health);
+                done.send((attached, corpus_stats, registry_stats, health))
+                    .unwrap();
+            });
+            // Only a deadlock reaches the timeout; it then releases the
+            // publish so the test fails instead of hanging.
+            let outcome = finished.recv_timeout(Duration::from_secs(60));
+            release.send(()).unwrap();
+            let (attached, corpus_stats, registry_stats, health) =
+                outcome.expect("verbs on another corpus blocked behind a publish's build");
+            assert!(matches!(attached.response, Response::Attached { .. }));
+            for (stats, want) in [(corpus_stats, "corpus"), (registry_stats, "registry")] {
+                match stats.response {
+                    Response::MemoryStatsResult { scope, .. } => assert_eq!(scope, want),
+                    other => panic!("memory_stats failed: {}", other.encode()),
+                }
+            }
+            match health.response {
+                Response::Health { corpora, .. } => assert_eq!(corpora, 1),
+                other => panic!("health failed: {}", other.encode()),
+            }
+            assert_ne!(publisher.join().unwrap(), *fp);
+        });
+        assert_eq!(service.corpora.read().unwrap().len(), 2);
     }
 
     #[test]
