@@ -2,8 +2,8 @@
 //!
 //! Runs the scenarios the interactive-speed promise rests on — N sessions
 //! sweeping thresholds over one `SharedKnowledgeCache`, the same sweep
-//! under a byte cap, the posterior work and the memo copies of first and
-//! repeated probes, the banded join over a Zipf-skewed corpus whose hottest bucket holds
+//! under a byte cap, the posterior work, the memo copies and the memo
+//! walks' stripe guards of first and repeated probes, the banded join over a Zipf-skewed corpus whose hottest bucket holds
 //! most records, streaming ingest with carried memos,
 //! fixed batches into a ~10×-growing corpus, a ladder of threshold
 //! watches, a warm restart from snapshot + WAL, and the serial load
@@ -114,6 +114,8 @@ pub const SNAPSHOT: &[(&str, Kind, Gate)] = &[
     ("posterior_evals.second_probe", CountList, Exact),
     ("memo_clones.first_probe", CountList, Exact),
     ("memo_clones.second_probe", CountList, Exact),
+    ("row_guards.first_probe", CountList, Exact),
+    ("row_guards.second_probe", CountList, Exact),
     ("curve_rows.first_probe", CountList, Exact),
     ("curve_rows.second_probe", CountList, Exact),
     ("banded_skew.records", Count, Exact),
@@ -213,6 +215,7 @@ pub fn measure(seed: u64) -> Json {
             measure_posterior_evals(&ds.records, ds.measure),
         ),
         ("memo_clones", measure_memo_clones(&ds.records, ds.measure)),
+        ("row_guards", measure_row_guards(&ds.records, ds.measure)),
         ("curve_rows", measure_curve_rows(&ds.records, ds.measure)),
         ("banded_skew", measure_banded_skew_sized(1000)),
         ("streaming", measure_streaming_sized(100, 40, 3)),
@@ -579,6 +582,16 @@ fn measure_memo_clones(records: &[SparseVector], measure: Similarity) -> Json {
     probe_twice(records, measure, &MEMO_SWEEP, |s| s.memo_clones)
 }
 
+/// The memo-walk shape: one fresh cache over the fixed corpus, probed
+/// twice at each threshold of [`MEMO_SWEEP`]. Records each probe's
+/// `row_guards` — the shared stripe guards its memo walks took. A walk
+/// holds one guard over a whole row run and re-takes it only after a pair
+/// that needed work, so a first probe of an empty cache takes one per
+/// candidate and the second, all full hits, one per distinct first record.
+fn measure_row_guards(records: &[SparseVector], measure: Similarity) -> Json {
+    probe_twice(records, measure, &MEMO_SWEEP, |s| s.row_guards)
+}
+
 /// The curve-fold shape: one fresh [`StreamingSession`] over the fixed
 /// corpus, probed twice at each threshold of [`MEMO_SWEEP`]. Records each
 /// probe's `curve_rows` — the tail rows its curve fold computed. A first
@@ -873,6 +886,7 @@ mod tests {
         "evicted_entries": 1234},
       "posterior_evals": {"first_probe": [610, 540, 420], "second_probe": [0, 0, 0]},
       "memo_clones": {"first_probe": [0, 3100, 7400], "second_probe": [0, 0, 0]},
+      "row_guards": {"first_probe": [19900, 3300, 7600], "second_probe": [199, 199, 199]},
       "curve_rows": {"first_probe": [200, 150, 120], "second_probe": [0, 0, 0]},
       "banded_skew": {"records": 1000, "hot_bucket_share": 0.61, "hot_bucket_pairs": 185745,
         "total_pairs": 1600000, "candidates": 250000},
@@ -954,7 +968,7 @@ mod tests {
         // One top-level member per line, the benchmark id first.
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[1], "  \"benchmark\": \"apss\",");
-        assert_eq!(lines.len(), 2 + 12, "{text}");
+        assert_eq!(lines.len(), 2 + 13, "{text}");
         let doc = json::parse(&text).expect("rendered snapshot parses");
         assert_eq!(doc, fixture());
         validate_snapshot_json(&text).expect("every table path resolves");
@@ -1086,6 +1100,44 @@ mod tests {
         assert!(first[1..].iter().all(|&n| n > 0), "{first:?}");
         assert_eq!(list("memo_clones.second_probe"), [0, 0, 0]);
         assert_eq!(schema_problems("memo_clones", tree), Vec::<String>::new());
+    }
+
+    #[test]
+    fn compare_flags_a_walk_that_guards_each_pair() {
+        // A re-probe that re-takes the stripe guard per pair reads the
+        // candidate count instead of the row count, and fails the gate.
+        let doc = fixture().encode();
+        for (path, value) in [
+            ("row_guards.second_probe[1]", 19900),
+            ("row_guards.first_probe[1]", 3301),
+        ] {
+            let problems =
+                compare_snapshots(&with(path, count(value)), &doc).expect_err("memo walks drifted");
+            let list = path.strip_suffix("[1]").expect("a list element");
+            assert!(flagged(&problems, list), "{path}: {problems:?}");
+        }
+    }
+
+    #[test]
+    fn row_guard_measurement_takes_one_guard_per_row_run() {
+        let ds = GaussianSpec::new("bench", 60, 10, 4).generate(3);
+        let tree = measure_row_guards(&ds.records, ds.measure);
+        let doc = json::obj(vec![("row_guards", tree.clone())]);
+        let list = |path: &str| -> Vec<u64> {
+            let items = lookup(&doc, path).and_then(Json::as_arr).expect(path);
+            items.iter().map(|v| v.as_u64().expect("count")).collect()
+        };
+        let (candidates, rows) = (60 * 59 / 2, 59);
+        let first = list("row_guards.first_probe");
+        assert_eq!(first.len(), MEMO_SWEEP.len());
+        // An empty cache stops every walk at its first pair.
+        assert_eq!(first[0], candidates, "{first:?}");
+        assert!(
+            first[1..].iter().all(|&n| rows < n && n < candidates),
+            "{first:?}"
+        );
+        assert_eq!(list("row_guards.second_probe"), [rows; 3]);
+        assert_eq!(schema_problems("row_guards", tree), Vec::<String>::new());
     }
 
     #[test]

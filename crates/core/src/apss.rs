@@ -12,9 +12,13 @@
 //! per block of joined pairs) all go through one loop: `evaluate` chunks
 //! the candidate list across [`ApssConfig::parallelism`] workers, each
 //! stepping a private `PairEvaluator` whose memo source is an
-//! `Option<&SharedKnowledgeCache>` (`None` = cold). All workers decide
-//! from one [`DecisionCells`] table: the cache's table for the threshold
-//! when there is a cache, a table local to the call when cold. Pairs,
+//! `Option<&SharedKnowledgeCache>` (`None` = cold). With a cache, a
+//! worker hands its candidates to the cache one row run (the consecutive
+//! pairs of one first record) at a time: full hits are recorded under
+//! one shared stripe guard, and the evaluator steps only the pairs that
+//! need work, after the guard dropped. All workers decide from one
+//! [`DecisionCells`] table: the cache's table for the threshold when
+//! there is a cache, a table local to the call when cold. Pairs,
 //! estimates, and counters are bit-identical at every thread count and
 //! cache warmth: per-pair evaluation is independent, chunk outputs
 //! concatenate back into candidate order, and each decision cell is
@@ -119,6 +123,51 @@ impl ApssResult {
             stats: ApssStats::default(),
         }
     }
+
+    /// Books one evaluated pair: its decision and work, its estimate, and
+    /// the pair itself when `similarity` meets the threshold. `cached`:
+    /// the probe has a memo source, so a pair that compared no hash is a
+    /// cache hit.
+    #[inline]
+    fn record(
+        &mut self,
+        (i, j): (u32, u32),
+        estimate: PairEstimate,
+        new_hashes: u32,
+        similarity: Option<f64>,
+        cached: bool,
+    ) {
+        self.stats.hashes_compared += new_hashes as u64;
+        if cached && new_hashes == 0 {
+            self.stats.cache_hits += 1;
+        }
+        match estimate.decision {
+            PairDecision::Pruned => self.stats.pruned += 1,
+            PairDecision::Accepted => self.stats.accepted += 1,
+            PairDecision::Exhausted => self.stats.exhausted += 1,
+        }
+        if let Some(similarity) = similarity.filter(|&s| s >= self.threshold) {
+            self.pairs.push(SimilarPair { i, j, similarity });
+        }
+        self.estimates.push((i, j, estimate));
+    }
+}
+
+/// The similarity to report for a decided pair when it needs no work:
+/// `Some(None)` for a pruned pair, the estimate's, or the `known` exact
+/// one under `exact_on_accept`. `None` when the exact similarity must
+/// still be computed.
+#[inline]
+fn settled_similarity(
+    estimate: &PairEstimate,
+    exact_on_accept: bool,
+    known: Option<f64>,
+) -> Option<Option<f64>> {
+    match estimate.decision {
+        PairDecision::Pruned => Some(None),
+        _ if exact_on_accept => known.map(Some),
+        _ => Some(Some(estimate.map_similarity)),
+    }
 }
 
 /// Probe statistics.
@@ -155,6 +204,13 @@ pub struct ApssStats {
     /// full hit reads its profile in place and copies nothing, so a
     /// re-probe at an already-probed threshold counts 0.
     pub memo_clones: u64,
+    /// Shared stripe guards this probe's memo walks took: one per row run
+    /// (a row's consecutive candidates), plus one each time a walk
+    /// re-enters the run after a pair that needed work outside the guard.
+    /// A re-probe at an already-probed threshold takes exactly one per
+    /// distinct first record among its candidates. Always 0 for
+    /// cache-less probes.
+    pub row_guards: u64,
 }
 
 impl ApssStats {
@@ -169,6 +225,7 @@ impl ApssStats {
         self.cache_hits += other.cache_hits;
         self.posterior_evals += other.posterior_evals;
         self.memo_clones += other.memo_clones;
+        self.row_guards += other.row_guards;
     }
 }
 
@@ -274,36 +331,32 @@ impl<'a> PairEvaluator<'a> {
         }
     }
 
-    /// Evaluates one pair: memo read → decision walk → similarity →
-    /// publish. A full hit decides from the resident profile under the
-    /// stripe's shared guard; any other walk resumes from a copy (or from
-    /// nothing) outside it. `exact` carries the records and measure when
-    /// accepted pairs get their similarity recomputed exactly. The
-    /// estimate is bit-identical whatever the memos hold; only
-    /// `new_hashes` varies.
-    // `#[inline]` here and on `replay`/`publish`: out-of-line
+    /// Evaluates one pair from what its memo walk read, outside any
+    /// guard: decision walk → similarity → publish. A `Decided` read only
+    /// still needs its exact similarity; a `Resume` read walks on from
+    /// its copy of the resident profile (or from nothing), comparing
+    /// hashes. `known_exact` is the memo's exact similarity, and `exact`
+    /// carries the records and measure when accepted pairs get their
+    /// similarity recomputed exactly. The estimate is bit-identical
+    /// whatever the memos hold; only `new_hashes` varies.
+    // `#[inline]` here and on `replay_run`/`publish`: out-of-line
     // per-candidate calls cost ~5 % of a contended warm probe.
     #[inline]
     fn step(
         &mut self,
-        i: u32,
-        j: u32,
+        (i, j): (u32, u32),
+        read: MemoRead,
+        known_exact: Option<f64>,
         exact: Option<(&[SparseVector], Similarity)>,
     ) -> PairOutcome {
-        let (key, a, b) = ((i, j), i as usize, j as usize);
-        let table = self.profiled.then_some(&mut self.table);
-        let (read, known_exact) = match self.memos {
-            Some(cache) => cache.replay(key, table, self.sketches.n_hashes()),
-            None => (MemoRead::Resume(MatchProfile::new()), None),
-        };
-        // Compare hashes without holding any lock.
+        let (a, b) = (i as usize, j as usize);
         let (estimate, new_hashes, profile) = match read {
             MemoRead::Decided(estimate) => (estimate, 0, None),
             MemoRead::Resume(mut profile) if self.profiled => {
                 if !profile.is_empty() {
                     self.memo_clones += 1;
                 }
-                // The guarded replay walked the covered steps already.
+                // The guarded walk replayed the covered steps already.
                 let out = self.table.resume(self.sketches, a, b, &mut profile);
                 (out.estimate, out.new_hashes, Some(profile))
             }
@@ -313,18 +366,17 @@ impl<'a> PairEvaluator<'a> {
             }
         };
         let mut fresh_exact = None;
-        let similarity = (estimate.decision != PairDecision::Pruned).then(|| match exact {
-            Some((records, measure)) => known_exact.unwrap_or_else(|| {
+        let similarity = settled_similarity(&estimate, exact.is_some(), known_exact)
+            .unwrap_or_else(|| {
+                let (records, measure) = exact.expect("only an exact probe computes");
                 let s = measure.compute(&records[a], &records[b]);
                 fresh_exact = Some(s);
-                s
-            }),
-            None => estimate.map_similarity,
-        });
+                Some(s)
+            });
         if let Some(cache) = self.memos {
             // A full cache hit publishes no profile — it re-derived only
             // already-published knowledge.
-            cache.publish(key, profile, fresh_exact);
+            cache.publish((i, j), profile, fresh_exact);
         }
         PairOutcome {
             estimate,
@@ -377,25 +429,41 @@ pub(crate) fn evaluate(
         None => std::sync::Arc::new(engine.decision_cells(threshold, sketches.n_hashes())),
     };
     let exact = cfg.exact_on_accept.then_some((records, measure));
+    let max_n = sketches.n_hashes();
     let eval_chunk = |chunk: &[(u32, u32)]| {
         let mut eval = PairEvaluator::new(&engine, &cells, sketches, memos);
         let mut out = ApssResult::with_capacity(threshold, chunk.len());
         out.stats.candidates = chunk.len() as u64;
-        for &(i, j) in chunk {
-            let pair = eval.step(i, j, exact);
-            out.stats.hashes_compared += pair.new_hashes as u64;
-            if memos.is_some() && pair.new_hashes == 0 {
-                out.stats.cache_hits += 1;
+        // Row runs never cross a chunk cut: `row_chunks` cuts at row starts.
+        for run in chunk.chunk_by(|a, b| a.0 == b.0) {
+            let i = run[0].0;
+            let mut rest = run;
+            while !rest.is_empty() {
+                let (at, read, known_exact) = match memos {
+                    None => (0, MemoRead::Resume(MatchProfile::new()), None),
+                    Some(cache) => {
+                        out.stats.row_guards += 1;
+                        let table = eval.profiled.then_some(&mut eval.table);
+                        let hit = |j, estimate, known| {
+                            let settled = settled_similarity(&estimate, exact.is_some(), known);
+                            let Some(similarity) = settled else {
+                                return false;
+                            };
+                            out.record((i, j), estimate, 0, similarity, true);
+                            true
+                        };
+                        match cache.replay_run(rest, table, max_n, hit) {
+                            Some(stop) => stop,
+                            None => break,
+                        }
+                    }
+                };
+                let key = rest[at];
+                let pair = eval.step(key, read, known_exact, exact);
+                let cached = memos.is_some();
+                out.record(key, pair.estimate, pair.new_hashes, pair.similarity, cached);
+                rest = &rest[at + 1..];
             }
-            match pair.estimate.decision {
-                PairDecision::Pruned => out.stats.pruned += 1,
-                PairDecision::Accepted => out.stats.accepted += 1,
-                PairDecision::Exhausted => out.stats.exhausted += 1,
-            }
-            if let Some(similarity) = pair.similarity.filter(|&s| s >= threshold) {
-                out.pairs.push(SimilarPair { i, j, similarity });
-            }
-            out.estimates.push((i, j, pair.estimate));
         }
         out.stats.posterior_evals = eval.table.cells_filled();
         out.stats.memo_clones = eval.memo_clones;

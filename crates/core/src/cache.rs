@@ -36,18 +36,22 @@
 //! by the second record `j`), probes take `&self`, and workers publish
 //! memos into their rows as they evaluate — there is no global lock and
 //! no single-threaded fold. Candidates come sorted by `(i, j)` and each
-//! evaluation worker takes whole rows, so consecutive reads land on
-//! adjacent slots under one stripe guard that no other worker writes.
-//! Many sessions probing the same corpus at different thresholds share
-//! one sketch set and one memo pool
+//! evaluation worker takes whole rows, so one row's candidates are
+//! consecutive slots of one row under a stripe guard that no other worker
+//! writes. Many sessions probing the same corpus at different thresholds
+//! share one sketch set and one memo pool
 //! ([`StreamingSession::with_shared_cache`], [`CacheRegistry`]).
 //!
-//! A re-probe reads under a *shared* stripe guard and writes nothing
-//! shared: a full hit decides from the resident profile in place, with
-//! no copy, and an unbounded cache (which never evicts) keeps no recency
-//! stamp. Only a partial hit copies its profile out, and only a walk that
-//! learned something takes the exclusive guard to publish it. Hash
-//! comparison never runs under any guard.
+//! A re-probe takes one *shared* stripe guard per row run — all of a
+//! row's consecutive candidates — and walks the sorted row with a cursor
+//! that tries the next slot before it searches
+//! (`SharedKnowledgeCache::replay_run`). It writes nothing shared: a
+//! full hit decides from the resident profile in place, with no copy, and
+//! an unbounded cache (which never evicts) keeps no recency stamp. The
+//! walk stops at the first pair that needs work; only a partial hit
+//! copies its profile out, and only a walk that learned something takes
+//! the exclusive guard to publish it, after its shared guard dropped.
+//! Hash comparison never runs under any guard.
 //!
 //! Sharing does not cost reproducibility, because profile-backed
 //! evaluation is *confluent*: a probe's pairs, estimates, and decision
@@ -277,13 +281,6 @@ struct Stripe {
 }
 
 impl Stripe {
-    /// The memo of pair `(i, j)`, where `row` is `i / STRIPES`.
-    fn memo(&self, row: usize, j: u32) -> Option<&PairMemo> {
-        let row = self.rows.get(row)?;
-        let at = row.binary_search_by_key(&j, |&(k, _)| k).ok()?;
-        Some(&row[at].1)
-    }
-
     /// The memo slot of pair `(i, j)`, where `row` is `i / STRIPES`,
     /// inserted empty at its sorted place when missing, and whether it
     /// was inserted. A `j` past the row's end (a row's first
@@ -364,7 +361,7 @@ impl PaddedStripe {
 }
 
 /// What a pair's memo tells a walk at a probe's threshold (see
-/// [`SharedKnowledgeCache::replay`]).
+/// [`SharedKnowledgeCache::replay_run`]).
 pub(crate) enum MemoRead {
     /// The resident profile decided the walk: a full hit, read in place.
     Decided(PairEstimate),
@@ -709,8 +706,8 @@ impl SharedKnowledgeCache {
     }
 
     /// The stripe holding record `i`'s memo row, and the row's index in
-    /// it. Every pair `(i, j)` of one `i` lives under one lock, so a walk
-    /// over sorted candidates keeps re-taking the same guard.
+    /// it. Every pair `(i, j)` of one `i` lives under one lock, so one
+    /// guard covers a whole row run ([`replay_run`](Self::replay_run)).
     fn row_of(&self, i: u32) -> (&PaddedStripe, usize) {
         let i = i as usize;
         (&self.stripes[i % STRIPES], i / STRIPES)
@@ -758,40 +755,61 @@ impl SharedKnowledgeCache {
         cells
     }
 
-    /// Reads a pair's memo under the stripe's *shared* guard, with the
-    /// pair's exact similarity when one is known.
+    /// Walks one row run — candidates `(i, j)` of a single `i`, sorted by
+    /// `j` — under one *shared* stripe guard, deciding every full hit in
+    /// place.
     ///
-    /// With a `table`, the walk replays the resident profile in place
-    /// ([`ProbeTable::replay`], no sketch read): when a covered step
-    /// decides, that is a full hit and nothing is copied; otherwise the
-    /// caller gets a copy to resume and publish outside the guard. An
-    /// unprofiled walk (`None`) gets only the exact similarity. A bounded
-    /// cache stamps the read so LRU eviction sees it; an unbounded one
-    /// writes nothing shared.
+    /// A cursor moves forward through the sorted row: each pair tries the
+    /// slot after the last one read and searches the rest of the row only
+    /// when that slot holds another `j`. With a `table`, each resident
+    /// profile is replayed in place ([`ProbeTable::replay`], no sketch
+    /// read, nothing copied); a decided pair goes to `hit(j, estimate,
+    /// exact)` with its exact similarity when one is known, and `hit`
+    /// returns `false` to refuse it (an accepted pair needing an exact
+    /// similarity nobody published). The walk stops at the first pair
+    /// that needs work outside the guard — a miss, a partial hit (its
+    /// profile copied to resume), a refused hit, or any memo of an
+    /// unprofiled walk (`None`) — and returns its offset in `run`, its
+    /// read and its exact similarity; `None` when every pair was a full
+    /// hit. The caller evaluates and publishes that pair with no guard
+    /// held, then walks the rest of the run. A bounded cache stamps every
+    /// read, in candidate order, so LRU eviction sees it; an unbounded
+    /// one writes nothing shared.
     #[inline]
-    pub(crate) fn replay(
+    pub(crate) fn replay_run(
         &self,
-        key: (u32, u32),
-        table: Option<&mut ProbeTable<'_>>,
+        run: &[(u32, u32)],
+        mut table: Option<&mut ProbeTable<'_>>,
         max_n: usize,
-    ) -> (MemoRead, Option<f64>) {
-        let (stripe, row) = self.row_of(key.0);
+        mut hit: impl FnMut(u32, PairEstimate, Option<f64>) -> bool,
+    ) -> Option<(usize, MemoRead, Option<f64>)> {
+        let (stripe, r) = self.row_of(run.first()?.0);
         let g = stripe.read();
-        let Some(memo) = g.memo(row, key.1) else {
-            return (MemoRead::Resume(MatchProfile::new()), None);
-        };
-        if self.capacity.max_bytes().is_some() {
-            let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-            memo.last_used.fetch_max(stamp, Ordering::Relaxed);
+        let row = g.rows.get(r).map_or(&[][..], Vec::as_slice);
+        let mut at = 0;
+        for (offset, &(_, j)) in run.iter().enumerate() {
+            if row.get(at).is_none_or(|&(k, _)| k != j) {
+                at += row[at..].partition_point(|&(k, _)| k < j);
+            }
+            let Some((_, memo)) = row.get(at).filter(|&&(k, _)| k == j) else {
+                return Some((offset, MemoRead::Resume(MatchProfile::new()), None));
+            };
+            at += 1;
+            if self.capacity.max_bytes().is_some() {
+                let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+                memo.last_used.fetch_max(stamp, Ordering::Relaxed);
+            }
+            let read = match table.as_deref_mut() {
+                Some(table) => match table.replay(&memo.profile, max_n) {
+                    Some(estimate) if hit(j, estimate, memo.exact) => continue,
+                    Some(estimate) => MemoRead::Decided(estimate),
+                    None => MemoRead::Resume(memo.profile.clone()),
+                },
+                None => MemoRead::Resume(MatchProfile::new()),
+            };
+            return Some((offset, read, memo.exact));
         }
-        let read = match table {
-            Some(table) => match table.replay(&memo.profile, max_n) {
-                Some(estimate) => MemoRead::Decided(estimate),
-                None => MemoRead::Resume(memo.profile.clone()),
-            },
-            None => MemoRead::Resume(MatchProfile::new()),
-        };
-        (read, memo.exact)
+        None
     }
 
     /// Publishes what one evaluation learned into the pair's row under a
@@ -1556,6 +1574,7 @@ mod tests {
     use crate::apss::{apss, apss_with_sketches, build_sketches};
     use plasma_data::datasets::gaussian::GaussianSpec;
     use plasma_data::similarity::Similarity;
+    use plasma_lsh::bayes::PairDecision;
 
     fn dataset() -> Vec<plasma_data::vector::SparseVector> {
         GaussianSpec {
@@ -1806,18 +1825,67 @@ mod tests {
         }
     }
 
+    /// Runs `f` on a thread of its own and returns what it returns. A
+    /// walk that publishes under its own shared guard deadlocks, and only
+    /// a deadlock takes a minute: the test then fails instead of hanging.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || done.send(f()).expect("the test is waiting"));
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(answer) => {
+                worker.join().expect("the worker sent its answer");
+                answer
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("the worker panicked"))
+            }
+            // The deadlocked worker cannot be joined; the test fails.
+            Err(RecvTimeoutError::Timeout) => panic!("the probes deadlocked"),
+        }
+    }
+
     #[test]
     fn rows_end_sorted_and_identical_at_every_split() {
+        // A descending exact sweep also accepts pairs from resident
+        // profiles that carry no exact similarity: those walks stop, and
+        // publish outside their shared guard.
+        for exact_on_accept in [false, true] {
+            within_a_minute(move || rows_at_every_split(exact_on_accept));
+        }
+    }
+
+    fn rows_at_every_split(exact_on_accept: bool) {
         // Exhaustive candidates: row `i` holds 59 − i pairs, so the
         // chunk cuts of 2, 3 and 4 workers land inside long rows and
         // must move to row starts.
         let records = GaussianSpec::new("rows", 60, 8, 3).generate(5).records;
-        let ladder = [0.9, 0.7, 0.5];
+        let ladder = [0.95, 0.9, 0.7, 0.5];
         let cfg = |threads| ApssConfig {
             parallelism: Some(threads),
+            exact_on_accept,
             ..ApssConfig::default()
         };
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg(1));
+        if exact_on_accept {
+            // Pairs pruned at 0.95 with a concentrated posterior are
+            // accepted at 0.9 from their resident profile, which carries
+            // no exact similarity: the walk hands each one back.
+            let cache = SharedKnowledgeCache::new(sketches.clone());
+            cache.probe(&records, Similarity::Cosine, ladder[0], &cfg(1));
+            let engine = BayesLsh::new(sketches.family(), cfg(1).bayes);
+            let cells = cache.decision_table(&engine, ladder[1], sketches.n_hashes());
+            let mut table = engine.table_over(&cells);
+            let cands = crate::apss::generate_candidates(&sketches, &cfg(1));
+            let refused: usize = (cands.chunk_by(|a, b| a.0 == b.0))
+                .map(|run| {
+                    let (_, stops) =
+                        walk_run(&cache, run, Some(&mut table), sketches.n_hashes(), true);
+                    stops.iter().filter(|s| s.1.is_ok()).count()
+                })
+                .sum();
+            assert!(refused > 0, "no accepted pair lacked its exact similarity");
+        }
         let cold: Vec<ApssResult> = ladder
             .iter()
             .map(|&t| apss_with_sketches(&records, Similarity::Cosine, &sketches, t, &cfg(1)))
@@ -1841,7 +1909,10 @@ mod tests {
             let memos = memos(&cache);
             match &reference {
                 None => reference = Some(memos),
-                Some(reference) => assert!(memos == *reference, "{threads} workers"),
+                Some(reference) => assert!(
+                    memos == *reference,
+                    "{threads} workers, exact {exact_on_accept}"
+                ),
             }
         }
         // Two fresh sessions race their first probes on one cache.
@@ -1952,7 +2023,8 @@ mod tests {
             })
         }
 
-        fn replay(&mut self, key: (u32, u32)) -> Option<f64> {
+        /// Reads one pair as a walk does, stamping it when bounded.
+        fn read(&mut self, key: (u32, u32)) -> Option<&(MatchProfile, Option<f64>, u64)> {
             if !self.memos.contains_key(&key) {
                 return None;
             }
@@ -1961,7 +2033,7 @@ mod tests {
             if let Some(stamp) = stamp {
                 memo.2 = memo.2.max(stamp);
             }
-            memo.1
+            Some(memo)
         }
 
         fn publish(&mut self, key: (u32, u32), profile: Option<MatchProfile>, exact: Option<f64>) {
@@ -2046,31 +2118,168 @@ mod tests {
         }
     }
 
-    /// One model-test operation: `(kind, i, j − i − 1, profile, exact)`.
-    /// Kinds 0–5 publish (profile index past the pool = none; exact 0 =
-    /// none), kinds 6–7 replay.
-    type ModelOp = (u8, u32, u32, usize, u8);
+    /// One model-test operation: `((kind, i, j − i − 1), (profile, exact,
+    /// mask))`. Kinds 0–5 publish pair `(i, j)` (profile index past the
+    /// pool = none; exact 0 = none). Kinds 6–7 walk the run of row `i`
+    /// whose `j`s sit at `mask`'s set bits past `j` (1–8 ascending pairs,
+    /// some absent), decided at the threshold `profile % 6` picks (5 =
+    /// unprofiled), refusing hits with no exact similarity when `exact`
+    /// is non-zero.
+    type ModelOp = ((u8, u32, u32), (usize, u8, u8));
 
-    fn run_model(ops: &[ModelOp], pool: &[MatchProfile], capacity: CacheCapacity) -> usize {
-        let (sketches, _) =
-            build_sketches(&dataset()[..2], Similarity::Cosine, &ApssConfig::default());
+    /// What a walk recorded: each full hit's `(offset, estimate, exact)`,
+    /// and each pair it stopped at as `(offset, read, exact)` — a decided
+    /// read's estimate, or the profile it resumes from.
+    type Walk = (
+        Vec<(usize, (PairDecision, u32, u32, u64), Option<f64>)>,
+        Vec<(
+            usize,
+            Result<(PairDecision, u32, u32, u64), MatchProfile>,
+            Option<f64>,
+        )>,
+    );
+
+    fn estimate_bits(e: &PairEstimate) -> (PairDecision, u32, u32, u64) {
+        (e.decision, e.matches, e.hashes, e.map_similarity.to_bits())
+    }
+
+    /// Whether a walk's `hit` takes a decided pair: it refuses one with no
+    /// exact similarity when `refuse_unknown`, as an `exact_on_accept`
+    /// probe refuses an accepted pair.
+    fn takes(refuse_unknown: bool, e: &PairEstimate, exact: Option<f64>) -> bool {
+        !refuse_unknown || e.decision == PairDecision::Pruned || exact.is_some()
+    }
+
+    /// Walks `run` the way the evaluation loop does: [`replay_run`] to
+    /// each stop, then again from the pair after it.
+    ///
+    /// [`replay_run`]: SharedKnowledgeCache::replay_run
+    fn walk_run(
+        cache: &SharedKnowledgeCache,
+        run: &[(u32, u32)],
+        mut table: Option<&mut ProbeTable<'_>>,
+        max_n: usize,
+        refuse_unknown: bool,
+    ) -> Walk {
+        let (mut hits, mut stops) = (Vec::new(), Vec::new());
+        let mut from = 0;
+        while from < run.len() {
+            let rest = &run[from..];
+            let hit = |j: u32, e: PairEstimate, exact: Option<f64>| {
+                let taken = takes(refuse_unknown, &e, exact);
+                if taken {
+                    let offset = from + rest.iter().position(|p| p.1 == j).expect("in run");
+                    hits.push((offset, estimate_bits(&e), exact));
+                }
+                taken
+            };
+            let Some((at, read, exact)) = cache.replay_run(rest, table.as_deref_mut(), max_n, hit)
+            else {
+                break;
+            };
+            let read = match read {
+                MemoRead::Decided(e) => Ok(estimate_bits(&e)),
+                MemoRead::Resume(p) => Err(p),
+            };
+            stops.push((from + at, read, exact));
+            from += at + 1;
+        }
+        (hits, stops)
+    }
+
+    /// The same walk read one pair at a time from the model.
+    fn walk_model(
+        model: &mut ModelCache,
+        run: &[(u32, u32)],
+        mut table: Option<&mut ProbeTable<'_>>,
+        refuse_unknown: bool,
+    ) -> Walk {
+        let (mut hits, mut stops) = (Vec::new(), Vec::new());
+        for (offset, &key) in run.iter().enumerate() {
+            let Some((profile, exact, _)) = model.read(key) else {
+                stops.push((offset, Err(MatchProfile::new()), None));
+                continue;
+            };
+            let read = match table.as_deref_mut().map(|t| t.replay(profile, 1024)) {
+                None => Err(MatchProfile::new()),
+                Some(None) => Err(profile.clone()),
+                Some(Some(e)) => {
+                    if takes(refuse_unknown, &e, *exact) {
+                        hits.push((offset, estimate_bits(&e), *exact));
+                        continue;
+                    }
+                    Ok(estimate_bits(&e))
+                }
+            };
+            stops.push((offset, read, *exact));
+        }
+        (hits, stops)
+    }
+
+    /// What the model test's walks decide at: `(threshold, strict)`. The
+    /// pool's profiles are walks under the default parameters, so a
+    /// default table decides every one of them; a strict table (tighter
+    /// ε and δ) needs deeper profiles and stops at the shallow ones.
+    const WALK_TABLES: [(f64, bool); 5] = [
+        (0.8, false),
+        (0.4, false),
+        (0.9, true),
+        (0.6, true),
+        (0.3, true),
+    ];
+
+    /// Drives `ops` through a cache and the model, checking them against
+    /// each other after every op. Returns the model's peak bytes and how
+    /// many full hits, refused hits and partial stops the walks met.
+    fn run_model(
+        ops: &[ModelOp],
+        pool: &[MatchProfile],
+        capacity: CacheCapacity,
+    ) -> (usize, [usize; 3]) {
+        let cfg = ApssConfig::default();
+        let (sketches, _) = build_sketches(&dataset()[..2], Similarity::Cosine, &cfg);
+        let strict = plasma_lsh::BayesParams {
+            epsilon: 0.01,
+            delta: 0.02,
+            ..cfg.bayes
+        };
+        let engines = [cfg.bayes, strict].map(|p| BayesLsh::new(sketches.family(), p));
+        let cells = WALK_TABLES.map(|(t, s)| engines[s as usize].decision_cells(t, 1024));
+        let mut tables: Vec<ProbeTable<'_>> = (WALK_TABLES.iter().zip(&cells))
+            .map(|(&(_, s), c)| engines[s as usize].table_over(c))
+            .collect();
         let cache = SharedKnowledgeCache::with_capacity(sketches, capacity);
         let mut model = ModelCache::new(capacity);
-        for &(kind, i, dj, p, exact) in ops {
-            let key = (i, i + 1 + dj);
+        let mut met = [0; 3];
+        for &((kind, i, dj), (p, exact, mask)) in ops {
+            let j = i + 1 + dj;
             if kind < 6 {
+                let key = (i, j);
                 let profile = pool.get(p).cloned();
                 let exact = (exact > 0).then(|| f64::from(key.0 * 131 + key.1) / 1e5);
                 cache.publish(key, profile.clone(), exact);
                 model.publish(key, profile, exact);
             } else {
-                let (read, exact) = cache.replay(key, None, 1024);
-                assert!(matches!(read, MemoRead::Resume(p) if p.is_empty()));
-                assert_eq!(exact, model.replay(key), "{key:?}");
+                let run: Vec<(u32, u32)> = (0..8)
+                    .filter(|b| mask & (1 << b) != 0)
+                    .map(|b| (i, j + b))
+                    .collect();
+                let refuse = exact > 0;
+                let walked = walk_run(&cache, &run, tables.get_mut(p % 6), 1024, refuse);
+                let modeled = walk_model(&mut model, &run, tables.get_mut(p % 6), refuse);
+                assert!(walked == modeled, "{run:?}: {walked:?} vs {modeled:?}");
+                met[0] += walked.0.len();
+                for (_, read, _) in &walked.1 {
+                    match read {
+                        Ok(_) => met[1] += 1,
+                        Err(p) if !p.is_empty() => met[2] += 1,
+                        Err(_) => {}
+                    }
+                }
             }
             model.check(&cache);
         }
-        model.peak
+        (model.peak, met)
     }
 
     proptest::proptest! {
@@ -2079,12 +2288,13 @@ mod tests {
         #[test]
         fn row_store_matches_a_btree_reference(
             ops in proptest::collection::vec(
-                (0u8..8, 0u32..192, 0u32..24, 0usize..12, 0u8..3),
+                ((0u8..8, 0u32..192, 0u32..24), (0usize..12, 0u8..3, 1u8..=255)),
                 1500..3000,
             )
         ) {
             let pool = profile_pool();
-            let peak = run_model(&ops, &pool, CacheCapacity::unbounded());
+            let (peak, met) = run_model(&ops, &pool, CacheCapacity::unbounded());
+            proptest::prop_assert!(met.iter().all(|&n| n > 0), "full, refused, partial: {:?}", met);
             run_model(&ops, &pool, CacheCapacity::bounded(0));
             for policy in [EvictionPolicy::LeastRecentlyUsed, EvictionPolicy::ShallowestFirst] {
                 run_model(&ops, &pool, CacheCapacity::bounded(peak / 4).with_policy(policy));
