@@ -1,17 +1,17 @@
 //! The counter snapshot (`repro bench [--json]`).
 //!
 //! Runs the scenarios the interactive-speed promise rests on — N sessions
-//! sweeping thresholds over one `SharedKnowledgeCache`, the same sweep
-//! under a byte cap, the posterior work, the memo copies and the memo
-//! walks' stripe guards of first and repeated probes, the banded join over a Zipf-skewed corpus whose hottest bucket holds
-//! most records, streaming ingest with carried memos,
-//! fixed batches into a ~10×-growing corpus, a ladder of threshold
+//! sweeping thresholds over one `SharedKnowledgeCache`, the posterior
+//! work, the memo copies and the memo walks' stripe guards of first and
+//! repeated probes, the banded join over a Zipf-skewed corpus whose
+//! hottest bucket holds most records, streaming ingest with carried
+//! memos, fixed batches into a ~10×-growing corpus, a ladder of threshold
 //! watches, a warm restart from snapshot + WAL, and the serial load
 //! harness ([`crate::loadgen`]) — on fixed inputs, and records what each
 //! one counted: pairs, candidates, records, bytes, epochs, deltas, syncs,
-//! evictions. Nothing here keeps a clock: `benchmark/` times the wire and
-//! every layer under it, and the criterion `kernels` bench times the
-//! kernels.
+//! registry evictions. Nothing here keeps a clock: `benchmark/` times the
+//! wire and every layer under it, and the criterion `kernels` bench times
+//! the kernels.
 //!
 //! Each scenario builds its member of one JSON tree, and [`SNAPSHOT`]
 //! lists every leaf of that tree with the gate `repro check-bench
@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use plasma_core::apss::{build_sketches, ApssConfig, ApssStats};
-use plasma_core::cache::{CacheCapacity, CacheMemoryStats, CacheRegistry};
+use plasma_core::cache::{CacheCapacity, CacheRegistry};
 use plasma_core::durable::{self, CorpusStore};
 use plasma_core::{SharedKnowledgeCache, StreamingSession};
 use plasma_data::datasets::gaussian::GaussianSpec;
@@ -48,7 +48,7 @@ pub enum Gate {
     /// Exact when both snapshots share one segment geometry, skipped
     /// otherwise: CI sweeps `PLASMA_SEGMENT_RECORDS` across matrix cells.
     SameGeometry,
-    /// Required by the schema, never compared (races between sessions).
+    /// Required by the schema, never compared.
     Recorded,
 }
 
@@ -99,17 +99,9 @@ use Kind::{Count, CountList, Name, Ratio, Tally};
 /// element of the array; a row naming one element outranks the `[i]` row
 /// that follows it.
 pub const SNAPSHOT: &[(&str, Kind, Gate)] = &[
-    // Only the single-session rung is free of races between sessions.
-    ("multi_session[0].cache_hit_rate", Ratio, Within(0.05)),
     ("multi_session[i].sessions", Count, Exact),
     ("multi_session[i].probes", Count, Exact),
-    ("multi_session[i].cache_hit_rate", Ratio, Recorded),
-    ("bounded_cache.cap_bytes", Count, Exact),
-    ("bounded_cache.peak_memo_bytes_unbounded", Count, Exact),
-    ("bounded_cache.peak_memo_bytes", Count, Recorded),
-    ("bounded_cache.hit_rate_unbounded", Ratio, Recorded),
-    ("bounded_cache.hit_rate", Ratio, Recorded),
-    ("bounded_cache.evicted_entries", Count, Recorded),
+    ("multi_session[i].cache_hit_rate", Ratio, Exact),
     ("posterior_evals.first_probe", CountList, Exact),
     ("posterior_evals.second_probe", CountList, Exact),
     ("memo_clones.first_probe", CountList, Exact),
@@ -188,28 +180,13 @@ fn ratio(x: f64) -> Json {
 /// scenario uses fixed inputs).
 pub fn measure(seed: u64) -> Json {
     let ds = GaussianSpec::new("bench", 200, 10, 4).generate(3);
-    // The 4-session rung doubles as the bounded measurement's unbounded
-    // baseline, so the most expensive sweep runs once, not twice.
-    let mut baseline = None;
     let multi_session = [1usize, 2, 4]
         .iter()
-        .map(|&s| {
-            let (rung, stats) =
-                sweep_shared_cache(&ds.records, ds.measure, s, CacheCapacity::unbounded());
-            if s == 4 {
-                baseline = Some((rung.clone(), stats));
-            }
-            rung
-        })
+        .map(|&s| sweep_shared_cache(&ds.records, ds.measure, s))
         .collect();
-    let (base_rung, base_stats) = baseline.expect("the session ladder includes 4");
     json::obj(vec![
         (BENCHMARK_ID.0, Json::Str(BENCHMARK_ID.1.into())),
         ("multi_session", Json::Arr(multi_session)),
-        (
-            "bounded_cache",
-            measure_bounded_cache(&ds.records, ds.measure, &base_rung, base_stats),
-        ),
         (
             "posterior_evals",
             measure_posterior_evals(&ds.records, ds.measure),
@@ -475,83 +452,43 @@ fn measure_banded_skew_sized(n: usize) -> Json {
 /// cache exists to amortize).
 const SESSION_SWEEP: [f64; 5] = [0.9, 0.8, 0.7, 0.6, 0.5];
 
-/// One rung of the shared-cache shape: `sessions` concurrent OS threads,
-/// each driving its own [`StreamingSession`] attached to one fresh
-/// [`SharedKnowledgeCache`] under the given memory policy, each sweeping
-/// [`SESSION_SWEEP`]. Returns the rung — probes issued, and the fraction
-/// of candidate evaluations answered from the shared memo pool — and the
-/// cache's post-sweep memory statistics. Per-probe evaluation is pinned
-/// sequential so the session count is the only parallelism axis.
-fn sweep_shared_cache(
-    records: &[SparseVector],
-    measure: Similarity,
-    sessions: usize,
-    capacity: CacheCapacity,
-) -> (Json, CacheMemoryStats) {
+/// One rung of the shared-cache shape: `sessions` [`StreamingSession`]s
+/// attached to one fresh [`SharedKnowledgeCache`], each sweeping
+/// [`SESSION_SWEEP`], round-robin on the calling thread — every session
+/// probes a threshold before any session moves to the next. Returns
+/// probes issued and the fraction of candidate evaluations answered from
+/// the shared memo pool; one schedule makes that fraction a pure function
+/// of the inputs. Concurrent cache use is pinned by the determinism
+/// suites, not here. Per-probe evaluation is pinned sequential.
+fn sweep_shared_cache(records: &[SparseVector], measure: Similarity, sessions: usize) -> Json {
     let cfg = ApssConfig {
         parallelism: Some(1),
         ..ApssConfig::default()
     };
     let (sketches, _) = build_sketches(records, measure, &cfg);
-    let cache = Arc::new(SharedKnowledgeCache::with_capacity(sketches, capacity));
-    // (probes, cache hits, candidates) per session.
-    let per_session: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
-        let joins: Vec<_> = (0..sessions)
-            .map(|_| {
-                let cache = cache.clone();
-                scope.spawn(move || {
-                    let mut session =
-                        StreamingSession::from_records(records.to_vec(), measure, cfg)
-                            .with_shared_cache(cache);
-                    SESSION_SWEEP.iter().fold((0, 0, 0), |(p, h, c), &t| {
-                        let r = session.probe(t);
-                        (p + 1, h + r.cache_hits, c + r.candidates)
-                    })
-                })
-            })
-            .collect();
-        joins
-            .into_iter()
-            .map(|j| j.join().expect("bench session panicked"))
-            .collect()
-    });
-    let sum = |f: fn(&(u64, u64, u64)) -> u64| per_session.iter().map(f).sum::<u64>();
-    let rung = json::obj(vec![
+    let cache = Arc::new(SharedKnowledgeCache::new(sketches));
+    let mut all: Vec<StreamingSession> = (0..sessions)
+        .map(|_| {
+            StreamingSession::from_records(records.to_vec(), measure, cfg)
+                .with_shared_cache(cache.clone())
+        })
+        .collect();
+    let (mut probes, mut hits, mut candidates) = (0u64, 0u64, 0u64);
+    for &t in &SESSION_SWEEP {
+        for session in &mut all {
+            let r = session.probe(t);
+            probes += 1;
+            hits += r.cache_hits;
+            candidates += r.candidates;
+        }
+    }
+    json::obj(vec![
         ("sessions", count(sessions as u64)),
-        ("probes", count(sum(|s| s.0))),
+        ("probes", count(probes)),
         (
             "cache_hit_rate",
-            ratio(sum(|s| s.1) as f64 / sum(|s| s.2).max(1) as f64),
+            ratio(hits as f64 / candidates.max(1) as f64),
         ),
-    ]);
-    (rung, cache.memory_stats())
-}
-
-/// The bounded-cache shape: the 4-session sweep under a cap of a quarter
-/// of the unbounded run's peak — deep enough that the eviction path
-/// genuinely churns — recording what boundedness costs in memo bytes,
-/// hit rate and evictions. The unbounded baseline (`unbounded`, `base`)
-/// is the caller's 4-session rung, so the expensive sweep is not re-run.
-fn measure_bounded_cache(
-    records: &[SparseVector],
-    measure: Similarity,
-    unbounded: &Json,
-    base: CacheMemoryStats,
-) -> Json {
-    let cap_bytes = (base.peak_memo_bytes / 4).max(1);
-    let (capped, stats) =
-        sweep_shared_cache(records, measure, 4, CacheCapacity::bounded(cap_bytes));
-    let hit_rate = |rung: &Json| rung.get("cache_hit_rate").cloned().unwrap_or(Json::Null);
-    json::obj(vec![
-        ("cap_bytes", count(cap_bytes as u64)),
-        (
-            "peak_memo_bytes_unbounded",
-            count(base.peak_memo_bytes as u64),
-        ),
-        ("peak_memo_bytes", count(stats.peak_memo_bytes as u64)),
-        ("hit_rate_unbounded", hit_rate(unbounded)),
-        ("hit_rate", hit_rate(&capped)),
-        ("evicted_entries", count(stats.evicted_entries)),
     ])
 }
 
@@ -753,8 +690,10 @@ fn lookup<'a>(root: &'a Json, path: &str) -> Option<&'a Json> {
 /// the CI regression gate behind `repro check-bench --against`.
 ///
 /// One pass over [`SNAPSHOT`] applies each row's [`Gate`]; absolute
-/// throughput is never compared. The arrays must keep their length, and
-/// a baseline from another loadgen seed is refused as not comparable.
+/// throughput is never compared. The arrays must keep their length, every
+/// top-level member of the baseline must be one some row reads (a deleted
+/// scenario's numbers cannot linger unchecked), and a baseline from
+/// another loadgen seed is refused as not comparable.
 /// The fresh run must also pass its own loadgen correctness checks,
 /// whatever the baseline says.
 pub fn compare_snapshots(fresh_json: &str, committed_json: &str) -> Result<(), Vec<String>> {
@@ -765,6 +704,15 @@ pub fn compare_snapshots(fresh_json: &str, committed_json: &str) -> Result<(), V
     let committed = parse("committed", committed_json)?;
     let mut problems = Vec::new();
 
+    if let Json::Obj(members) = &committed {
+        for (key, _) in members {
+            if key != BENCHMARK_ID.0 && !SNAPSHOT.iter().any(|r| group(r.0) == key) {
+                problems.push(format!(
+                    "{key}: committed member that no snapshot row reads (regenerate the baseline)"
+                ));
+            }
+        }
+    }
     let mut arrays: Vec<&str> = SNAPSHOT.iter().filter_map(|r| array_of(r.0)).collect();
     arrays.dedup();
     for array in arrays {
@@ -881,9 +829,6 @@ mod tests {
       "multi_session": [{"sessions": 1, "probes": 5, "cache_hit_rate": 0.42},
         {"sessions": 2, "probes": 10, "cache_hit_rate": 0.7},
         {"sessions": 4, "probes": 20, "cache_hit_rate": 0.81}],
-      "bounded_cache": {"cap_bytes": 65536, "peak_memo_bytes_unbounded": 262144,
-        "peak_memo_bytes": 65536, "hit_rate_unbounded": 0.81, "hit_rate": 0.55,
-        "evicted_entries": 1234},
       "posterior_evals": {"first_probe": [610, 540, 420], "second_probe": [0, 0, 0]},
       "memo_clones": {"first_probe": [0, 3100, 7400], "second_probe": [0, 0, 0]},
       "row_guards": {"first_probe": [19900, 3300, 7600], "second_probe": [199, 199, 199]},
@@ -968,7 +913,7 @@ mod tests {
         // One top-level member per line, the benchmark id first.
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[1], "  \"benchmark\": \"apss\",");
-        assert_eq!(lines.len(), 2 + 13, "{text}");
+        assert_eq!(lines.len(), 2 + 12, "{text}");
         let doc = json::parse(&text).expect("rendered snapshot parses");
         assert_eq!(doc, fixture());
         validate_snapshot_json(&text).expect("every table path resolves");
@@ -1180,9 +1125,27 @@ mod tests {
         let broken = with("streaming.carried_hit_rate", Json::Float(0.5));
         let problems = compare_snapshots(&broken, &doc).expect_err("a hit-rate collapse is real");
         assert!(flagged(&problems, "carried_hit_rate"), "{problems:?}");
-        // Racing rungs are recorded, not gated.
-        let raced = with("multi_session[2].cache_hit_rate", Json::Float(0.2));
-        compare_snapshots(&raced, &doc).expect("multi-session rungs race");
+        // The shared-cache rungs run on one schedule, so they are exact.
+        let drifted = with("multi_session[2].cache_hit_rate", Json::Float(0.8));
+        let problems = compare_snapshots(&drifted, &doc).expect_err("one schedule, one rate");
+        assert!(flagged(&problems, "multi_session[2]"), "{problems:?}");
+    }
+
+    #[test]
+    fn compare_refuses_a_baseline_member_no_row_reads() {
+        // A deleted scenario's numbers left in the baseline fail the gate
+        // instead of sitting there unchecked.
+        let doc = fixture().encode();
+        let mut stale = fixture();
+        let Json::Obj(members) = &mut stale else {
+            panic!("the fixture is an object")
+        };
+        let bounded = json::obj(vec![("cap_bytes", count(65536)), ("hit_rate", ratio(0.55))]);
+        members.insert(2, ("bounded_cache".into(), bounded));
+        let problems =
+            compare_snapshots(&doc, &stale.encode()).expect_err("a dead baseline member");
+        assert!(flagged(&problems, "bounded_cache"), "{problems:?}");
+        assert_eq!(problems.len(), 1, "{problems:?}");
     }
 
     #[test]
@@ -1267,38 +1230,6 @@ mod tests {
         let problems = validate_snapshot_json(&doc.encode()).expect_err("recovery.batches gone");
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(flagged(&problems, "recovery.batches"), "{problems:?}");
-    }
-
-    #[test]
-    fn bounded_measurement_respects_its_own_cap() {
-        let ds = GaussianSpec::new("bench-bounded", 40, 6, 2).generate(5);
-        let (base_rung, base_stats) =
-            sweep_shared_cache(&ds.records, ds.measure, 4, CacheCapacity::unbounded());
-        let b = measure_bounded_cache(&ds.records, ds.measure, &base_rung, base_stats);
-        assert_eq!(
-            schema_problems("bounded_cache", b.clone()),
-            Vec::<String>::new()
-        );
-        let cap_bytes = n(&b, "cap_bytes") as usize;
-        assert!(cap_bytes > 0);
-        assert!(
-            n(&b, "peak_memo_bytes_unbounded") as usize >= cap_bytes,
-            "cap is derived as a fraction of the unbounded peak"
-        );
-        assert!(
-            n(&b, "evicted_entries") > 0,
-            "a quarter-peak cap must evict"
-        );
-        // The capped peak may transiently exceed the cap by at most one
-        // publication (accounting precedes the eviction pass), never by a
-        // whole probe's worth.
-        let (_, resident) = sweep_shared_cache(
-            &ds.records,
-            ds.measure,
-            2,
-            CacheCapacity::bounded(cap_bytes),
-        );
-        assert!(resident.memo_bytes <= cap_bytes);
     }
 
     #[test]
@@ -1417,13 +1348,13 @@ mod tests {
     #[test]
     fn multi_session_measurement_shares_the_cache() {
         // Tiny corpus so the measurement stays fast in tests: with 2
-        // sessions sweeping the same ladder, the second tread of every
-        // threshold is answered from the shared memo pool, so the
-        // aggregate hit rate must not fall below the single-session one.
+        // sessions taking turns on the same ladder, the second session's
+        // probe of every threshold is answered entirely from the memos
+        // the first one just published, so the aggregate hit rate rises
+        // above the single-session one.
         let ds = GaussianSpec::new("bench-test", 40, 6, 2).generate(5);
-        let unbounded = CacheCapacity::unbounded();
-        let solo = sweep_shared_cache(&ds.records, ds.measure, 1, unbounded).0;
-        let duo = sweep_shared_cache(&ds.records, ds.measure, 2, unbounded).0;
+        let solo = sweep_shared_cache(&ds.records, ds.measure, 1);
+        let duo = sweep_shared_cache(&ds.records, ds.measure, 2);
         let rungs = Json::Arr(vec![solo.clone(), duo.clone()]);
         assert_eq!(
             schema_problems("multi_session", rungs),
@@ -1431,15 +1362,11 @@ mod tests {
         );
         assert_eq!(n(&solo, "probes"), 5);
         assert_eq!(n(&duo, "probes"), 10);
-        // `>=`, not `>`: the duo's sessions genuinely race, and a
-        // scheduler keeping them in lockstep (both reading a pair before
-        // either publishes) can leave cross-session hits at zero. The
-        // serialized-sharing guarantee itself is pinned race-free in
-        // crates/core/tests/parallel_determinism.rs.
         assert!(
-            rate(&duo, "cache_hit_rate") >= rate(&solo, "cache_hit_rate"),
-            "sharing must not lower the hit rate: {duo:?} vs {solo:?}"
+            rate(&duo, "cache_hit_rate") > rate(&solo, "cache_hit_rate"),
+            "sharing must raise the hit rate: {duo:?} vs {solo:?}"
         );
+        assert_eq!(duo, sweep_shared_cache(&ds.records, ds.measure, 2));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!    only the new records against the cached buckets instead of
 //!    rebuilding `O(corpus × bands)` state. Like every cached layer this
 //!    is pure recomputable acceleration — the candidate set it yields is
-//!    bit-identical to a cold rebuild, and dropping it (capacity
-//!    pressure, strategy-shape change) only costs a cold rebuild.
+//!    bit-identical to a cold rebuild, and dropping it (a strategy-shape
+//!    change) only costs a cold rebuild.
 //! 4. **Decision tables** — the Eq. 2.1/2.2 stopping-rule cells of each
 //!    probed threshold ([`DecisionCells`]), at most [`DECISION_TABLES`]
 //!    of them, least recently used dropped first. Every probe and watch
@@ -46,8 +46,7 @@
 //! row's consecutive candidates — and walks the sorted row with a cursor
 //! that tries the next slot before it searches
 //! (`SharedKnowledgeCache::replay_run`). It writes nothing shared: a
-//! full hit decides from the resident profile in place, with no copy, and
-//! an unbounded cache (which never evicts) keeps no recency stamp. The
+//! full hit decides from the resident profile in place, with no copy. The
 //! walk stops at the first pair that needs work; only a partial hit
 //! copies its profile out, and only a walk that learned something takes
 //! the exclusive guard to publish it, after its shared guard dropped.
@@ -61,25 +60,18 @@
 //! (`hashes_compared`, `cache_hits`) a probe pays, never what it returns.
 //! See `tests/parallel_determinism.rs` for the property pins.
 //!
-//! # Bounded memory
+//! # Memory
 //!
 //! A pair memo is one row slot with no heap block of its own: the
 //! profile's counts sit inline under the default schedule, and only a
-//! deeper profile spills (see [`MatchProfile`]). Long-lived serving
-//! processes bound the memo pool with a [`CacheCapacity`]: every pair
-//! memo is byte-accounted (a fixed per-entry overhead plus
-//! [`MatchProfile::byte_size`], 0 unless spilled) per stripe, and
-//! publications that push a stripe over its share of the cap evict memos
-//! — least-recently-used first, or shallowest-profile first
-//! ([`EvictionPolicy`]). Because memos are pure recomputable knowledge,
-//! **eviction never changes probe outputs**, only work counters; the
-//! capped cache returns bit-identical results to an unbounded one at any
-//! thread/session count (pinned in `tests/bounded_cache.rs`).
-//! [`CacheRegistry`] adds the process-wide axis: a [`RegistryCapacity`]
-//! caps how many dataset caches stay resident and their total bytes
-//! (sketches + memos), dropping whole least-recently-used caches.
-//! [`SharedKnowledgeCache::memory_stats`] exposes byte/eviction/hit
-//! counters for operators.
+//! deeper profile spills (see [`MatchProfile`]). Every memo is
+//! byte-accounted as its slot plus a spilled profile's heap
+//! ([`SharedKnowledgeCache::memory_stats`]). A cache never evicts a memo:
+//! a publication only ever deepens a profile, so a corpus's memo bytes
+//! only grow. Memory is bounded one level up, where serving traffic
+//! lives: a [`CacheRegistry`] with a [`RegistryCapacity`] caps how many
+//! dataset caches stay resident and their total bytes (sketches + memos
+//! + band buckets), dropping whole least-recently-used caches.
 //!
 //! # Streamed growth (epoch carry-over)
 //!
@@ -130,101 +122,18 @@ pub const DECISION_TABLES: usize = 16;
 /// count. The family is the corpus's own.
 type DecisionKey = (u64, [u64; 4], usize);
 
-/// Which memo a bounded cache sacrifices first when it must evict.
-///
-/// Whatever the policy, eviction only ever discards *memoized work* —
-/// a re-probe of an evicted pair recomputes from the sketches and
-/// republishes, so probe outputs are bit-identical to an unbounded cache
-/// at any capacity (see [`CacheCapacity`]). The policy only shapes which
-/// pairs stay warm, i.e. the hit rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict the pair touched longest ago (reads and publications both
-    /// refresh recency, in a bounded cache only: an unbounded one never
-    /// evicts, so it keeps no stamp). Ties — possible only between pairs
-    /// never touched since the same probe — fall back to dropping the
-    /// shallowest profile first, the cheapest knowledge to rebuild.
-    #[default]
-    LeastRecentlyUsed,
-    /// Evict the pair with the fewest covered batch steps first (recency
-    /// breaks ties): keeps the deepest, most expensive-to-recompute
-    /// profiles resident, at the cost of ignoring access patterns.
-    ShallowestFirst,
-}
-
-/// Memory policy for a [`SharedKnowledgeCache`]'s memo pool.
-///
-/// The cap is a bound on **accounted memo bytes**: a fixed per-entry
-/// overhead for the row slot (`j`, inline profile, exact-similarity slot,
-/// and recency stamp) plus a spilled profile's heap bytes
-/// ([`MatchProfile::byte_size`]).
-/// Sketches are *not* counted — they are immutable, sized up front, and
-/// reported separately ([`SharedKnowledgeCache::total_bytes`]).
-///
-/// Enforcement is per stripe: each of the [`STRIPES`] lock stripes owns
-/// `max_bytes / STRIPES` of the budget and evicts locally whenever a
-/// publication pushes it over, so bounding never adds cross-stripe
-/// locking. Summed over stripes the accounted footprint therefore never
-/// exceeds `max_bytes` once any publication's eviction pass has run —
-/// including mid-probe, since eviction happens inside the publishing
-/// stripe's critical section. A stripe holds whole rows, so a row whose
-/// memos outgrow the stripe's share evicts its own earliest memos as it
-/// fills.
-///
-/// ```
-/// use plasma_core::cache::{CacheCapacity, EvictionPolicy};
-///
-/// let unbounded = CacheCapacity::unbounded();
-/// assert_eq!(unbounded.max_bytes(), None);
-///
-/// let bounded = CacheCapacity::bounded(1 << 20) // 1 MiB
-///     .with_policy(EvictionPolicy::ShallowestFirst);
-/// assert_eq!(bounded.max_bytes(), Some(1 << 20));
-/// assert_eq!(bounded.policy(), EvictionPolicy::ShallowestFirst);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheCapacity {
-    max_bytes: Option<usize>,
-    policy: EvictionPolicy,
-}
+/// The memory policy [`durable::recover`](crate::durable::recover)
+/// takes, which is always unbounded: a cache never evicts a memo, and a
+/// corpus's memory is bounded by the [`CacheRegistry`] dropping whole
+/// caches. The type stays only because `benchmark/trace` links it, until
+/// the twin replay goes (ROADMAP item 13's third slice).
+#[derive(Debug, Clone, Copy)]
+pub struct CacheCapacity;
 
 impl CacheCapacity {
-    /// No cap: the memo pool grows with the workload (the default).
+    /// The one policy: no cap.
     pub fn unbounded() -> Self {
-        Self::default()
-    }
-
-    /// Caps accounted memo bytes at `max_bytes`, evicting least-recently
-    /// used pairs first. `bounded(0)` is legal and means "memoize
-    /// nothing": every probe stays correct, it just pays fresh-evaluation
-    /// cost each time.
-    pub fn bounded(max_bytes: usize) -> Self {
-        Self {
-            max_bytes: Some(max_bytes),
-            policy: EvictionPolicy::default(),
-        }
-    }
-
-    /// Selects the eviction policy (only meaningful when bounded).
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The byte cap, `None` when unbounded.
-    pub fn max_bytes(&self) -> Option<usize> {
-        self.max_bytes
-    }
-
-    /// The eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
-    }
-
-    /// Each stripe's share of the cap. Flooring means up to
-    /// `STRIPES - 1` bytes of the global cap go unused — never exceeded.
-    fn stripe_budget(&self) -> Option<usize> {
-        self.max_bytes.map(|b| b / STRIPES)
+        Self
     }
 }
 
@@ -240,11 +149,6 @@ struct PairMemo {
     /// dot products. A pure function of the record pair, so publication
     /// is idempotent.
     exact: Option<f64>,
-    /// Recency stamp from the cache's touch clock, kept only in a bounded
-    /// cache. Atomic so a read can stamp under the shared stripe guard; a
-    /// stamp only ever rises (`fetch_max`), so for any serialized history
-    /// it is exactly the last touch's.
-    last_used: AtomicU64,
 }
 
 /// One slot of a row: the second record `j` of the pair and its memo.
@@ -252,32 +156,25 @@ type RowSlot = (u32, PairMemo);
 
 // A pair memo is one row slot: a field added to it fails the build here,
 // not a benchmark.
-const _: () = assert!(std::mem::size_of::<RowSlot>() <= 56);
+const _: () = assert!(std::mem::size_of::<RowSlot>() <= 48);
 
 impl PairMemo {
-    /// Accounted bytes: fixed per-entry overhead (the row slot — `j`,
-    /// inline profile, exact similarity, stamp — plus one word) plus a
-    /// spilled profile's heap, none under the default schedule. An
-    /// estimate of the real footprint — row headers and a row's spare
-    /// capacity are not modeled — but a *consistent* one, so the capacity
-    /// invariant is exact over what is accounted.
+    /// Accounted bytes: the row slot (`j`, inline profile, exact
+    /// similarity) plus a spilled profile's heap, none under the default
+    /// schedule. Row headers and a row's spare capacity are not modelled.
     fn byte_size(&self) -> usize {
-        std::mem::size_of::<RowSlot>() + std::mem::size_of::<u64>() + self.profile.byte_size()
+        std::mem::size_of::<RowSlot>() + self.profile.byte_size()
     }
 }
 
 /// One lock stripe of the shared memo pool: the memo rows of every record
-/// `i` with `i % STRIPES` equal to the stripe's index, plus this stripe's
-/// exact accounted-byte tally.
+/// `i` with `i % STRIPES` equal to the stripe's index.
 #[derive(Default)]
 struct Stripe {
     /// `rows[i / STRIPES]` holds record `i`'s memos, one slot per pair
     /// `(i, j)` with `i < j`, sorted by `j`. Candidates come sorted by
     /// `(i, j)`, so a walk over them reads adjacent slots of one row.
     rows: Vec<Vec<RowSlot>>,
-    /// Sum of every resident memo's `byte_size()` — maintained exactly
-    /// under this stripe's lock.
-    bytes: usize,
 }
 
 impl Stripe {
@@ -308,39 +205,6 @@ impl Stripe {
     fn memos(&self) -> impl Iterator<Item = &PairMemo> {
         self.rows.iter().flatten().map(|(_, memo)| memo)
     }
-
-    /// Evicts until this stripe's accounted bytes fit `budget`, returning
-    /// `(entries, bytes)` evicted. Victim order is the capacity policy's;
-    /// the final total-order key makes eviction deterministic for any
-    /// serialized publication history. That key is `(row, j)`: within one
-    /// stripe `i = row · STRIPES + stripe`, so it orders exactly as the
-    /// pair key `(i, j)` does.
-    fn evict_to_budget(&mut self, budget: usize, policy: EvictionPolicy) -> (u64, u64) {
-        let mut evicted = (0u64, 0u64);
-        while self.bytes > budget {
-            let victim = self
-                .rows
-                .iter()
-                .enumerate()
-                .flat_map(|(r, row)| row.iter().enumerate().map(move |(at, slot)| (r, at, slot)))
-                .min_by_key(|&(r, _, (j, memo))| {
-                    let stamp = memo.last_used.load(Ordering::Relaxed);
-                    let steps = memo.profile.covered_steps() as u64;
-                    match policy {
-                        EvictionPolicy::LeastRecentlyUsed => (stamp, steps, (r, *j)),
-                        EvictionPolicy::ShallowestFirst => (steps, stamp, (r, *j)),
-                    }
-                })
-                .map(|(r, at, _)| (r, at));
-            let Some((r, at)) = victim else { break };
-            let (_, memo) = self.rows[r].remove(at);
-            let bytes = memo.byte_size();
-            self.bytes -= bytes;
-            evicted.0 += 1;
-            evicted.1 += bytes as u64;
-        }
-        evicted
-    }
 }
 
 /// A stripe's reader-writer lock on 128 bytes of its own: two cores
@@ -370,7 +234,7 @@ pub(crate) enum MemoRead {
     Resume(MatchProfile),
 }
 
-/// Point-in-time memory and eviction statistics for a
+/// Point-in-time memory statistics for a
 /// [`SharedKnowledgeCache`] (see
 /// [`memory_stats`](SharedKnowledgeCache::memory_stats)).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -379,18 +243,11 @@ pub struct CacheMemoryStats {
     pub entries: usize,
     /// Accounted memo bytes currently resident (excludes sketches).
     pub memo_bytes: usize,
-    /// High-water mark of accounted memo bytes over the cache's life.
-    /// With a cap configured this can transiently exceed the cap by at
-    /// most one publication (accounting happens just before the eviction
-    /// pass in the same critical section).
-    pub peak_memo_bytes: usize,
-    /// Immutable sketch bytes (not subject to the cap).
+    /// Immutable sketch bytes.
     pub sketch_bytes: usize,
     /// Estimated bytes held by the epoch-persistent band-bucket cache
-    /// (0 when the strategy is exhaustive or the cache was dropped for
-    /// capacity). Counted toward [`total_bytes`] and checked against the
-    /// full [`CacheCapacity`] cap, but never against per-stripe budgets —
-    /// the bucket cache is dropped whole, not evicted entry by entry.
+    /// (0 when the strategy is exhaustive). Counted toward
+    /// [`total_bytes`].
     ///
     /// [`total_bytes`]: SharedKnowledgeCache::total_bytes
     pub bucket_cache_bytes: usize,
@@ -400,12 +257,6 @@ pub struct CacheMemoryStats {
     /// proof that candidate generation is O(new × matches), not a
     /// per-probe rebuild.
     pub bucket_build_records: u64,
-    /// The configured byte cap, `None` when unbounded.
-    pub capacity_bytes: Option<usize>,
-    /// Pair memos evicted over the cache's life.
-    pub evicted_entries: u64,
-    /// Accounted bytes reclaimed by eviction over the cache's life.
-    pub evicted_bytes: u64,
     /// Lifetime pair evaluations answered entirely from the memo pool
     /// (the sum of every probe's `cache_hits`).
     pub cache_hits: u64,
@@ -450,27 +301,14 @@ pub struct SharedKnowledgeCache {
     /// memos survive a swap because the old sketch bytes are unchanged.
     sketches: RwLock<Arc<SketchSet>>,
     stripes: Vec<PaddedStripe>,
-    /// Memory policy; stripes enforce their share of the cap at
-    /// publication time.
-    capacity: CacheCapacity,
     /// Batch size of the evaluation schedule the profiles are indexed by,
     /// pinned by the first probe. Probes whose `BayesParams::batch`
     /// disagrees still return correct (bit-identical-to-fresh) results but
     /// bypass the profile memos; see [`probe`](Self::probe).
     schedule_batch: OnceLock<usize>,
-    /// Monotonic touch clock of a bounded cache; every read or
-    /// publication of a pair memo takes a fresh stamp, giving the LRU
-    /// policy its order. An unbounded cache never reads a stamp, so it
-    /// never takes one.
-    clock: AtomicU64,
-    /// Mirror of the summed per-stripe byte tallies, so `memo_bytes` and
-    /// peak tracking are O(1) instead of [`STRIPES`] lock walks.
+    /// Accounted bytes of every resident memo, kept by each publication,
+    /// so `memo_bytes` is O(1) instead of a walk over every row.
     bytes: AtomicUsize,
-    /// High-water mark of [`bytes`](Self::bytes).
-    peak_bytes: AtomicUsize,
-    /// Lifetime eviction counters.
-    evicted_entries: AtomicU64,
-    evicted_bytes: AtomicU64,
     /// Lifetime cache hits (summed per-probe `cache_hits`).
     hits: AtomicU64,
     /// Epoch-persistent band buckets for the banded candidate strategy.
@@ -499,50 +337,13 @@ pub struct SharedKnowledgeCache {
 }
 
 impl SharedKnowledgeCache {
-    /// Wraps freshly built sketches with an empty, shareable, *unbounded*
-    /// memo pool (the PR-2 behavior).
+    /// Wraps freshly built sketches with an empty, shareable memo pool.
     pub fn new(sketches: SketchSet) -> Self {
-        Self::with_capacity(sketches, CacheCapacity::unbounded())
-    }
-
-    /// Wraps freshly built sketches with an empty memo pool governed by
-    /// `capacity`. A bounded pool keeps its accounted bytes under the cap
-    /// by evicting pair memos; every probe still returns exactly what an
-    /// unbounded cache would — eviction trades hit rate for memory, never
-    /// correctness.
-    ///
-    /// ```
-    /// use plasma_core::apss::{build_sketches, ApssConfig};
-    /// use plasma_core::cache::{CacheCapacity, SharedKnowledgeCache};
-    /// use plasma_data::datasets::gaussian::GaussianSpec;
-    /// use plasma_data::similarity::Similarity;
-    ///
-    /// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
-    /// let cfg = ApssConfig::default();
-    /// let (sketches, _) = build_sketches(&ds.records, Similarity::Cosine, &cfg);
-    ///
-    /// let unbounded = SharedKnowledgeCache::new(sketches.clone());
-    /// let bounded =
-    ///     SharedKnowledgeCache::with_capacity(sketches, CacheCapacity::bounded(64 << 10));
-    ///
-    /// let a = unbounded.probe(&ds.records, Similarity::Cosine, 0.8, &cfg);
-    /// let b = bounded.probe(&ds.records, Similarity::Cosine, 0.8, &cfg);
-    /// assert_eq!(a.pairs, b.pairs, "capacity never changes probe output");
-    ///
-    /// let stats = bounded.memory_stats();
-    /// assert!(stats.memo_bytes <= 64 << 10, "accounted bytes respect the cap");
-    /// ```
-    pub fn with_capacity(sketches: SketchSet, capacity: CacheCapacity) -> Self {
         Self {
             sketches: RwLock::new(Arc::new(sketches)),
             stripes: (0..STRIPES).map(|_| PaddedStripe::default()).collect(),
-            capacity,
             schedule_batch: OnceLock::new(),
-            clock: AtomicU64::new(0),
             bytes: AtomicUsize::new(0),
-            peak_bytes: AtomicUsize::new(0),
-            evicted_entries: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             band_buckets: Mutex::new(None),
             bucket_bytes: AtomicUsize::new(0),
@@ -579,9 +380,8 @@ impl SharedKnowledgeCache {
     /// canonical schedule against the grown set reads exactly the bytes
     /// it was built from — the memo is provably still exact. Only pairs
     /// touching new records are evaluated fresh by later probes. Byte
-    /// accounting, [`CacheCapacity`] enforcement, eviction counters, and
-    /// the pinned batch schedule all carry through untouched; sketch
-    /// bytes reported by [`total_bytes`](Self::total_bytes) grow.
+    /// accounting and the pinned batch schedule carry through untouched;
+    /// sketch bytes reported by [`total_bytes`](Self::total_bytes) grow.
     ///
     /// After growing, every prober must supply the grown corpus —
     /// [`probe`](Self::probe) asserts its `records` slice matches the
@@ -620,13 +420,8 @@ impl SharedKnowledgeCache {
         *g = Arc::new(grown);
     }
 
-    /// The memory policy this cache enforces.
-    pub fn capacity(&self) -> CacheCapacity {
-        self.capacity
-    }
-
     /// Accounted memo-pool bytes currently resident (excludes sketches).
-    /// O(1): reads the atomic mirror of the per-stripe tallies.
+    /// O(1): reads the atomic tally.
     pub fn memo_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -661,7 +456,7 @@ impl SharedKnowledgeCache {
         self.sketches().byte_size() + self.memo_bytes() + self.bucket_cache_bytes()
     }
 
-    /// Snapshot of the cache's memory and eviction statistics. Counters
+    /// Snapshot of the cache's memory statistics. Counters
     /// are read individually (not under one lock), so concurrent probes
     /// can skew fields against each other slightly; each field is exact
     /// for any serialized probe history.
@@ -673,13 +468,9 @@ impl SharedKnowledgeCache {
                 .map(|s| s.read().rows.iter().map(Vec::len).sum::<usize>())
                 .sum(),
             memo_bytes: self.memo_bytes(),
-            peak_memo_bytes: self.peak_bytes.load(Ordering::Relaxed),
             sketch_bytes: self.sketches().byte_size(),
             bucket_cache_bytes: self.bucket_cache_bytes(),
             bucket_build_records: self.bucket_build_records(),
-            capacity_bytes: self.capacity.max_bytes(),
-            evicted_entries: self.evicted_entries.load(Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
             cache_hits: self.hits.load(Ordering::Relaxed),
         }
     }
@@ -772,9 +563,8 @@ impl SharedKnowledgeCache {
     /// unprofiled walk (`None`) — and returns its offset in `run`, its
     /// read and its exact similarity; `None` when every pair was a full
     /// hit. The caller evaluates and publishes that pair with no guard
-    /// held, then walks the rest of the run. A bounded cache stamps every
-    /// read, in candidate order, so LRU eviction sees it; an unbounded
-    /// one writes nothing shared.
+    /// held, then walks the rest of the run. The walk writes nothing
+    /// shared.
     #[inline]
     pub(crate) fn replay_run(
         &self,
@@ -795,10 +585,6 @@ impl SharedKnowledgeCache {
                 return Some((offset, MemoRead::Resume(MatchProfile::new()), None));
             };
             at += 1;
-            if self.capacity.max_bytes().is_some() {
-                let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-                memo.last_used.fetch_max(stamp, Ordering::Relaxed);
-            }
             let read = match table.as_deref_mut() {
                 Some(table) => match table.replay(&memo.profile, max_n) {
                     Some(estimate) if hit(j, estimate, memo.exact) => continue,
@@ -816,13 +602,8 @@ impl SharedKnowledgeCache {
     /// single lock acquisition and a single row search: an extended
     /// profile (order-free deepest-wins merge) and/or a freshly computed
     /// exact similarity. No-op (lock-free) when there is nothing to
-    /// publish.
-    ///
-    /// Publication is where the capacity policy bites: the stripe's byte
-    /// tally is updated and, when over its share of the cap, memos are
-    /// evicted ([`Stripe::evict_to_budget`]) before the lock drops — so
-    /// the accounted footprint is back under the cap the moment any
-    /// publication completes.
+    /// publish. A publication never shrinks a memo — the deeper profile
+    /// wins and a spill only grows — so the byte tally only rises.
     #[inline]
     pub(crate) fn publish(
         &self,
@@ -833,48 +614,22 @@ impl SharedKnowledgeCache {
         if profile.is_none() && exact.is_none() {
             return;
         }
-        let stamp = self
-            .capacity
-            .max_bytes()
-            .map(|_| self.clock.fetch_add(1, Ordering::Relaxed));
         let (stripe, row) = self.row_of(key.0);
         let mut g = stripe.write();
-        let (old_bytes, new_bytes) = {
-            let (entry, fresh) = g.slot(row, key.1);
-            // A fresh entry contributes its whole footprint; an update
-            // only its growth.
-            let old_bytes = if fresh { 0 } else { entry.byte_size() };
-            if let Some(profile) = profile {
-                entry.profile.adopt_deeper(profile);
-            }
-            if let Some(s) = exact {
-                entry.exact = Some(s);
-            }
-            if let Some(stamp) = stamp {
-                let last_used = entry.last_used.get_mut();
-                *last_used = (*last_used).max(stamp);
-            }
-            (old_bytes, entry.byte_size())
-        };
-        g.bytes = (g.bytes + new_bytes) - old_bytes;
-        if new_bytes >= old_bytes {
-            let total = self
-                .bytes
-                .fetch_add(new_bytes - old_bytes, Ordering::Relaxed)
-                + (new_bytes - old_bytes);
-            self.peak_bytes.fetch_max(total, Ordering::Relaxed);
-        } else {
-            self.bytes
-                .fetch_sub(old_bytes - new_bytes, Ordering::Relaxed);
+        let (entry, fresh) = g.slot(row, key.1);
+        // A fresh entry contributes its whole footprint; an update only
+        // its growth.
+        let old_bytes = if fresh { 0 } else { entry.byte_size() };
+        if let Some(profile) = profile {
+            entry.profile.adopt_deeper(profile);
         }
-        if let Some(budget) = self.capacity.stripe_budget() {
-            let (entries, bytes) = g.evict_to_budget(budget, self.capacity.policy());
-            if entries > 0 {
-                self.bytes.fetch_sub(bytes as usize, Ordering::Relaxed);
-                self.evicted_entries.fetch_add(entries, Ordering::Relaxed);
-                self.evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
+        if let Some(s) = exact {
+            entry.exact = Some(s);
         }
+        let new_bytes = entry.byte_size();
+        debug_assert!(new_bytes >= old_bytes, "a publication shrank a memo");
+        self.bytes
+            .fetch_add(new_bytes - old_bytes, Ordering::Relaxed);
     }
 
     /// Generates this probe's candidate set, serving the banded strategy
@@ -885,13 +640,9 @@ impl SharedKnowledgeCache {
     /// only the work differs — a warm epoch is an `Arc` clone, a
     /// post-ingest epoch hashes only the new records. The cache rebuilds
     /// from scratch when the probe's `(bands, width)` shape differs from
-    /// the cached one, is bypassed when the caller pinned a sketch
+    /// the cached one, and is bypassed when the caller pinned a sketch
     /// snapshot *older* than the cache covers (possible under a
-    /// concurrent [`grow`](Self::grow)), and walks the eviction ladder
-    /// ([`enforce_bucket_capacity`](Self::enforce_bucket_capacity)) when
-    /// its estimated footprint exceeds the [`CacheCapacity`] cap — it is
-    /// recomputable knowledge, so eviction trades speed, never
-    /// correctness.
+    /// concurrent [`grow`](Self::grow)).
     fn generate_candidates_cached(
         &self,
         sketches: &SketchSet,
@@ -904,9 +655,7 @@ impl SharedKnowledgeCache {
                 *cache = BandBuckets::new(bands, width);
             }
             if cache.covered() <= sketches.len() {
-                let pairs = self.extend_buckets(cache, sketches);
-                self.enforce_bucket_capacity(&mut guard);
-                return pairs;
+                return self.extend_buckets(cache, sketches);
             }
             // This prober's snapshot predates the cache's watermark; the
             // cache cannot "un-cover" records, so serve the probe cold
@@ -916,7 +665,8 @@ impl SharedKnowledgeCache {
     }
 
     /// Extends the bucket cache over `sketches`, counting into
-    /// `bucket_build_records` only the records it actually hashed.
+    /// `bucket_build_records` only the records it actually hashed and
+    /// refreshing the `bucket_bytes` mirror.
     fn extend_buckets(
         &self,
         cache: &mut BandBuckets,
@@ -926,36 +676,9 @@ impl SharedKnowledgeCache {
         let pairs = cache.extend_and_generate(sketches);
         self.bucket_build_records
             .fetch_add((cache.covered() - before) as u64, Ordering::Relaxed);
+        self.bucket_bytes
+            .store(cache.byte_size(), Ordering::Relaxed);
         pairs
-    }
-
-    /// Applies the byte cap to the bucket cache after an extension — the
-    /// two-rung eviction ladder. Rung 1: partial eviction clears the
-    /// *coldest* bands' maps ([`BandBuckets::evict_coldest_bands`]),
-    /// keeping warm bands and the canonical pair/delta sets, so a corpus
-    /// under memory pressure keeps its incremental probe path. Rung 2,
-    /// only when even an all-maps-cleared cache cannot fit (the pair
-    /// sets alone exceed the cap): drop the whole cache. Either rung
-    /// trades rebuild work, never outputs — an evicted band's prefix
-    /// re-buckets silently on the next growth. Refreshes the
-    /// `bucket_bytes` mirror on every path.
-    fn enforce_bucket_capacity(&self, slot: &mut Option<BandBuckets>) {
-        let Some(cache) = slot.as_mut() else {
-            self.bucket_bytes.store(0, Ordering::Relaxed);
-            return;
-        };
-        if let Some(cap) = self.capacity.max_bytes() {
-            if cache.byte_size() > cap {
-                cache.evict_coldest_bands(cap);
-                if cache.byte_size() > cap {
-                    *slot = None;
-                    self.bucket_bytes.store(0, Ordering::Relaxed);
-                    return;
-                }
-            }
-        }
-        let bytes = slot.as_ref().map_or(0, BandBuckets::byte_size);
-        self.bucket_bytes.store(bytes, Ordering::Relaxed);
     }
 
     /// Generates the *delta* candidate set of a corpus growth: every pair
@@ -970,14 +693,14 @@ impl SharedKnowledgeCache {
     /// Banded strategy: served from the epoch-persistent [`BandBuckets`]
     /// when its watermark lines up — either this call extends the cache
     /// `from → n` (the common watch path, `O(new × bands)` keys, same
-    /// byte-accounting and capacity drop as
+    /// byte accounting as
     /// [`generate_candidates_cached`](Self::generate_candidates_cached)),
     /// or a prior call this epoch already did and recorded the same
-    /// range. Any other watermark (shape change, capacity drop, cache
-    /// never built) falls back to the cold
+    /// range. Any other state (a cache of another band shape, or none
+    /// built yet) falls back to the cold
     /// [`plasma_lsh::candidates::banded_join`] from `from`, which never
-    /// touches the shared cache — so the delta is bit-identical whether
-    /// or not the bucket cache survived.
+    /// touches the shared cache — so the delta is bit-identical either
+    /// way.
     pub(crate) fn generate_delta_candidates(
         &self,
         sketches: &SketchSet,
@@ -1008,11 +731,9 @@ impl SharedKnowledgeCache {
                     if cache.matches_shape(bands, width) {
                         if cache.covered() == from {
                             self.extend_buckets(cache, sketches);
-                            let delta = cache
+                            return cache
                                 .delta_covering(from, n)
                                 .expect("extension covered exactly [from, n)");
-                            self.enforce_bucket_capacity(&mut guard);
-                            return delta;
                         }
                         if cache.covered() == n {
                             if let Some(delta) = cache.delta_covering(from, n) {
@@ -1043,8 +764,7 @@ impl SharedKnowledgeCache {
     /// counters (`candidates`/`pruned`/`accepted`/`exhausted`) are bit
     /// identical to [`crate::apss::apss_with_sketches`] over the same
     /// sketches at every `parallelism` setting, whatever this cache has
-    /// memoized, whatever other sessions do concurrently, and whatever
-    /// the [`CacheCapacity`] has evicted. The work
+    /// memoized, and whatever other sessions do concurrently. The work
     /// counters (`hashes_compared`, `cache_hits`) depend on cache warmth:
     /// they are deterministic for any serialized probe order and may
     /// redistribute between racing probes that evaluate the same pair
@@ -1157,8 +877,8 @@ impl SharedKnowledgeCache {
 }
 
 /// Capacity limits for a [`CacheRegistry`]: how many dataset caches a
-/// serving process keeps resident, and how many total bytes (sketches +
-/// accounted memos, summed over every registered cache) they may hold.
+/// serving process keeps resident, and how many total bytes (each cache's
+/// [`SharedKnowledgeCache::total_bytes`], summed) they may hold.
 ///
 /// Limits are enforced at lookup boundaries: every `get_or_build`
 /// re-checks them after refreshing recency. Footprint added *between*
@@ -1201,7 +921,7 @@ impl RegistryCapacity {
         self
     }
 
-    /// Caps total resident bytes (sketches + accounted memo bytes) across
+    /// Caps total resident bytes (sketches, memos and band buckets) across
     /// all dataset caches.
     pub fn with_max_total_bytes(mut self, max: usize) -> Self {
         self.max_total_bytes = Some(max);
@@ -1243,10 +963,10 @@ struct RegistryInner {
 /// sketch configuration gets the same [`SharedKnowledgeCache`], so sketch
 /// building happens once and pair memos accumulate across all users.
 ///
-/// A registry can bound its footprint on two axes: per-cache memo bytes
-/// (a [`CacheCapacity`] applied to every cache it builds) and
-/// process-wide totals (a [`RegistryCapacity`] evicting whole
-/// least-recently-used caches). Both default to unbounded.
+/// A registry can bound its footprint with a [`RegistryCapacity`]: a cap
+/// on resident caches and on their total bytes, enforced by dropping
+/// whole least-recently-used caches. This is the one memory bound — a
+/// cache never evicts a memo. It defaults to unbounded.
 ///
 /// ```
 /// use plasma_core::apss::ApssConfig;
@@ -1264,23 +984,19 @@ struct RegistryInner {
 /// assert_eq!(registry.len(), 1);
 /// ```
 ///
-/// Bounding both axes for a long-lived server:
+/// Bounding a long-lived server:
 ///
 /// ```
 /// use plasma_core::apss::ApssConfig;
-/// use plasma_core::cache::{CacheCapacity, CacheRegistry, RegistryCapacity};
+/// use plasma_core::cache::{CacheRegistry, RegistryCapacity};
 /// use plasma_data::datasets::gaussian::GaussianSpec;
 /// use plasma_data::similarity::Similarity;
 ///
-/// let registry = CacheRegistry::with_capacity(
-///     RegistryCapacity::unbounded().with_max_caches(1),
-///     CacheCapacity::bounded(1 << 20),
-/// );
+/// let registry = CacheRegistry::with_capacity(RegistryCapacity::unbounded().with_max_caches(1));
 /// let cfg = ApssConfig::default();
 /// let first = GaussianSpec::new("a", 30, 6, 2).generate(1);
 /// let second = GaussianSpec::new("b", 30, 6, 2).generate(2);
 /// let a = registry.get_or_build(&first.records, Similarity::Cosine, &cfg);
-/// assert_eq!(a.capacity().max_bytes(), Some(1 << 20));
 /// // A second dataset evicts the first: max_caches is 1.
 /// registry.get_or_build(&second.records, Similarity::Cosine, &cfg);
 /// assert_eq!(registry.len(), 1);
@@ -1292,8 +1008,6 @@ struct RegistryInner {
 pub struct CacheRegistry {
     inner: Mutex<RegistryInner>,
     capacity: RegistryCapacity,
-    /// Memory policy handed to every cache this registry builds.
-    cache_capacity: CacheCapacity,
     /// Lifetime count of caches evicted to enforce [`capacity`](Self::capacity).
     evicted: AtomicU64,
 }
@@ -1304,13 +1018,10 @@ impl CacheRegistry {
         Self::default()
     }
 
-    /// An empty registry with process-wide limits (`capacity`) and a
-    /// per-cache memo-byte policy applied to every cache it builds
-    /// (`cache_capacity`).
-    pub fn with_capacity(capacity: RegistryCapacity, cache_capacity: CacheCapacity) -> Self {
+    /// An empty registry with process-wide limits.
+    pub fn with_capacity(capacity: RegistryCapacity) -> Self {
         Self {
             capacity,
-            cache_capacity,
             ..Self::default()
         }
     }
@@ -1320,13 +1031,8 @@ impl CacheRegistry {
         self.capacity
     }
 
-    /// The per-cache memo policy applied to caches this registry builds.
-    pub fn cache_capacity(&self) -> CacheCapacity {
-        self.cache_capacity
-    }
-
-    /// Total resident bytes across all registered caches: sketch bytes
-    /// plus accounted memo bytes, skipping entries whose first build is
+    /// Total resident bytes across all registered caches (each one's
+    /// [`SharedKnowledgeCache::total_bytes`]), skipping entries whose first build is
     /// still in flight. A snapshot — concurrent probes keep publishing
     /// while it sums.
     pub fn total_bytes(&self) -> usize {
@@ -1425,10 +1131,7 @@ impl CacheRegistry {
         let cache = latch
             .get_or_init(|| {
                 let (sketches, _) = build_sketches(records, measure, cfg);
-                Arc::new(SharedKnowledgeCache::with_capacity(
-                    sketches,
-                    self.cache_capacity,
-                ))
+                Arc::new(SharedKnowledgeCache::new(sketches))
             })
             .clone();
         // Cheap guard against a fingerprint collision handing this caller
@@ -1783,29 +1486,23 @@ mod tests {
     }
 
     #[test]
-    fn a_full_hit_stamps_recency_once_and_publishes_nothing() {
+    fn a_full_hit_publishes_nothing() {
         let records = dataset();
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        // Large enough that nothing is evicted: only eviction reads stamps.
-        let bounded =
-            SharedKnowledgeCache::with_capacity(sketches.clone(), CacheCapacity::bounded(1 << 30));
-        bounded.probe(&records, Similarity::Cosine, 0.6, &cfg);
-        let clock = bounded.clock.load(Ordering::Relaxed);
-        let again = bounded.probe(&records, Similarity::Cosine, 0.6, &cfg);
+        let cache = Arc::new(SharedKnowledgeCache::new(sketches));
+        cache.probe(&records, Similarity::Cosine, 0.6, &cfg);
+        // The re-probe runs while this thread holds every stripe's shared
+        // guard: a publication would wait for an exclusive guard forever.
+        let guards: Vec<_> = cache.stripes.iter().map(PaddedStripe::read).collect();
+        let again = {
+            let (cache, records) = (cache.clone(), records.clone());
+            within_a_minute(move || cache.probe(&records, Similarity::Cosine, 0.6, &cfg))
+        };
+        drop(guards);
         assert_eq!(again.stats.cache_hits, again.stats.candidates);
+        assert_eq!(again.stats.hashes_compared, 0);
         assert_eq!(again.stats.memo_clones, 0);
-        // One stamp per candidate (the read) and no publication.
-        assert_eq!(
-            bounded.clock.load(Ordering::Relaxed) - clock,
-            again.stats.candidates
-        );
-        // An unbounded cache never evicts, so it never stamps.
-        let unbounded = SharedKnowledgeCache::new(sketches);
-        unbounded.probe(&records, Similarity::Cosine, 0.6, &cfg);
-        let again = unbounded.probe(&records, Similarity::Cosine, 0.6, &cfg);
-        assert_eq!(again.stats.cache_hits, again.stats.candidates);
-        assert_eq!(unbounded.clock.load(Ordering::Relaxed), 0);
     }
 
     /// Calls `f((i, j), memo)` on every resident memo, checking on the
@@ -1987,65 +1684,27 @@ mod tests {
         pool
     }
 
-    /// The row store's reference: a `BTreeMap` of `(profile, exact,
-    /// stamp)` per pair, with per-stripe byte tallies and eviction by the
-    /// same victim order.
+    /// The row store's reference: a `BTreeMap` of `(profile, exact)` per
+    /// pair, with a byte tally.
     #[derive(Default)]
     struct ModelCache {
-        memos: std::collections::BTreeMap<(u32, u32), (MatchProfile, Option<f64>, u64)>,
-        stripe_bytes: Vec<usize>,
+        memos: std::collections::BTreeMap<(u32, u32), (MatchProfile, Option<f64>)>,
         bytes: usize,
-        peak: usize,
-        clock: u64,
-        evicted: u64,
-        capacity: CacheCapacity,
     }
 
-    /// Accounted bytes of one memo: the 64-byte slot charge plus a
-    /// spilled profile's heap.
+    /// Accounted bytes of one memo: the 48-byte slot plus a spilled
+    /// profile's heap.
     fn charge(profile: &MatchProfile) -> usize {
-        64 + profile.byte_size()
+        48 + profile.byte_size()
     }
 
     impl ModelCache {
-        fn new(capacity: CacheCapacity) -> Self {
-            Self {
-                stripe_bytes: vec![0; STRIPES],
-                capacity,
-                ..Self::default()
-            }
-        }
-
-        fn stamp(&mut self) -> Option<u64> {
-            self.capacity.max_bytes().map(|_| {
-                self.clock += 1;
-                self.clock - 1
-            })
-        }
-
-        /// Reads one pair as a walk does, stamping it when bounded.
-        fn read(&mut self, key: (u32, u32)) -> Option<&(MatchProfile, Option<f64>, u64)> {
-            if !self.memos.contains_key(&key) {
-                return None;
-            }
-            let stamp = self.stamp();
-            let memo = self.memos.get_mut(&key).expect("present");
-            if let Some(stamp) = stamp {
-                memo.2 = memo.2.max(stamp);
-            }
-            Some(memo)
-        }
-
         fn publish(&mut self, key: (u32, u32), profile: Option<MatchProfile>, exact: Option<f64>) {
             if profile.is_none() && exact.is_none() {
                 return;
             }
-            let stamp = self.stamp();
             let fresh = !self.memos.contains_key(&key);
-            let memo = self
-                .memos
-                .entry(key)
-                .or_insert((MatchProfile::new(), None, 0));
+            let memo = self.memos.entry(key).or_insert((MatchProfile::new(), None));
             let old = if fresh { 0 } else { charge(&memo.0) };
             if let Some(profile) = profile {
                 memo.0.adopt_deeper(profile);
@@ -2053,36 +1712,7 @@ mod tests {
             if exact.is_some() {
                 memo.1 = exact;
             }
-            if let Some(stamp) = stamp {
-                memo.2 = memo.2.max(stamp);
-            }
-            let new = charge(&memo.0);
-            let stripe = key.0 as usize % STRIPES;
-            self.stripe_bytes[stripe] = self.stripe_bytes[stripe] + new - old;
-            self.bytes = self.bytes + new - old;
-            self.peak = self.peak.max(self.bytes);
-            let Some(budget) = self.capacity.stripe_budget() else {
-                return;
-            };
-            while self.stripe_bytes[stripe] > budget {
-                let victim = self
-                    .memos
-                    .iter()
-                    .filter(|(k, _)| k.0 as usize % STRIPES == stripe)
-                    .min_by_key(|(k, m)| {
-                        let steps = m.0.covered_steps() as u64;
-                        match self.capacity.policy() {
-                            EvictionPolicy::LeastRecentlyUsed => (m.2, steps, **k),
-                            EvictionPolicy::ShallowestFirst => (steps, m.2, **k),
-                        }
-                    })
-                    .map(|(k, _)| *k)
-                    .expect("an over-budget stripe holds a memo");
-                let (profile, _, _) = self.memos.remove(&victim).expect("victim");
-                self.stripe_bytes[stripe] -= charge(&profile);
-                self.bytes -= charge(&profile);
-                self.evicted += 1;
-            }
+            self.bytes = self.bytes + charge(&memo.0) - old;
         }
 
         fn check(&self, cache: &SharedKnowledgeCache) {
@@ -2092,29 +1722,16 @@ mod tests {
                     .memos
                     .get(&key)
                     .expect("a resident memo is in the model");
-                let stamp = memo.last_used.load(Ordering::Relaxed);
-                assert_eq!(
-                    (&memo.profile, memo.exact, stamp),
-                    (&model.0, model.1, model.2)
-                );
+                assert_eq!((&memo.profile, memo.exact), (&model.0, model.1));
                 resident += 1;
             });
             assert_eq!(resident, self.memos.len());
             let stats = cache.memory_stats();
             assert_eq!(stats.entries, self.memos.len());
             assert_eq!(stats.memo_bytes, self.bytes);
-            assert_eq!(stats.peak_memo_bytes, self.peak);
-            assert_eq!(stats.evicted_entries, self.evicted);
             let profiled = self.memos.values().filter(|m| !m.0.is_empty()).count();
             assert_eq!(cache.len(), profiled);
             assert_eq!(cache.is_empty(), profiled == 0);
-            if let Some(cap) = self.capacity.max_bytes() {
-                assert!(
-                    stats.memo_bytes <= cap,
-                    "{} bytes over a {cap}-byte cap",
-                    stats.memo_bytes
-                );
-            }
         }
     }
 
@@ -2189,14 +1806,14 @@ mod tests {
 
     /// The same walk read one pair at a time from the model.
     fn walk_model(
-        model: &mut ModelCache,
+        model: &ModelCache,
         run: &[(u32, u32)],
         mut table: Option<&mut ProbeTable<'_>>,
         refuse_unknown: bool,
     ) -> Walk {
         let (mut hits, mut stops) = (Vec::new(), Vec::new());
         for (offset, &key) in run.iter().enumerate() {
-            let Some((profile, exact, _)) = model.read(key) else {
+            let Some((profile, exact)) = model.memos.get(&key) else {
                 stops.push((offset, Err(MatchProfile::new()), None));
                 continue;
             };
@@ -2229,13 +1846,9 @@ mod tests {
     ];
 
     /// Drives `ops` through a cache and the model, checking them against
-    /// each other after every op. Returns the model's peak bytes and how
-    /// many full hits, refused hits and partial stops the walks met.
-    fn run_model(
-        ops: &[ModelOp],
-        pool: &[MatchProfile],
-        capacity: CacheCapacity,
-    ) -> (usize, [usize; 3]) {
+    /// each other after every op. Returns how many full hits, refused hits
+    /// and partial stops the walks met.
+    fn run_model(ops: &[ModelOp], pool: &[MatchProfile]) -> [usize; 3] {
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&dataset()[..2], Similarity::Cosine, &cfg);
         let strict = plasma_lsh::BayesParams {
@@ -2248,8 +1861,8 @@ mod tests {
         let mut tables: Vec<ProbeTable<'_>> = (WALK_TABLES.iter().zip(&cells))
             .map(|(&(_, s), c)| engines[s as usize].table_over(c))
             .collect();
-        let cache = SharedKnowledgeCache::with_capacity(sketches, capacity);
-        let mut model = ModelCache::new(capacity);
+        let cache = SharedKnowledgeCache::new(sketches);
+        let mut model = ModelCache::default();
         let mut met = [0; 3];
         for &((kind, i, dj), (p, exact, mask)) in ops {
             let j = i + 1 + dj;
@@ -2266,7 +1879,7 @@ mod tests {
                     .collect();
                 let refuse = exact > 0;
                 let walked = walk_run(&cache, &run, tables.get_mut(p % 6), 1024, refuse);
-                let modeled = walk_model(&mut model, &run, tables.get_mut(p % 6), refuse);
+                let modeled = walk_model(&model, &run, tables.get_mut(p % 6), refuse);
                 assert!(walked == modeled, "{run:?}: {walked:?} vs {modeled:?}");
                 met[0] += walked.0.len();
                 for (_, read, _) in &walked.1 {
@@ -2279,7 +1892,7 @@ mod tests {
             }
             model.check(&cache);
         }
-        (model.peak, met)
+        met
     }
 
     proptest::proptest! {
@@ -2292,13 +1905,8 @@ mod tests {
                 1500..3000,
             )
         ) {
-            let pool = profile_pool();
-            let (peak, met) = run_model(&ops, &pool, CacheCapacity::unbounded());
+            let met = run_model(&ops, &profile_pool());
             proptest::prop_assert!(met.iter().all(|&n| n > 0), "full, refused, partial: {:?}", met);
-            run_model(&ops, &pool, CacheCapacity::bounded(0));
-            for policy in [EvictionPolicy::LeastRecentlyUsed, EvictionPolicy::ShallowestFirst] {
-                run_model(&ops, &pool, CacheCapacity::bounded(peak / 4).with_policy(policy));
-            }
         }
     }
 

@@ -835,11 +835,15 @@ pub struct RecoveredCorpus {
 /// then tail replay through the normal ingest path. See the module docs
 /// for the full state machine; every failure is a structured
 /// [`DurableError`].
+///
+/// `_capacity` is unused: it stays only because `benchmark/trace` links
+/// this signature, until the twin replay goes (ROADMAP item 13's third
+/// slice).
 pub fn recover(
     dir: &Path,
     measure: Similarity,
     cfg: ApssConfig,
-    capacity: CacheCapacity,
+    _capacity: CacheCapacity,
 ) -> Result<RecoveredCorpus, DurableError> {
     // Newest parseable snapshot wins; a corrupt newest falls back to the
     // previous one; nothing parseable is a loud refusal.
@@ -1027,7 +1031,7 @@ pub fn recover(
         &snap.words,
     );
     let snapshot_records = snap.records.len();
-    let cache = Arc::new(SharedKnowledgeCache::with_capacity(restored, capacity));
+    let cache = Arc::new(SharedKnowledgeCache::new(restored));
     let mut session =
         StreamingSession::from_records(snap.records, measure, cfg).with_shared_cache(cache.clone());
     let mut replayed_records = 0usize;

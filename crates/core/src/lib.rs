@@ -12,10 +12,8 @@
 //!   lock-striped [`SharedKnowledgeCache`] lets many concurrent sessions
 //!   share one memo pool ([`CacheRegistry`] keys caches by dataset
 //!   fingerprint), with probe outputs bit-identical to a private cache.
-//!   Memory is boundable end to end: per-cache byte caps with LRU /
-//!   shallowest-first eviction ([`CacheCapacity`]) and registry-wide
-//!   cache-count/byte limits ([`cache::RegistryCapacity`]) — eviction
-//!   never changes probe outputs, only work counters.
+//!   A cache never evicts a memo; the registry bounds memory by dropping
+//!   whole least-recently-used caches ([`cache::RegistryCapacity`]).
 //! * [`cumulative`] — the Cumulative APSS Graph: estimated number of
 //!   similar pairs at every threshold, with error bars, assembled from
 //!   memoized estimates.
@@ -75,8 +73,7 @@ pub mod watch;
 
 pub use apss::{ApssConfig, ApssResult, CandidateStrategy};
 pub use cache::{
-    CacheCapacity, CacheMemoryStats, CacheRegistry, EvictionPolicy, RegistryCapacity,
-    SharedKnowledgeCache,
+    CacheCapacity, CacheMemoryStats, CacheRegistry, RegistryCapacity, SharedKnowledgeCache,
 };
 pub use cumulative::CumulativeCurve;
 pub use durable::{CorpusStore, DurableError, RecoveredCorpus, WalSyncStats, WAL_HEADER_BYTES};

@@ -70,7 +70,7 @@ use plasma_lsh::family::LshFamily;
 use plasma_lsh::sketch::{SketchSet, Sketcher};
 
 use crate::apss::{build_sketches, ApssConfig, SimilarPair};
-use crate::cache::{CacheCapacity, SharedKnowledgeCache};
+use crate::cache::SharedKnowledgeCache;
 use crate::cues::{self, DensityPlot, TriangleCue};
 use crate::cumulative::{CumulativeCurve, TailRows};
 use crate::watch::{WatchHandle, WatchRegistry};
@@ -87,9 +87,6 @@ struct StreamingCorpus {
     /// may override the probe-time parallelism on their own copies, but
     /// `n_hashes`/`seed`/`bayes.batch` are corpus-wide.
     cfg: ApssConfig,
-    /// Memory policy for the cache built on first use (ignored once a
-    /// cache is attached or built).
-    capacity: RwLock<CacheCapacity>,
     /// The records ingested so far. Probes hold the read lock for their
     /// whole evaluation; ingest takes the write lock, so a probe's view
     /// of `(records, cache sketches)` is always one consistent epoch.
@@ -113,8 +110,7 @@ impl StreamingCorpus {
             .get_or_init(|| {
                 let (sketches, secs) = build_sketches(records, self.measure, &self.cfg);
                 sketch_secs = secs;
-                let capacity = *self.capacity.read().expect("capacity lock");
-                Arc::new(SharedKnowledgeCache::with_capacity(sketches, capacity))
+                Arc::new(SharedKnowledgeCache::new(sketches))
             })
             .clone();
         (cache, sketch_secs)
@@ -135,7 +131,7 @@ pub struct IngestReport {
     /// this was the first touch of the corpus).
     pub sketch_seconds: f64,
     /// Pair memos resident in the cache at the moment of the bump — the
-    /// knowledge that survived, since growth never evicts a memo.
+    /// knowledge that survived, since a cache never evicts a memo.
     pub carried_memos: usize,
     /// Bytes the epoch snapshot clone actually copied: the mutable tail
     /// segment plus one `Arc` pointer per sealed segment of the segmented
@@ -241,7 +237,6 @@ impl StreamingSession {
             corpus: Arc::new(StreamingCorpus {
                 measure,
                 cfg,
-                capacity: RwLock::new(CacheCapacity::unbounded()),
                 records: RwLock::new(records),
                 cache: OnceLock::new(),
                 watches: WatchRegistry::new(),
@@ -276,24 +271,6 @@ impl StreamingSession {
     /// outputs, and carried memos are bit-identical at every setting.
     pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
         self.cfg.parallelism = parallelism;
-        self
-    }
-
-    /// Bounds the memo pool of the cache this corpus builds on first use.
-    /// Carried memos obey the cap like any others: an epoch bump never
-    /// evicts by itself, but a tiny cap may evict carried memos at the
-    /// next publication — changing work counters, never probe outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the corpus cache already exists (set the capacity before
-    /// the first ingest/probe, and before attaching a shared cache).
-    pub fn with_cache_capacity(self, capacity: CacheCapacity) -> Self {
-        assert!(
-            self.corpus.cache.get().is_none(),
-            "set the cache capacity before the corpus cache is built"
-        );
-        *self.corpus.capacity.write().expect("capacity lock") = capacity;
         self
     }
 
@@ -491,7 +468,7 @@ impl StreamingSession {
     /// one more delta holding exactly the pairs that epoch added.
     /// Concatenating a watch's deltas reproduces a cold probe of the
     /// full corpus at every epoch, whatever the parallelism, shard
-    /// policy, segment geometry, or cache capacity (pinned by
+    /// policy, segment geometry, or band-bucket state (pinned by
     /// `crates/core/tests/watch_differential.rs`). Dropping the handle
     /// cancels the watch.
     ///

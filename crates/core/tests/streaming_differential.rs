@@ -265,15 +265,11 @@ fn banded_streamed_history_is_thread_invariant_and_matches_cold() {
 /// growing corpus are served incrementally from the epoch-persistent
 /// bucket cache (`CacheMemoryStats::bucket_cache_bytes` is live and
 /// counted in `total_bytes`), ingest reports an O(segments + tail)
-/// snapshot-clone cost, and a capacity too small for the bucket cache
-/// drops it without changing any probe output — including the outputs
-/// of threshold watches riding the same epoch ladder, whose delta
-/// concatenation must equal cold probes whether their delta candidates
-/// come from the warm bucket cache or the cold fallback join.
+/// snapshot-clone cost, and threshold watches riding the same epoch
+/// ladder, whose delta candidates come from the warm bucket cache,
+/// concatenate to cold probes.
 #[test]
-fn bucket_cache_accounting_and_capacity_drop() {
-    use plasma_core::cache::CacheCapacity;
-
+fn bucket_cache_accounting_adds_up() {
     let records = dataset(90, 31);
     let bounds = [30usize, 31, 60, 90];
     let cfg = ApssConfig {
@@ -283,26 +279,15 @@ fn bucket_cache_accounting_and_capacity_drop() {
 
     let mut cached =
         StreamingSession::from_records(records[..bounds[0]].to_vec(), Similarity::Cosine, cfg);
-    // bounded(0) cannot hold the bucket cache (or any memo): the dropped
-    // cache must change work, never answers.
-    let mut dropped =
-        StreamingSession::from_records(records[..bounds[0]].to_vec(), Similarity::Cosine, cfg)
-            .with_cache_capacity(CacheCapacity::bounded(0));
-
-    // One watch per ladder threshold on each session: every epoch below
-    // also checks that the watches' concatenated deltas reproduce the
-    // cold pair lists, on both sides of the eviction divide.
-    let watches: Vec<_> = [&cached, &dropped]
-        .iter()
-        .flat_map(|s| LADDER.iter().map(|&t| s.watch(t)))
-        .collect();
+    // One watch per ladder threshold: every epoch below also checks that
+    // the watches' concatenated deltas reproduce the cold pair lists.
+    let watches: Vec<_> = LADDER.iter().map(|&t| cached.watch(t)).collect();
     let mut merged: Vec<Vec<plasma_core::apss::SimilarPair>> = vec![Vec::new(); watches.len()];
 
     let mut prev = bounds[0];
     for (e, &hi) in bounds.iter().enumerate() {
         if e > 0 {
             let report = cached.ingest(&records[prev..hi]);
-            dropped.ingest(&records[prev..hi]);
             assert!(report.snapshot_clone_bytes > 0, "epoch {e}");
             assert!(
                 report.snapshot_clone_bytes
@@ -322,20 +307,10 @@ fn bucket_cache_accounting_and_capacity_drop() {
         }
         for (ti, &t) in LADDER.iter().enumerate() {
             let warm = cached.probe(t);
-            let cold_dropped = dropped.probe(t);
             let cold = apss(&records[..hi], Similarity::Cosine, t, &cfg);
             assert_eq!(warm.pairs, cold.pairs, "epoch {e} t={t}");
             assert_eq!(warm.candidates, cold.stats.candidates, "epoch {e}");
-            assert_eq!(warm.pairs, cold_dropped.pairs, "epoch {e} t={t} dropped");
-            assert_eq!(warm.pruned, cold_dropped.pruned, "epoch {e}");
-            // Both sessions' watches concatenate to the same cold truth,
-            // eviction or not.
             assert_eq!(merged[ti], cold.pairs, "epoch {e} t={t} watch");
-            assert_eq!(
-                merged[LADDER.len() + ti],
-                cold.pairs,
-                "epoch {e} t={t} watch under bounded(0)"
-            );
         }
         let stats = cached.shared_cache().expect("built").memory_stats();
         assert!(
@@ -347,106 +322,7 @@ fn bucket_cache_accounting_and_capacity_drop() {
             stats.sketch_bytes + stats.memo_bytes + stats.bucket_cache_bytes,
             "epoch {e}: bucket bytes must be accounted in the total"
         );
-        assert_eq!(
-            dropped
-                .shared_cache()
-                .expect("built")
-                .memory_stats()
-                .bucket_cache_bytes,
-            0,
-            "epoch {e}: a zero cap cannot hold the bucket cache"
-        );
     }
-}
-
-/// The middle rung of the eviction ladder, explicitly: a byte cap
-/// *between* "fits everything" and "fits nothing" triggers partial
-/// coldest-bands-first eviction — the bucket cache stays resident under
-/// its cap (warm bands survive memory pressure instead of the old
-/// whole-cache drop), and every probe output stays bit-identical to the
-/// cold reference while bands come and go.
-#[test]
-fn partial_eviction_ladder_rung_survives_memory_pressure() {
-    use plasma_core::cache::CacheCapacity;
-
-    // Many small clusters: the candidate pair set (not evictable — it is
-    // the cache's canonical answer) stays small, so the cap pressure
-    // lands on the per-band bucket maps partial eviction can actually
-    // shed. The heavily-clustered `dataset()` corpus would be pair-set
-    // dominated and bottom out on the whole-drop rung instead.
-    let records = GaussianSpec {
-        spread: 0.8,
-        ..GaussianSpec::new("pressure", 90, 8, 30)
-    }
-    .generate(31)
-    .records;
-    let bounds = [30usize, 60, 90];
-    let cfg = ApssConfig {
-        candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
-        ..ApssConfig::default()
-    };
-
-    // Measure the unbounded footprint first; the partial rung's cap must
-    // sit strictly inside the ladder.
-    let mut unbounded =
-        StreamingSession::from_records(records[..bounds[0]].to_vec(), Similarity::Cosine, cfg);
-    let mut prev = bounds[0];
-    for &hi in &bounds {
-        if hi > prev {
-            unbounded.ingest(&records[prev..hi]);
-            prev = hi;
-        }
-        for &t in &LADDER {
-            unbounded.probe(t);
-        }
-    }
-    let full_bytes = unbounded
-        .shared_cache()
-        .expect("built")
-        .memory_stats()
-        .bucket_cache_bytes;
-    assert!(full_bytes > 0);
-
-    let cap = full_bytes * 3 / 4;
-    let mut partial =
-        StreamingSession::from_records(records[..bounds[0]].to_vec(), Similarity::Cosine, cfg)
-            .with_cache_capacity(CacheCapacity::bounded(cap));
-    let mut prev = bounds[0];
-    for (e, &hi) in bounds.iter().enumerate() {
-        if hi > prev {
-            partial.ingest(&records[prev..hi]);
-            prev = hi;
-        }
-        for &t in &LADDER {
-            let warm = partial.probe(t);
-            let cold = apss(&records[..hi], Similarity::Cosine, t, &cfg);
-            assert_eq!(warm.pairs, cold.pairs, "epoch {e} t={t}");
-            assert_eq!(warm.candidates, cold.stats.candidates, "epoch {e}");
-            assert_eq!(warm.pruned, cold.stats.pruned, "epoch {e}");
-        }
-        let bytes = partial
-            .shared_cache()
-            .expect("built")
-            .memory_stats()
-            .bucket_cache_bytes;
-        assert!(
-            bytes <= cap,
-            "epoch {e}: cap must be honored ({bytes} > {cap})"
-        );
-    }
-    let bytes = partial
-        .shared_cache()
-        .expect("built")
-        .memory_stats()
-        .bucket_cache_bytes;
-    assert!(
-        bytes > 0,
-        "partial eviction must keep the cache resident, not drop it whole"
-    );
-    assert!(
-        bytes < full_bytes,
-        "memory pressure must actually evict something ({bytes} vs {full_bytes})"
-    );
 }
 
 /// Driver-level pin: `StreamingSession::probe` reports (the user-facing

@@ -14,9 +14,9 @@
 //! * the whole delta history — including work counters — is invariant
 //!   across parallelism {1, 2, 4} and segment geometry {8, 512}, for any
 //!   batch-split schedule;
-//! * watches survive `CacheCapacity` bucket-cache eviction with
-//!   unchanged outputs, and a late-registered watch's first delta equals
-//!   the full cold probe at its registration epoch;
+//! * a watch whose band shape differs from the probes' takes the cold
+//!   delta join with unchanged outputs, and a late-registered watch's
+//!   first delta equals the full cold probe at its registration epoch;
 //! * the evaluation side is exactly as incremental as the carry-over
 //!   arithmetic promises: an epoch's delta pays
 //!   `cold(full).hashes − cold(old).hashes` hash comparisons, and a
@@ -26,9 +26,9 @@
 use proptest::prelude::*;
 
 use plasma_core::apss::{apss_with_sketches, build_sketches, ApssConfig, CandidateStrategy};
-use plasma_core::cache::{CacheCapacity, SharedKnowledgeCache};
+use plasma_core::cache::SharedKnowledgeCache;
 use plasma_core::streaming::StreamingSession;
-use plasma_core::watch::WatchDelta;
+use plasma_core::watch::{WatchDelta, WatchRegistry};
 use plasma_core::ApssResult;
 use plasma_data::datasets::gaussian::GaussianSpec;
 use plasma_data::similarity::Similarity;
@@ -62,7 +62,6 @@ fn run_watched(
     thresholds: &[f64],
     cfg: ApssConfig,
     segment_records: Option<usize>,
-    capacity: CacheCapacity,
 ) -> Vec<Vec<WatchDelta>> {
     let seed = records[..bounds[0]].to_vec();
     let session = match segment_records {
@@ -78,12 +77,10 @@ fn run_watched(
             .with_parallelism(cfg.parallelism)
             .with_segment_records(g)
             .sketch_all(&seed);
-            StreamingSession::from_records(seed, Similarity::Cosine, cfg).with_shared_cache(
-                std::sync::Arc::new(SharedKnowledgeCache::with_capacity(sketches, capacity)),
-            )
+            StreamingSession::from_records(seed, Similarity::Cosine, cfg)
+                .with_shared_cache(std::sync::Arc::new(SharedKnowledgeCache::new(sketches)))
         }
-        None => StreamingSession::from_records(seed, Similarity::Cosine, cfg)
-            .with_cache_capacity(capacity),
+        None => StreamingSession::from_records(seed, Similarity::Cosine, cfg),
     };
     let mut session = session.with_parallelism(cfg.parallelism);
     let handles: Vec<_> = thresholds.iter().map(|&t| session.watch(t)).collect();
@@ -233,23 +230,9 @@ fn check_schedule(records: &[SparseVector], bounds: &[usize], base: ApssConfig) 
         parallelism: Some(p),
         ..base
     };
-    let reference = run_watched(
-        records,
-        bounds,
-        &WATCHED,
-        cfg_at(1),
-        None,
-        CacheCapacity::unbounded(),
-    );
+    let reference = run_watched(records, bounds, &WATCHED, cfg_at(1), None);
     for p in [2usize, 4] {
-        let run = run_watched(
-            records,
-            bounds,
-            &WATCHED,
-            cfg_at(p),
-            None,
-            CacheCapacity::unbounded(),
-        );
+        let run = run_watched(records, bounds, &WATCHED, cfg_at(p), None);
         assert_same_history(&reference, &run, &format!("1 vs {p} threads"));
     }
 
@@ -319,7 +302,6 @@ fn banded_watch_history_is_thread_and_geometry_invariant() {
             ..base
         },
         None,
-        CacheCapacity::unbounded(),
     );
     for p in [1usize, 4] {
         for geometry in [Some(8), Some(512)] {
@@ -332,7 +314,6 @@ fn banded_watch_history_is_thread_and_geometry_invariant() {
                     ..base
                 },
                 geometry,
-                CacheCapacity::unbounded(),
             );
             assert_same_history(
                 &reference,
@@ -343,51 +324,63 @@ fn banded_watch_history_is_thread_and_geometry_invariant() {
     }
 }
 
-/// Watches survive bucket-cache eviction unchanged: a `bounded(0)` cap
-/// drops the bucket cache (and every memo) between epochs, forcing the
-/// cold `banded_delta` path — outputs must still be bit-identical to the
-/// unbounded run (work counters excluded: warmth is exactly what the cap
-/// destroys).
+/// A watch whose band shape differs from the probes' on one corpus finds
+/// the bucket cache in the probes' shape, so its delta candidates come
+/// from the cold `banded_join` fallback and never touch the shared
+/// buckets. Its deltas still concatenate to cold probes at every epoch.
 #[test]
-fn watch_deltas_survive_bucket_cache_eviction() {
+fn a_watch_of_another_band_shape_takes_the_cold_delta_join() {
     let records = dataset(90, 31);
     let bounds = [30usize, 31, 60, 90];
-    let cfg = ApssConfig {
+    let probe_cfg = ApssConfig {
         candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
         parallelism: Some(1),
         ..ApssConfig::default()
     };
-    let unbounded = run_watched(
-        &records,
-        &bounds,
-        &WATCHED,
-        cfg,
-        None,
-        CacheCapacity::unbounded(),
-    );
-    let evicted = run_watched(
-        &records,
-        &bounds,
-        &WATCHED,
-        cfg,
-        None,
-        CacheCapacity::bounded(0),
-    );
-    for (w, &t) in WATCHED.iter().enumerate() {
-        assert_eq!(evicted[w].len(), bounds.len());
-        for e in 0..bounds.len() {
-            let label = format!("evicted t={t} epoch {e}");
-            let merged = merge_deltas(&evicted[w], e + 1, &label);
-            let cold_full = cold(&records[..bounds[e]], t, &cfg);
-            assert_merged_equals_cold(&merged, &cold_full, &label);
-            // Output halves agree delta-for-delta with the unbounded run.
-            let (a, b) = (&unbounded[w][e], &evicted[w][e]);
-            assert_eq!(a.new_pairs.len(), b.new_pairs.len(), "{label}");
-            for (x, y) in a.new_pairs.iter().zip(&b.new_pairs) {
-                assert_eq!((x.i, x.j), (y.i, y.j), "{label}");
-                assert_eq!(x.similarity.to_bits(), y.similarity.to_bits(), "{label}");
-            }
-            assert_eq!(a.estimates.len(), b.estimates.len(), "{label}");
+    let watch_cfg = ApssConfig {
+        candidates: CandidateStrategy::Banded {
+            bands: 16,
+            width: 4,
+        },
+        ..probe_cfg
+    };
+    let family = LshFamily::for_measure(Similarity::Cosine);
+    let sketcher = Sketcher::new(family, probe_cfg.n_hashes, probe_cfg.seed);
+    let cache = SharedKnowledgeCache::new(sketcher.sketch_all(&records[..bounds[0]]));
+    let watches = WatchRegistry::new();
+    let handles: Vec<_> = (WATCHED.iter())
+        .map(|&t| {
+            watches.register(
+                &cache,
+                &records[..bounds[0]],
+                Similarity::Cosine,
+                t,
+                &watch_cfg,
+            )
+        })
+        .collect();
+    for w in bounds.windows(2) {
+        let (lo, hi) = (w[0], w[1]);
+        // The probe leaves the bucket cache in its own shape.
+        cache.probe(&records[..lo], Similarity::Cosine, WATCHED[0], &probe_cfg);
+        let bucketed = cache.bucket_build_records();
+        let mut grown = (*cache.sketches()).clone();
+        sketcher.extend_batch(&records[lo..hi], &mut grown);
+        cache.grow(grown);
+        watches.notify_ingest(&cache, &records[..hi], Similarity::Cosine, lo);
+        assert_eq!(
+            cache.bucket_build_records(),
+            bucketed,
+            "epoch {hi}: the watches' delta bucketed nothing into the shared cache"
+        );
+    }
+    for (handle, &t) in handles.iter().zip(&WATCHED) {
+        let deltas = handle.drain();
+        assert_eq!(deltas.len(), bounds.len());
+        for (e, &hi) in bounds.iter().enumerate() {
+            let label = format!("t={t} epoch {e}");
+            let merged = merge_deltas(&deltas, e + 1, &label);
+            assert_merged_equals_cold(&merged, &cold(&records[..hi], t, &watch_cfg), &label);
         }
     }
 }

@@ -51,16 +51,17 @@
 //! assert_eq!((shared.sketch_seconds, shared.hashes_compared), (0.0, 0));
 //! ```
 //!
-//! For long-lived servers the cache is memory-boundable — byte caps with
-//! LRU eviction per cache, count/byte limits across datasets — without
-//! ever changing probe outputs:
+//! For long-lived servers a cache registry bounds memory: count/byte
+//! limits across datasets, enforced by dropping whole least-recently-used
+//! caches, without ever changing probe outputs:
 //!
 //! ```
-//! use plasma_hd::core::cache::{CacheCapacity, CacheRegistry, RegistryCapacity};
+//! use plasma_hd::core::cache::{CacheRegistry, RegistryCapacity};
 //!
 //! let registry = CacheRegistry::with_capacity(
-//!     RegistryCapacity::unbounded().with_max_caches(64),
-//!     CacheCapacity::bounded(64 << 20), // 64 MiB of memos per dataset
+//!     RegistryCapacity::unbounded()
+//!         .with_max_caches(64)
+//!         .with_max_total_bytes(512 << 20), // 512 MiB across all datasets
 //! );
 //! assert!(registry.is_empty());
 //! ```

@@ -22,9 +22,9 @@
 //! * a post-ingest probe or watch delta **extends** by the new records —
 //!   `O(new × bands)` key work instead of `O(corpus × bands)`;
 //! * the **cold** join, [`banded_join`], is a fresh `BandBuckets` whose
-//!   watermark starts at `from` with every band at 0, extended once: the
-//!   prefix re-buckets silently (the partial-eviction mechanism) and only
-//!   records in `[from, n)` emit pairs, so `from = 0` is the full join.
+//!   watermark starts at `from`, joined once from record 0: the prefix
+//!   buckets silently and only records in `[from, n)` emit pairs, so
+//!   `from = 0` is the full join.
 //!
 //! [`banded_sequential`] is the independent reference all of them are
 //! pinned against bit for bit.
@@ -69,7 +69,7 @@ pub fn banded_join(
 ) -> Vec<(u32, u32)> {
     let mut buckets = BandBuckets::new(bands, band_width);
     buckets.covered = from;
-    buckets.join_new(sketches)
+    buckets.join_new(sketches, 0)
 }
 
 /// The sequential reference: one pass per band into a reused bucket map
@@ -200,8 +200,8 @@ fn emit_bucket(members: &[u32], out: &mut Vec<(u32, u32)>) {
 /// union of per-bucket pair sets, and bucket contents are
 /// probe-order-independent.
 ///
-/// The cache is pure acceleration state: dropping it (capacity pressure,
-/// shape change) only costs a cold rebuild, never a different answer.
+/// The cache is pure acceleration state: dropping it (a shape change)
+/// only costs a cold rebuild, never a different answer.
 #[derive(Debug)]
 pub struct BandBuckets {
     bands: usize,
@@ -212,17 +212,6 @@ pub struct BandBuckets {
     /// One `key → members` map per band; member lists are in ascending
     /// record order by construction (records are appended in id order).
     maps: Vec<FxHashMap<u64, Vec<u32>>>,
-    /// Per-band rebuild watermark: records `[0, band_covered[b])` are
-    /// hashed into `maps[b]`. Equals `covered` for warm bands; partial
-    /// eviction clears a band's map and resets its watermark to 0, and
-    /// the next extension re-buckets that band's prefix *silently* (its
-    /// mutual pairs are already in `pairs`) before pairing new records.
-    band_covered: Vec<usize>,
-    /// Cumulative fresh pairs each band has contributed across all
-    /// extensions — the coldness ranking partial eviction uses. Counts
-    /// depend only on the ingest history (never on probe order or
-    /// eviction), so eviction choices are deterministic.
-    band_heat: Vec<u64>,
     /// The canonical sorted-unique candidate set for `[0, covered)`,
     /// shared with callers so a warm re-probe is one `Arc` clone.
     pairs: Arc<Vec<(u32, u32)>>,
@@ -246,8 +235,6 @@ impl BandBuckets {
             band_width,
             covered: 0,
             maps: (0..bands).map(|_| FxHashMap::default()).collect(),
-            band_covered: vec![0; bands],
-            band_heat: vec![0; bands],
             pairs: Arc::new(Vec::new()),
             delta: Arc::new(Vec::new()),
             delta_range: (0, 0),
@@ -299,7 +286,7 @@ impl BandBuckets {
             return Arc::clone(&self.pairs);
         }
         let from = self.covered;
-        let fresh = self.join_new(sketches);
+        let fresh = self.join_new(sketches, from);
         if !fresh.is_empty() {
             self.pairs = Arc::new(merge_sorted_unique(&self.pairs, &fresh));
         }
@@ -309,40 +296,32 @@ impl BandBuckets {
         Arc::clone(&self.pairs)
     }
 
-    /// The join itself: hashes records `[covered, n)` into every band,
-    /// pairs each against its bucket's prior members, advances every
-    /// watermark to `n`, and returns the fresh pairs sorted unique. A band
-    /// whose watermark trails `covered` first re-buckets that prefix
-    /// without emitting pairs.
-    fn join_new(&mut self, sketches: &SketchSet) -> Vec<(u32, u32)> {
+    /// The join itself: hashes records `[start, n)` into every band,
+    /// pairs each record from `covered` on against its bucket's prior
+    /// members, advances `covered` to `n`, and returns the fresh pairs
+    /// sorted unique. Records `[start, covered)` join their buckets
+    /// without emitting pairs: a cold join from `from` (`start` 0) buckets
+    /// the prefix *silently*, since the prefix's mutual pairs are not
+    /// wanted.
+    fn join_new(&mut self, sketches: &SketchSet, start: usize) -> Vec<(u32, u32)> {
         let n = sketches.len();
         let from = self.covered;
         let mut keys: Vec<u64> = Vec::new();
         let mut fresh: Vec<(u32, u32)> = Vec::new();
         for (band, map) in self.maps.iter_mut().enumerate() {
-            // An evicted band (or every band of a cold join from `from`)
-            // restarts below the watermark: its prefix records re-join
-            // their buckets without emitting pairs — those pairs are
-            // already in `pairs`, or not wanted — so eviction can never
-            // change outputs.
-            let start = self.band_covered[band];
             keys.clear();
             keys.resize(n - start, 0);
             sketches.band_keys_into(band, self.band_width, start, &mut keys);
-            let mut heat = 0u64;
             for (off, &key) in keys.iter().enumerate() {
                 let r = (start + off) as u32;
                 let members = map.entry(key).or_default();
                 if start + off >= from {
                     // Every prior member has a smaller id, so (m, r) is
                     // already in canonical i < j orientation.
-                    heat += members.len() as u64;
                     fresh.extend(members.iter().map(|&m| (m, r)));
                 }
                 members.push(r);
             }
-            self.band_covered[band] = n;
-            self.band_heat[band] += heat;
         }
         self.covered = n;
         fresh.sort_unstable();
@@ -360,49 +339,6 @@ impl BandBuckets {
         (self.delta_range == (from, to)).then(|| Arc::clone(&self.delta))
     }
 
-    /// Number of bands whose bucket maps are currently resident (their
-    /// watermark has kept up with `covered`). Bands partial eviction has
-    /// cleared don't count until an extension rebuilds them.
-    pub fn resident_bands(&self) -> usize {
-        self.band_covered
-            .iter()
-            .filter(|&&w| w == self.covered && self.covered > 0)
-            .count()
-    }
-
-    /// Partially evicts under memory pressure: clears the *coldest*
-    /// bands' bucket maps — lowest cumulative fresh-pair contribution,
-    /// ties broken by lower band index — until the estimated footprint
-    /// fits `target_bytes`, keeping warm bands and the canonical
-    /// pair/delta sets intact. Returns the number of bands evicted.
-    ///
-    /// Outputs are unaffected: an evicted band's watermark resets to 0,
-    /// and the next extension re-buckets its prefix silently (no pair
-    /// emission — see [`extend_and_generate`](Self::extend_and_generate)),
-    /// so the cache keeps producing exactly the [`banded_sequential`]
-    /// pair set. The cost of eviction is re-hashing the evicted bands'
-    /// prefixes on the next growth — not a full cache rebuild. When even
-    /// clearing every map cannot fit (the pair sets alone exceed the
-    /// cap), the caller's final rung is dropping the whole cache.
-    pub fn evict_coldest_bands(&mut self, target_bytes: usize) -> usize {
-        let mut order: Vec<usize> = (0..self.bands).collect();
-        order.sort_by_key(|&b| (self.band_heat[b], b));
-        let mut evicted = 0;
-        for &b in &order {
-            if self.bytes <= target_bytes {
-                break;
-            }
-            if self.maps[b].is_empty() && self.band_covered[b] == 0 {
-                continue;
-            }
-            self.maps[b] = FxHashMap::default();
-            self.band_covered[b] = 0;
-            evicted += 1;
-            self.recount_bytes();
-        }
-        evicted
-    }
-
     /// Re-estimates the cache's heap footprint from current capacities.
     fn recount_bytes(&mut self) {
         let mut bytes = std::mem::size_of::<Self>();
@@ -413,8 +349,6 @@ impl BandBuckets {
                 .map(|m| m.capacity() * std::mem::size_of::<u32>())
                 .sum::<usize>();
         }
-        bytes += self.band_covered.capacity() * std::mem::size_of::<usize>();
-        bytes += self.band_heat.capacity() * std::mem::size_of::<u64>();
         bytes += self.pairs.capacity() * std::mem::size_of::<(u32, u32)>();
         bytes += self.delta.capacity() * std::mem::size_of::<(u32, u32)>();
         self.bytes = bytes;
@@ -685,68 +619,6 @@ mod tests {
             cache.extend_and_generate(&set);
             assert!(cache.delta_covering(lo, hi).is_some());
         }
-    }
-
-    #[test]
-    fn partial_eviction_keeps_warm_bands_and_exact_outputs() {
-        // Grow in installments, partially evict between epochs, and the
-        // cache must keep matching the cold reference exactly — eviction
-        // only clears the coldest bands' maps, never the pair sets.
-        let records: Vec<SparseVector> = (0..60u32)
-            .map(|i| {
-                let mut items: Vec<u32> = (i / 4 * 40..i / 4 * 40 + 45).collect();
-                items.push(7000 + i % 6);
-                SparseVector::from_set(items)
-            })
-            .collect();
-        let sketcher = Sketcher::new(LshFamily::MinHash, 64, 5);
-        let mut set = sketcher.sketch_all(&records[..20]);
-        let mut cache = BandBuckets::new(8, 8);
-        cache.extend_and_generate(&set);
-        assert_eq!(cache.resident_bands(), 8);
-        let warm_bytes = cache.byte_size();
-
-        // Evict down to ~60% of the warm footprint: some bands must
-        // survive, some must be cleared, and the byte estimate honors
-        // the target (maps are droppable; pairs are not).
-        let target = warm_bytes * 3 / 5;
-        let evicted = cache.evict_coldest_bands(target);
-        assert!(evicted > 0, "a 40% cut must clear at least one band");
-        assert!(evicted < 8, "a 40% cut must not clear every band");
-        assert!(cache.byte_size() <= target);
-        assert_eq!(cache.resident_bands(), 8 - evicted);
-        // Eviction is deterministic: same heat history, same victims.
-        assert_eq!(cache.evict_coldest_bands(target), 0, "already under");
-
-        // Warm re-probe at the same epoch is untouched by eviction.
-        assert_eq!(
-            *cache.extend_and_generate(&set),
-            banded_sequential(&set, 8, 8)
-        );
-
-        // Growth after eviction silently rebuilds the cleared bands:
-        // full set, delta slice, and watermarks all exact.
-        for (lo, hi) in [(20usize, 21usize), (21, 40), (40, 60)] {
-            sketcher.extend_batch(&records[lo..hi], &mut set);
-            let pairs = cache.extend_and_generate(&set);
-            assert_eq!(*pairs, banded_sequential(&set, 8, 8), "epoch {hi}");
-            let delta = cache.delta_covering(lo, hi).expect("delta recorded");
-            assert_eq!(*delta, banded_join(&set, 8, 8, lo), "delta {lo}..{hi}");
-            assert_eq!(cache.resident_bands(), 8, "growth re-warms all bands");
-        }
-
-        // The final rung's trigger condition: a target below the pair
-        // sets' floor is unreachable — every band clears, bytes stay
-        // above target, and the caller drops the whole cache.
-        let evicted = cache.evict_coldest_bands(0);
-        assert_eq!(evicted, 8);
-        assert!(cache.byte_size() > 0);
-        assert_eq!(cache.resident_bands(), 0);
-        // Even with every map gone the canonical pair set still serves.
-        assert_eq!(
-            *cache.extend_and_generate(&set),
-            banded_sequential(&set, 8, 8)
-        );
     }
 
     #[test]

@@ -240,7 +240,7 @@ impl ProbeService {
     /// their own `Arc`s; see [`CacheRegistry`] eviction semantics).
     pub fn with_registry_capacity(capacity: RegistryCapacity) -> Self {
         ProbeService {
-            registry: CacheRegistry::with_capacity(capacity, CacheCapacity::unbounded()),
+            registry: CacheRegistry::with_capacity(capacity),
             ..ProbeService::new()
         }
     }
@@ -888,8 +888,6 @@ impl Connection {
             sketch_bytes: 0,
             bucket_cache_bytes: 0,
             bucket_build_records: 0,
-            capacity_bytes: None,
-            evicted_entries: 0,
             cache_hits: 0,
         };
         if let Response::MemoryStatsResult {
@@ -898,8 +896,6 @@ impl Connection {
             sketch_bytes,
             bucket_cache_bytes,
             bucket_build_records,
-            capacity_bytes,
-            evicted_entries,
             cache_hits,
             ..
         } = &mut response
@@ -911,11 +907,6 @@ impl Connection {
                 *sketch_bytes += s.sketch_bytes;
                 *bucket_cache_bytes += s.bucket_cache_bytes;
                 *bucket_build_records += s.bucket_build_records;
-                *capacity_bytes = match (*capacity_bytes, s.capacity_bytes) {
-                    (Some(a), Some(b)) => Some(a + b),
-                    (a, b) => a.or(b),
-                };
-                *evicted_entries += s.evicted_entries;
                 *cache_hits += s.cache_hits;
             }
         }

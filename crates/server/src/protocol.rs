@@ -277,10 +277,6 @@ pub enum Response {
         bucket_cache_bytes: usize,
         /// Lifetime records bucketed.
         bucket_build_records: u64,
-        /// Configured cap, if any.
-        capacity_bytes: Option<usize>,
-        /// Lifetime memos evicted.
-        evicted_entries: u64,
         /// Lifetime cache hits.
         cache_hits: u64,
     },
@@ -847,8 +843,6 @@ impl Response {
                 sketch_bytes,
                 bucket_cache_bytes,
                 bucket_build_records,
-                capacity_bytes,
-                evicted_entries,
                 cache_hits,
             } => obj(vec![
                 ("type", Json::Str("memory_stats".into())),
@@ -861,11 +855,6 @@ impl Response {
                     "bucket_build_records",
                     Json::Int(*bucket_build_records as i64),
                 ),
-                (
-                    "capacity_bytes",
-                    capacity_bytes.map_or(Json::Null, |c| Json::Int(c as i64)),
-                ),
-                ("evicted_entries", Json::Int(*evicted_entries as i64)),
                 ("cache_hits", Json::Int(*cache_hits as i64)),
             ]),
             Response::Health {

@@ -154,8 +154,6 @@ fn recorded_frames_equal_direct_library_calls() {
         sketch_bytes: stats.sketch_bytes,
         bucket_cache_bytes: stats.bucket_cache_bytes,
         bucket_build_records: stats.bucket_build_records,
-        capacity_bytes: stats.capacity_bytes,
-        evicted_entries: stats.evicted_entries,
         cache_hits: stats.cache_hits,
     };
     assert_eq!(trace.entries[8].response, expected.encode());
